@@ -211,7 +211,8 @@ def _aborted_report(scenario: Scenario, error: str) -> SessionReport:
                          flags=[], error=error)
 
 
-def _counters_from(client_tally, server_tally, transcript: Transcript) -> Counters:
+def counters_from(client_tally, server_tally, transcript: Transcript) -> Counters:
+    """Session counters from both tallies; a one-sided view passes Tally()."""
     return Counters(
         modexp_client=client_tally.modexp,
         modexp_server=server_tally.modexp,
@@ -251,7 +252,7 @@ def _run_lky(scenario: Scenario, x: int, y: int) -> SessionReport:
         msg3, key_a = lky.lky_client_finish(msg2, client)
     except PakeError as exc:
         return _failed_session(scenario, transcript,
-                               _counters_from(client.tally, server.tally, transcript),
+                               counters_from(client.tally, server.tally, transcript),
                                [], "client", exc)
     transcript.record(DIR_AB, "msg3", encode_frame(Msg3Frame(d_a=msg3.d_a)))
 
@@ -259,14 +260,14 @@ def _run_lky(scenario: Scenario, x: int, y: int) -> SessionReport:
         key_b = lky.lky_server_finish(msg3, server)
     except PakeError as exc:
         return _failed_session(scenario, transcript,
-                               _counters_from(client.tally, server.tally, transcript),
+                               counters_from(client.tally, server.tally, transcript),
                                [], "server", exc, auth_a=True)
 
     return SessionReport(scheme=scenario.scheme, params=params,
                          transcript=transcript, key_a=key_a, key_b=key_b,
                          auth_a_ok=True, auth_b_ok=True,
-                         counters=_counters_from(client.tally, server.tally,
-                                                 transcript),
+                         counters=counters_from(client.tally, server.tally,
+                                                transcript),
                          flags=[])
 
 
@@ -289,7 +290,7 @@ def _run_proposed(scenario: Scenario, x: int, y: int) -> SessionReport:
         msg4, key_b = proposed.prop_server_finish(msg3, server)
     except PakeError as exc:
         return _failed_session(scenario, transcript,
-                               _counters_from(client.tally, server.tally, transcript),
+                               counters_from(client.tally, server.tally, transcript),
                                list(client.flags), "server", exc)
     transcript.record(DIR_BA, "msg4", encode_frame(Msg4Frame(e_b=msg4.e_b)))
 
@@ -298,8 +299,8 @@ def _run_proposed(scenario: Scenario, x: int, y: int) -> SessionReport:
         key_a = proposed.prop_client_finish(msg4, client, skip_server_auth=skip)
     except PakeError as exc:
         report = _failed_session(scenario, transcript,
-                                 _counters_from(client.tally, server.tally,
-                                                transcript),
+                                 counters_from(client.tally, server.tally,
+                                               transcript),
                                  list(client.flags), "client", exc)
         report.auth_b_ok = True            # the server had already accepted
         return report
@@ -307,8 +308,8 @@ def _run_proposed(scenario: Scenario, x: int, y: int) -> SessionReport:
     return SessionReport(scheme=scenario.scheme, params=params,
                          transcript=transcript, key_a=key_a, key_b=key_b,
                          auth_a_ok=not skip, auth_b_ok=True,
-                         counters=_counters_from(client.tally, server.tally,
-                                                 transcript),
+                         counters=counters_from(client.tally, server.tally,
+                                                transcript),
                          flags=list(client.flags))
 
 
@@ -480,7 +481,7 @@ def replay_golden(vector: GoldenVector) -> Dict[str, int]:
     key_a = proposed.prop_client_finish(msg4, client,
                                         pairing=DlogTable.for_params(params))
     assert key_a == key_b
-    return {"v": client.v, "t_a": msg1.t_a, "t_b": msg2.t_b, "r": client.r,
+    return {"v": record.v, "t_a": msg1.t_a, "t_b": msg2.t_b, "r": client.r,
             "d_a": msg3.d_a, "f_a": server.f_a, "e_b": msg4.e_b,
             "key": key_a.value}
 

@@ -29,7 +29,7 @@ import socketserver
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .. import lky, proposed
 from ..core import (
@@ -41,6 +41,7 @@ from ..core import (
     SCHEME_LKY,
     SCHEME_PROPOSED,
     SessionKey,
+    Tally,
     VerifierRecord,
     sample_nonce,
     validate_params,
@@ -54,7 +55,7 @@ from ..errors import (
     UnmaskOutOfRange,
     VersionMismatch,
 )
-from ..harness import Counters, SessionReport, append_log_line
+from ..harness import SessionReport, append_log_line, counters_from
 from ..transcript import DIR_AB, DIR_BA, Transcript
 from .frames import (
     ERR_AUTH_FAIL,
@@ -80,6 +81,9 @@ from .store import VerifierStore
 log = logging.getLogger("pakelab.netio")
 
 DEFAULT_MAX_FAIL = 5
+
+# serve_forever's shutdown poll; short so that Service.stop() returns promptly
+POLL_INTERVAL = 0.05
 
 
 def parse_address(text: str) -> Tuple[str, int]:
@@ -124,6 +128,15 @@ class _Server(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
 
+class _SessionEnd(NamedTuple):
+    """How a session ended, for its log line; key_b is None on auth-fail."""
+
+    scheme: str
+    key_b: Optional[SessionKey]
+    tally: Tally
+    error: Optional[str] = None
+
+
 class Service:
     """A bound listener plus the shared store, counters, and log."""
 
@@ -138,6 +151,9 @@ class Service:
         else:
             raise FileNotFoundError(f"verifier store not found: {path}")
         self._lock = threading.Lock()
+        # log appends get their own lock: a session's line is written before
+        # its final frame, so it must not wait behind a store rewrite
+        self._log_lock = threading.Lock()
         self._rng = random.Random(config.rng_seed)
         self._server = _Server(config.listen, _Handler)
         self._server.service = self
@@ -149,6 +165,7 @@ class Service:
 
     def start(self):
         self._thread = threading.Thread(target=self._server.serve_forever,
+                                        args=(POLL_INTERVAL,),
                                         name="pakelab-serve", daemon=True)
         self._thread.start()
 
@@ -162,7 +179,7 @@ class Service:
         host, port = self.address
         log.info("listening on %s:%d", host, port)
         try:
-            self._server.serve_forever()
+            self._server.serve_forever(POLL_INTERVAL)
         except KeyboardInterrupt:
             pass
         finally:
@@ -204,10 +221,17 @@ class Service:
             log.exception("connection handler failed")
 
     def _send(self, conn: _Handler, frame, transcript: Optional[Transcript] = None,
-              direction: str = DIR_BA):
+              end: Optional[_SessionEnd] = None):
+        """Record frame in the transcript, then write it to the peer.
+
+        With end (a session's final frame) the session is logged before the
+        write, so a client that has read the frame finds its line in the log.
+        """
         data = encode_frame(frame)
         if transcript is not None:
-            transcript.record(direction, frame_label(frame), data)
+            transcript.record(DIR_BA, frame_label(frame), data)
+        if end is not None:
+            self._log_session(transcript, end)
         try:
             conn.wfile.write(data)
             conn.wfile.flush()
@@ -215,9 +239,10 @@ class Service:
             pass                            # peer is gone; nothing to salvage
 
     def _reply_error(self, conn: _Handler, code: int, detail: str,
-                     transcript: Optional[Transcript] = None):
+                     transcript: Optional[Transcript] = None,
+                     end: Optional[_SessionEnd] = None):
         log.info("refusing connection: code %#04x, %s", code, detail)
-        self._send(conn, ErrorFrame(code=code, detail=detail), transcript)
+        self._send(conn, ErrorFrame(code=code, detail=detail), transcript, end)
 
     def _handle_register(self, conn: _Handler, frame: RegisterFrame):
         if not self.config.enroll:
@@ -319,15 +344,13 @@ class Service:
             with self._lock:
                 count = self.store.note_failure(msg1.id_a)
             self._reply_error(conn, ERR_AUTH_FAIL,
-                              f"{exc} (consecutive failures: {count})", transcript)
-            self._log_session(SCHEME_PROPOSED, transcript, None, server.tally,
-                              auth_b=False, error=str(exc))
+                              f"{exc} (consecutive failures: {count})", transcript,
+                              _SessionEnd(SCHEME_PROPOSED, None, server.tally, str(exc)))
             return
         with self._lock:
             self.store.clear_failures(msg1.id_a)
-        self._send(conn, Msg4Frame(e_b=msg4.e_b), transcript)
-        self._log_session(SCHEME_PROPOSED, transcript, key_b, server.tally,
-                          auth_b=True)
+        self._send(conn, Msg4Frame(e_b=msg4.e_b), transcript,
+                   _SessionEnd(SCHEME_PROPOSED, key_b, server.tally))
 
     def _handle_lky_session(self, conn: _Handler, msg1: Msg1Frame):
         cfg = self.config
@@ -373,38 +396,26 @@ class Service:
             with self._lock:
                 count = self.store.note_failure(msg1.id_a)
             self._reply_error(conn, ERR_AUTH_FAIL,
-                              f"{exc} (consecutive failures: {count})", transcript)
-            self._log_session(SCHEME_LKY, transcript, None, server.tally,
-                              auth_b=False, error=str(exc))
+                              f"{exc} (consecutive failures: {count})", transcript,
+                              _SessionEnd(SCHEME_LKY, None, server.tally, str(exc)))
             return
         with self._lock:
             self.store.clear_failures(msg1.id_a)
-        self._send(conn, OkFrame(), transcript)
-        self._log_session(SCHEME_LKY, transcript, key_b, server.tally,
-                          auth_b=True)
+        self._send(conn, OkFrame(), transcript,
+                   _SessionEnd(SCHEME_LKY, key_b, server.tally))
 
-    def _log_session(self, scheme: str, transcript: Transcript,
-                     key_b: Optional[SessionKey], tally, auth_b: bool,
-                     error: Optional[str] = None):
-        counters = Counters(
-            modexp_server=tally.modexp,
-            modexp_registration=tally.modexp_registration,
-            messages=transcript.messages,
-            round_trips=(transcript.messages + 1) // 2,
-            bytes_on_wire=transcript.bytes_on_wire,
-            hash_evals=tally.hash_evals,
-        )
-        report = SessionReport(scheme=scheme, params=self.config.params,
-                               transcript=transcript, key_a=None, key_b=key_b,
-                               auth_a_ok=False, auth_b_ok=auth_b,
-                               counters=counters, flags=["server-side view"],
-                               error=error)
+    def _log_session(self, transcript: Transcript, end: _SessionEnd):
+        report = SessionReport(scheme=end.scheme, params=self.config.params,
+                               transcript=transcript, key_a=None, key_b=end.key_b,
+                               auth_a_ok=False, auth_b_ok=end.key_b is not None,
+                               counters=counters_from(Tally(), end.tally, transcript),
+                               flags=["server-side view"], error=end.error)
         self._log_line(report.to_json_obj())
 
     def _log_line(self, obj: dict):
         if self.config.log_path is None:
             return
-        with self._lock:
+        with self._log_lock:
             append_log_line(self.config.log_path, obj)
 
 
@@ -428,6 +439,19 @@ def _client_read(rfile) -> object:
 def _expect(frame, cls):
     if not isinstance(frame, cls):
         raise MalformedFrame(f"expected {cls.__name__}, got {frame_label(frame)}")
+    return frame
+
+
+def _client_send(sock: socket.socket, frame, transcript: Transcript):
+    """Encode frame once; the same bytes go to the transcript and the wire."""
+    data = encode_frame(frame)
+    transcript.record(DIR_AB, frame_label(frame), data)
+    sock.sendall(data)
+
+
+def _client_recv(rfile, cls, transcript: Transcript):
+    frame = _expect(_client_read(rfile), cls)
+    transcript.record(DIR_BA, frame_label(frame), encode_frame(frame))
     return frame
 
 
@@ -467,17 +491,9 @@ def _client_nonce(params: GroupParams, opts: ClientOptions) -> int:
 
 def _client_report(scheme: str, params: GroupParams, transcript: Transcript,
                    key: SessionKey, tally, flags) -> SessionReport:
-    counters = Counters(
-        modexp_client=tally.modexp,
-        modexp_registration=tally.modexp_registration,
-        messages=transcript.messages,
-        round_trips=(transcript.messages + 1) // 2,
-        bytes_on_wire=transcript.bytes_on_wire,
-        hash_evals=tally.hash_evals,
-    )
     return SessionReport(scheme=scheme, params=params, transcript=transcript,
                          key_a=key, key_b=None, auth_a_ok=True, auth_b_ok=True,
-                         counters=counters,
+                         counters=counters_from(tally, Tally(), transcript),
                          flags=["client-side view"] + list(flags))
 
 
@@ -488,19 +504,12 @@ def _connect_proposed(address, creds: Credentials, params: GroupParams,
     transcript = Transcript()
     with socket.create_connection(address, timeout=opts.timeout) as sock:
         rfile = sock.makefile("rb")
-        frame1 = Msg1Frame(q=params.q, g=params.g, id_a=msg1.id_a, t_a=msg1.t_a)
-        transcript.record(DIR_AB, "msg1", encode_frame(frame1))
-        sock.sendall(encode_frame(frame1))
-
-        msg2 = _expect(_client_read(rfile), Msg2Frame)
-        transcript.record(DIR_BA, "msg2", encode_frame(msg2))
+        _client_send(sock, Msg1Frame(q=params.q, g=params.g, id_a=msg1.id_a,
+                                     t_a=msg1.t_a), transcript)
+        msg2 = _client_recv(rfile, Msg2Frame, transcript)
         msg3 = proposed.prop_client_confirm(proposed.Msg2(t_b=msg2.t_b), client)
-        frame3 = Msg3Frame(d_a=msg3.d_a)
-        transcript.record(DIR_AB, "msg3", encode_frame(frame3))
-        sock.sendall(encode_frame(frame3))
-
-        msg4 = _expect(_client_read(rfile), Msg4Frame)
-        transcript.record(DIR_BA, "msg4", encode_frame(msg4))
+        _client_send(sock, Msg3Frame(d_a=msg3.d_a), transcript)
+        msg4 = _client_recv(rfile, Msg4Frame, transcript)
         skip = opts.skip_server_auth or params.q > DESK_SCALE_BOUND
         key = proposed.prop_client_finish(proposed.Msg4(e_b=msg4.e_b), client,
                                           skip_server_auth=skip)
@@ -528,23 +537,16 @@ def _connect_lky(address, creds: Credentials, params: GroupParams,
     transcript = Transcript()
     with socket.create_connection(address, timeout=opts.timeout) as sock:
         rfile = sock.makefile("rb")
-        frame1 = Msg1Frame(q=params.q, g=params.g, id_a=msg1.id_a,
-                           t_a=msg1.t_a_masked.as_int)
-        transcript.record(DIR_AB, "msg1", encode_frame(frame1))
-        sock.sendall(encode_frame(frame1))
-
-        resp = _expect(_client_read(rfile), LkyMsg2Frame)
-        transcript.record(DIR_BA, "lky-msg2", encode_frame(resp))
+        _client_send(sock, Msg1Frame(q=params.q, g=params.g, id_a=msg1.id_a,
+                                     t_a=msg1.t_a_masked.as_int), transcript)
+        resp = _client_recv(rfile, LkyMsg2Frame, transcript)
         if resp.t_b_masked >= 256 ** params.q_byte_len:
             raise MalformedFrame("masked value exceeds the group width")
         masked = lky.MaskedValue(
             resp.t_b_masked.to_bytes(params.q_byte_len, "big"))
         msg3, key = lky.lky_client_finish(
             lky.Msg2(t_b_masked=masked, d_b=resp.d_b), client)
-        frame3 = Msg3Frame(d_a=msg3.d_a)
-        transcript.record(DIR_AB, "msg3", encode_frame(frame3))
-        sock.sendall(encode_frame(frame3))
-        ok = _expect(_client_read(rfile), OkFrame)
-        transcript.record(DIR_BA, "ok", encode_frame(ok))
+        _client_send(sock, Msg3Frame(d_a=msg3.d_a), transcript)
+        _client_recv(rfile, OkFrame, transcript)
     return key, _client_report(SCHEME_LKY, params, transcript, key,
                                client.tally, [])

@@ -84,7 +84,6 @@ class PropClientState:
     creds: Credentials
     params: GroupParams
     hash_spec: HashSpec
-    v: int
     h_exp: int
     x: int = field(repr=False)          # ephemeral; never serialized
     t_a: int
@@ -112,16 +111,19 @@ class PropServerState:
 
 def prop_client_start(creds: Credentials, params: GroupParams, hash_spec: HashSpec,
                       x: int) -> tuple[Msg1, PropClientState]:
-    """Step 1: send T_A = g^x unmasked; cache the invertible password exponent."""
+    """Step 1: send T_A = g^x unmasked; cache the invertible password exponent.
+
+    The client never needs the verifier v = g^h itself, only h, so it does
+    not derive it (derive_verifier does, for enrollment).
+    """
     if not 1 <= x <= params.order - 1:
         raise ValueError(f"x must lie in [1, {params.order - 1}]")
     tally = Tally()
     raw = hash_spec.of_ints([creds.id_a, creds.id_b, creds.password], tally)
     h_exp = hash_to_exponent(raw, params)
-    v = mod_exp(params.g, h_exp, params, tally, registration=True)
     t_a = mod_exp(params.g, x, params, tally)
     state = PropClientState(creds=creds, params=params, hash_spec=hash_spec,
-                            v=v, h_exp=h_exp, x=x, t_a=t_a, tally=tally)
+                            h_exp=h_exp, x=x, t_a=t_a, tally=tally)
     return Msg1(id_a=creds.id_a, t_a=t_a), state
 
 

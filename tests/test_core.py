@@ -149,6 +149,28 @@ def test_mod_exp_tallies_into_the_right_bucket():
     assert tally.modexp_registration == 1
 
 
+def test_mod_exp_matches_pow_on_a_safe_prime_group():
+    params = generate_params(80, seed=1)
+    assert params.q.bit_length() == 80
+    rng = random.Random(80)
+    exponents = [0, 1, params.q - 2] + [rng.randrange(params.q ** 2)
+                                        for _ in range(25)]
+    for base in (1, params.g, params.q - 1, rng.randrange(2, params.q - 1)):
+        for exponent in exponents:
+            assert mod_exp(base, exponent, params) == pow(base, exponent, params.q)
+    with pytest.raises(BaseOutOfRange):
+        mod_exp(0, 3, params)
+    with pytest.raises(BaseOutOfRange):
+        mod_exp(params.q, 3, params)
+    with pytest.raises(ValueError):
+        mod_exp(params.g, -1, params)
+    tally = Tally()
+    mod_exp(params.g, params.q - 2, params, tally)
+    mod_exp(params.g, params.q - 2, params, tally, registration=True)
+    mod_exp(params.g, params.q - 2, params)
+    assert (tally.modexp, tally.modexp_registration) == (1, 1)
+
+
 @given(st.integers(min_value=2, max_value=10 ** 6),
        st.integers(min_value=1, max_value=10 ** 6))
 def test_mod_inverse_inverts(m, a):
@@ -159,6 +181,11 @@ def test_mod_inverse_inverts(m, a):
         inv = mod_inverse(a, m)
         assert 0 <= inv < m
         assert (a * inv) % m == 1
+
+
+def test_mod_inverse_names_the_gcd():
+    with pytest.raises(NotCoprime, match=r"gcd\(6, 9\) = 3"):
+        mod_inverse(15, 9)
 
 
 def test_mod_inverse_rejects_tiny_modulus():

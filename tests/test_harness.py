@@ -43,7 +43,7 @@ def test_proposed_toy_session_report():
     assert report.counters.as_dict() == {
         "modexp_client": 2,
         "modexp_server": 3,
-        "modexp_registration": 1,
+        "modexp_registration": 0,
         "messages": 4,
         "round_trips": 2,
         "bytes_on_wire": 37,
@@ -225,6 +225,14 @@ def test_efficiency_table_renders_text_and_csv():
     header, *rows = csv.strip().splitlines()
     assert header == "scheme,metric,measured,claimed"
     assert len(rows) == 14                 # 7 metrics x 2 schemes
+
+
+def test_compare_efficiency_counts_registration_modexp_per_session():
+    # the lky client needs v to unmask T_B; the proposed client needs only h
+    table = compare_efficiency(TOY_PARAMS, trials=3, seed=0)
+    cells = {(r.scheme, r.metric): r.measured for r in table.rows}
+    assert cells[(SCHEME_LKY, "modexp_registration")] == "1"
+    assert cells[(SCHEME_PROPOSED, "modexp_registration")] == "0"
 
 
 def test_compare_efficiency_rejects_zero_trials():

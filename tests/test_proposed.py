@@ -59,7 +59,7 @@ def run_handshake(params, creds, hash_spec, x, y, record=None,
 def test_toy_handshake_values():
     msg1, msg2, msg3, msg4, key_a, key_b, client, server = run_handshake(
         TOY_PARAMS, TOY_CREDS, TOYSUM_SPEC, x=3, y=4)
-    assert client.v == 7
+    assert derive_verifier(TOY_CREDS, TOY_PARAMS, TOYSUM_SPEC) == 7
     assert msg1.t_a == 8
     assert msg2.t_b == 9
     assert client.r == 1
@@ -68,6 +68,14 @@ def test_toy_handshake_values():
     assert msg4.e_b == 9
     assert key_a.value == key_b.value == 9
     assert client.flags == []
+
+
+def test_client_start_derives_no_verifier():
+    # the client holds h(id_A, id_B, P) only; v = g^h is the server's to store
+    _, client = prop_client_start(TOY_CREDS, TOY_PARAMS, TOYSUM_SPEC, x=3)
+    assert client.tally.modexp_registration == 0
+    assert client.tally.modexp == 1
+    assert not hasattr(client, "v")
 
 
 def test_key_is_hash_of_identities_and_shared_secret():

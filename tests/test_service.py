@@ -31,6 +31,7 @@ from pakelab.netio.frames import (
     encode_frame,
     read_frame,
 )
+from pakelab.netio import service as service_module
 from pakelab.netio.service import (
     ClientOptions,
     ServeConfig,
@@ -166,6 +167,55 @@ def test_client_can_skip_server_auth(tmp_path):
     assert key.value == 9
     assert not report.auth_a_ok
     assert "server unauthenticated" in report.flags
+
+
+# -- the session's log line precedes its final frame --------------------------
+
+
+@pytest.mark.parametrize("scheme, creds, x, key_b", [
+    ("proposed", TOY_CREDS, 3, "9"),
+    (SCHEME_LKY, TOY_CREDS, 3, "1"),
+    ("proposed", WRONG_CREDS, 5, None),
+])
+def test_session_is_logged_before_the_client_returns(tmp_path, scheme, creds,
+                                                      x, key_b):
+    log = tmp_path / "server.jsonl"
+    config = toy_config(tmp_path, insecure_lky=scheme == SCHEME_LKY,
+                        log_path=log, max_fail=100)
+    with serve(config) as service:
+        for n in range(1, 21):
+            try:
+                client_connect(service.address, creds, TOY_PARAMS,
+                               toy_options(scheme=scheme, x=x))
+                assert key_b is not None
+            except RemoteError as exc:
+                assert key_b is None and exc.code == ERR_AUTH_FAIL
+            # read with the service still up: the line must already be there
+            lines = log.read_text().splitlines()
+            assert len(lines) == n
+            logged = json.loads(lines[-1])
+            assert logged["key_b"] == key_b
+            assert logged["transcript"][-1]["label"] == (
+                "error" if key_b is None else
+                "ok" if scheme == SCHEME_LKY else "msg4")
+
+
+def test_client_encodes_each_sent_frame_once(tmp_path, monkeypatch):
+    client_encodes = []
+
+    def counting_encode(frame):
+        if threading.current_thread() is threading.main_thread():
+            client_encodes.append(type(frame).__name__)
+        return encode_frame(frame)
+
+    monkeypatch.setattr(service_module, "encode_frame", counting_encode)
+    with serve(toy_config(tmp_path)) as service:
+        key, report = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                                     toy_options())
+    assert key.value == 9
+    assert client_encodes.count("Msg1Frame") == 1
+    assert client_encodes.count("Msg3Frame") == 1
+    assert report.transcript.bytes_on_wire == 37
 
 
 # -- refusal codes ------------------------------------------------------------------
