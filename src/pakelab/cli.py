@@ -190,7 +190,7 @@ def cmd_register(args) -> int:
     creds = _credentials(args)
     v = derive_verifier(creds, params, _hash_spec(args))
     path = Path(args.store)
-    store = VerifierStore.load(path) if path.exists() else VerifierStore()
+    store = VerifierStore.load(path, params) if path.exists() else VerifierStore()
     store.add(VerifierRecord(id_a=creds.id_a, id_b=creds.id_b, v=v),
               replace=args.replace)
     store.save(path)

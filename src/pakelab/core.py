@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional, Sequence
@@ -352,6 +353,8 @@ class DlogTable:
 
     Maps every element g^k to k for k in [0, q-2]; a bijection between
     Z_q^* and the exponent range. Construction walks the full cycle once.
+    The logs sit in a flat array indexed by the element (slot 0 is never an
+    element), at most 4 MiB since q <= DESK_SCALE_BOUND.
     """
 
     _cache: dict = {}
@@ -361,14 +364,16 @@ class DlogTable:
             raise GroupTooLarge(
                 f"q = {params.q} exceeds desk-scale bound {DESK_SCALE_BOUND}")
         self.params = params
-        table = {}
+        q, g = params.q, params.g
+        table = array("I", [0]) * q
         element = 1
         for k in range(params.order):
             table[element] = k
-            element = (element * params.g) % params.q
-        if element != 1 or len(table) != params.order:
+            element = element * g % q
+        # a walk that returns to 1 early passes 1 again and overwrites its 0
+        if element != 1 or table[1] != 0:
             raise NotGenerator(f"{params.g} does not generate Z_{params.q}^*")
-        self.table = table
+        self._table = table
 
     @classmethod
     def for_params(cls, params: GroupParams) -> "DlogTable":
@@ -379,9 +384,9 @@ class DlogTable:
         return cls._cache[key]
 
     def dlog(self, element: int) -> int:
-        if element not in self.table:
+        if not self.params.contains(element):
             raise NotInGroup(f"{element} not in Z_{self.params.q}^*")
-        return self.table[element]
+        return self._table[element]
 
 
 def brute_force_dlog(element: int, params: GroupParams) -> int:

@@ -145,7 +145,7 @@ class Service:
         self.config = config
         path = Path(config.store_path)
         if path.exists():
-            self.store = VerifierStore.load(path)
+            self.store = VerifierStore.load(path, config.params)
         elif config.enroll:
             self.store = VerifierStore()    # enrollment mode may start empty
         else:

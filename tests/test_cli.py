@@ -245,3 +245,14 @@ def test_serve_rejects_a_corrupt_store(tmp_path):
     bad.write_text("not a store\n")
     assert run_cli("serve", "--listen", "127.0.0.1:0",
                    "--store", str(bad)) == 2
+
+
+def test_serve_and_register_reject_a_verifier_outside_the_group(tmp_path, capsys):
+    bad = tmp_path / "verifiers.tsv"
+    bad.write_text("# pake-verifiers v1\n9\t12\t1d\n")
+    assert run_cli("serve", "--listen", "127.0.0.1:0",
+                   "--store", str(bad)) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert run_cli("register", "--store", str(bad), "--hash", "toysum",
+                   "--id-a", "20", "--id-b", "12", "--password", "3") == 2
+    assert bad.read_text() == "# pake-verifiers v1\n9\t12\t1d\n"

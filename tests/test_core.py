@@ -364,14 +364,16 @@ def test_derive_verifier_always_yields_a_generator(params, password):
 
 def test_dlog_table_is_a_bijection_on_the_toy_group():
     table = DlogTable.for_params(TOY_PARAMS)
-    assert sorted(table.table) == list(range(1, 13))
+    assert sorted(table.dlog(e) for e in range(1, 13)) == list(range(12))
     for k in range(12):
         assert table.dlog(pow(6, k, 13)) == k
 
 
 def test_dlog_table_rejects_non_generators_and_big_groups():
     with pytest.raises(NotGenerator):
-        DlogTable(GroupParams(q=13, g=3))
+        DlogTable(GroupParams(q=13, g=3))       # back at 1 after 3 steps
+    with pytest.raises(NotGenerator):
+        DlogTable(GroupParams(q=13, g=0))       # never back at 1
     q = sympy.nextprime(DESK_SCALE_BOUND)
     with pytest.raises(GroupTooLarge):
         DlogTable(GroupParams(q=q, g=2))

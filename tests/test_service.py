@@ -17,7 +17,12 @@ from pakelab.core import (
     VerifierRecord,
     derive_verifier,
 )
-from pakelab.errors import MalformedFrame, RemoteError, RetryNonce
+from pakelab.errors import (
+    MalformedFrame,
+    RemoteError,
+    RetryNonce,
+    StoreParseError,
+)
 from pakelab.netio.frames import (
     ERR_AUTH_FAIL,
     ERR_MALFORMED,
@@ -381,6 +386,15 @@ def test_service_requires_a_store_unless_enrolling(tmp_path):
                                   store_path=tmp_path / "absent.tsv",
                                   enroll=True))
     service._server.server_close()
+
+
+def test_service_refuses_a_store_row_outside_the_group(tmp_path):
+    path = write_toy_store(tmp_path / "verifiers.tsv",
+                           extra=[VerifierRecord(id_a=20, id_b=12, v=0x1d)])
+    with pytest.raises(StoreParseError) as exc:
+        Service(toy_config(tmp_path))
+    assert exc.value.line == 3
+    assert path.read_text().splitlines()[2] == "20\t12\t1d"
 
 
 # -- server keeps serving -------------------------------------------------------------

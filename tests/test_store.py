@@ -1,8 +1,10 @@
 """Verifier store: file format, strict parsing, pair keys, failure counters."""
 
+import os
+
 import pytest
 
-from pakelab.core import VerifierRecord
+from pakelab.core import TOY_PARAMS, VerifierRecord
 from pakelab.errors import DuplicateEntry, StoreParseError, UnknownIdentity
 from pakelab.netio.store import HEADER, VerifierStore
 
@@ -110,3 +112,79 @@ def test_iteration_order_is_sorted(tmp_path):
     lines = path.read_text().splitlines()[1:]
     assert lines == sorted(lines, key=lambda l: tuple(
         int(tok, 16 if i == 2 else 10) for i, tok in enumerate(l.split("\t"))))
+
+
+def test_save_writes_the_pinned_text_for_out_of_order_adds(tmp_path):
+    store = VerifierStore()
+    store.add(VerifierRecord(id_a=9, id_b=15, v=11))
+    store.add(VerifierRecord(id_a=2 ** 80, id_b=3, v=2 ** 70 + 1))
+    store.add(VerifierRecord(id_a=2, id_b=3, v=5))
+    store.add(VerifierRecord(id_a=9, id_b=12, v=255))
+    path = tmp_path / "verifiers.tsv"
+    store.save(path)
+    assert path.read_bytes() == (
+        b"# pake-verifiers v1\n"
+        b"2\t3\t5\n"
+        b"9\t12\tff\n"
+        b"9\t15\tb\n"
+        b"1208925819614629174706176\t3\t400000000000000001\n")
+
+
+def test_records_for_is_ordered_by_server_identity():
+    store = VerifierStore()
+    for id_b in (15, 3, 12):
+        store.add(VerifierRecord(id_a=9, id_b=id_b, v=id_b + 1))
+    store.add(VerifierRecord(id_a=4, id_b=1, v=2))
+    assert [r.id_b for r in store.records_for(9)] == [3, 12, 15]
+    store.add(VerifierRecord(id_a=9, id_b=12, v=99), replace=True)
+    assert [r.v for r in store.records_for(9)] == [4, 99, 16]
+    assert len(store) == 4
+
+
+def test_records_for_on_a_loaded_store(tmp_path):
+    path = tmp_path / "verifiers.tsv"
+    sample_store().save(path)
+    loaded = VerifierStore.load(path)
+    assert loaded.records_for(9) == [VerifierRecord(id_a=9, id_b=12, v=7),
+                                     VerifierRecord(id_a=9, id_b=15, v=11)]
+    assert loaded.records_for(2 ** 80) == [
+        VerifierRecord(id_a=2 ** 80, id_b=3, v=2 ** 70 + 1)]
+    assert loaded.records_for(12) == []
+
+
+def test_records_for_returns_a_copy():
+    store = sample_store()
+    records = store.records_for(9)
+    records.clear()
+    store.records_for(4).append(VerifierRecord(id_a=4, id_b=1, v=2))
+    assert len(store.records_for(9)) == 2
+    assert store.records_for(4) == []
+    assert len(store) == 3
+
+
+def test_load_with_a_group_rejects_verifiers_outside_it(tmp_path):
+    path = tmp_path / "verifiers.tsv"
+    path.write_text(HEADER + "\n9\t12\t7\n9\t15\t1d\n")
+    assert len(VerifierStore.load(path)) == 2      # no group, no range check
+    with pytest.raises(StoreParseError) as exc:
+        VerifierStore.load(path, TOY_PARAMS)
+    assert exc.value.line == 3
+    path.write_text(HEADER + "\n9\t12\tc\n")      # q - 1 is the largest element
+    assert VerifierStore.load(path, TOY_PARAMS).lookup(9, 12).v == 12
+
+
+def test_a_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "verifiers.tsv"
+    sample_store().save(path)
+    before = path.read_bytes()
+    store = sample_store()
+    store.add(VerifierRecord(id_a=5, id_b=6, v=3))
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        store.save(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["verifiers.tsv"]
