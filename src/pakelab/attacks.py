@@ -24,10 +24,10 @@ the verifier, the transcript, and a guess list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from . import lky, proposed
+from . import lky
 from .core import (
     DESK_SCALE_BOUND,
     Credentials,
@@ -38,19 +38,19 @@ from .core import (
     SCHEME_PROPOSED,
     SessionKey,
     VerifierRecord,
-    derive_verifier,
     exponent_reduce,
     hash_to_exponent,
     mod_exp,
     mod_inverse,
 )
-from .errors import (
-    AuthFail,
-    GroupTooLarge,
-    PakeError,
-    ScenarioError,
-    UnmaskOutOfRange,
+from .drivers import (
+    lky_server,
+    masked_value,
+    proposed_server,
+    run_in_memory,
+    run_pair,
 )
+from .errors import GroupTooLarge, MalformedFrame, ScenarioError
 from .netio.frames import (
     LkyMsg2Frame,
     Msg1Frame,
@@ -58,15 +58,12 @@ from .netio.frames import (
     Msg3Frame,
     Msg4Frame,
     decode_frame,
-    encode_frame,
-    frame_label,
 )
-from .transcript import DIR_AB, DIR_BA, Transcript
+from .transcript import Transcript
 
 ATTACK_STOLEN_VERIFIER_LKY = "stolen-verifier-lky"
 ATTACK_STOLEN_VERIFIER_PROPOSED = "stolen-verifier-proposed"
 ATTACK_MITM = "mitm"
-ATTACK_CENSUS = "census"
 
 # What the revised scheme is advertised to withstand; printed verbatim next
 # to measured verdicts so reports never conflate claim and observation.
@@ -109,8 +106,20 @@ class TamperSpec:
     value: int
 
 
-def _record(transcript: Transcript, direction: str, frame) -> None:
-    transcript.record(direction, frame_label(frame), encode_frame(frame))
+def _lky_impersonator(v: int, ids: Tuple[int, int], params: GroupParams,
+                      hash_spec: HashSpec, x: int, notes: List[str]):
+    """Client driver of an attacker who holds v: T_A = v^x (+) v, r = T_B^x."""
+    id_a, id_b = ids
+    t_a_masked = lky.xor_mask(mod_exp(v, x, params), v, params)
+    msg2 = yield Msg1Frame(q=params.q, g=params.g, id_a=id_a,
+                           t_a=t_a_masked.as_int), None
+    t_b_masked = masked_value(msg2.t_b_masked, params)
+    r = mod_exp(lky.xor_unmask(t_b_masked, v, params), x, params)
+    if msg2.d_b != hash_spec.of_ints([id_b, t_a_masked.as_int, r]):
+        notes.append("server confirmation d_B did not verify on the attacker side")
+    d_a = hash_spec.of_ints([id_a, t_b_masked.as_int, r])
+    key = SessionKey.from_value(hash_spec.of_ints([r]) % params.q, params)
+    return Msg3Frame(d_a=d_a), key, None
 
 
 def stolen_verifier_attack_lky(v: int, ids: Tuple[int, int], params: GroupParams,
@@ -125,64 +134,41 @@ def stolen_verifier_attack_lky(v: int, ids: Tuple[int, int], params: GroupParams
     different server_record to model an attacker whose copy of v is stale
     or guessed; mismatched copies fail.
     """
-    id_a, id_b = ids
     record = server_record if server_record is not None else VerifierRecord(
-        id_a=id_a, id_b=id_b, v=v)
-    transcript = Transcript()
+        id_a=ids[0], id_b=ids[1], v=v)
     notes: List[str] = ["attacker holds v only; base of T_A is v"]
-
-    base_value = mod_exp(v, x_attacker, params)
-    try:
-        t_a_masked = lky.xor_mask(base_value, v, params)
-    except UnmaskOutOfRange as exc:
-        return AttackReport(scheme=SCHEME_LKY, attack=ATTACK_STOLEN_VERIFIER_LKY,
-                            succeeded=False, attacker_key=None, victim_key=None,
-                            transcript=transcript,
-                            notes=f"aborted before send: {exc}")
-    msg1 = lky.Msg1(id_a=id_a, t_a_masked=t_a_masked)
-    _record(transcript, DIR_AB,
-            Msg1Frame(q=params.q, g=params.g, id_a=id_a, t_a=t_a_masked.as_int))
-
-    try:
-        msg2, server = lky.lky_server_respond(msg1, record, params, hash_spec,
-                                              y_server)
-    except PakeError as exc:
-        return AttackReport(scheme=SCHEME_LKY, attack=ATTACK_STOLEN_VERIFIER_LKY,
-                            succeeded=False, attacker_key=None, victim_key=None,
-                            transcript=transcript,
-                            notes=f"server rejected Msg1: {exc}")
-    _record(transcript, DIR_BA,
-            LkyMsg2Frame(t_b_masked=msg2.t_b_masked.as_int, d_b=msg2.d_b))
-
-    try:
-        t_b = lky.xor_unmask(msg2.t_b_masked, v, params)
-    except UnmaskOutOfRange as exc:
-        return AttackReport(scheme=SCHEME_LKY, attack=ATTACK_STOLEN_VERIFIER_LKY,
-                            succeeded=False, attacker_key=None, victim_key=None,
-                            transcript=transcript,
-                            notes=f"attacker could not unmask T_B: {exc}")
-    r_attacker = mod_exp(t_b, x_attacker, params)
-    d_b_expected = hash_spec.of_ints([id_b, t_a_masked.as_int, r_attacker])
-    if msg2.d_b != d_b_expected:
-        notes.append("server confirmation d_B did not verify on the attacker side")
-    d_a = hash_spec.of_ints([id_a, msg2.t_b_masked.as_int, r_attacker])
-    _record(transcript, DIR_AB, Msg3Frame(d_a=d_a))
-
-    try:
-        victim_key = lky.lky_server_finish(lky.Msg3(d_a=d_a), server)
-    except AuthFail as exc:
-        return AttackReport(scheme=SCHEME_LKY, attack=ATTACK_STOLEN_VERIFIER_LKY,
-                            succeeded=False, attacker_key=None, victim_key=None,
-                            transcript=transcript,
-                            notes="; ".join(notes + [f"server rejected d_A: {exc}"]))
-    attacker_key = SessionKey.from_value(
-        hash_spec.of_ints([r_attacker]) % params.q, params)
-    notes.append("server accepted; keys "
-                 + ("match" if attacker_key == victim_key else "differ"))
+    run = run_in_memory(
+        _lky_impersonator(v, ids, params, hash_spec, x_attacker, notes),
+        lambda msg1: lky_server(msg1, record, params, hash_spec, y_server))
+    if run.rejected_by == "client":
+        notes = [f"attacker could not unmask T_B: {run.error}"]
+    elif run.server is None:
+        notes = [f"server rejected Msg1: {run.error}"]
+    elif run.error is not None:
+        notes.append(f"server rejected d_A: {run.error}")
+    else:
+        notes.append("server accepted; keys "
+                     + ("match" if run.key_a == run.key_b else "differ"))
+    # the attacker derives its key before the server's verdict on d_A
     return AttackReport(scheme=SCHEME_LKY, attack=ATTACK_STOLEN_VERIFIER_LKY,
-                        succeeded=True, attacker_key=attacker_key,
-                        victim_key=victim_key, transcript=transcript,
+                        succeeded=run.error is None,
+                        attacker_key=None if run.error else run.key_a,
+                        victim_key=run.key_b, transcript=run.transcript,
                         notes="; ".join(notes))
+
+
+def _proposed_impersonator(base: int, ids: Tuple[int, int], params: GroupParams,
+                           hash_spec: HashSpec, x: int):
+    """Client driver of an attacker with T_A = base^x; its state is r = T_B^x."""
+    id_a, id_b = ids
+    msg2 = yield Msg1Frame(q=params.q, g=params.g, id_a=id_a,
+                           t_a=mod_exp(base, x, params)), None
+    # attacker's stand-in for r = g^(x*y): exponentiate T_B by its own nonce
+    r = mod_exp(msg2.t_b, x, params)
+    yield Msg3Frame(d_a=hash_spec.of_ints([r]) % params.q), r
+    key = SessionKey.from_value(hash_spec.of_ints([id_a, id_b, r]) % params.q,
+                                params)
+    return None, key, r
 
 
 def stolen_verifier_attack_proposed(v: int, ids: Tuple[int, int],
@@ -200,60 +186,32 @@ def stolen_verifier_attack_proposed(v: int, ids: Tuple[int, int],
     computed over v^(x'y) while the server checks g^(x'y); those disagree
     except at degenerate nonce pairs.
     """
-    id_a, id_b = ids
     record = server_record if server_record is not None else VerifierRecord(
-        id_a=id_a, id_b=id_b, v=v)
+        id_a=ids[0], id_b=ids[1], v=v)
     base = attacker_base if attacker_base is not None else v
-    transcript = Transcript()
     notes: List[str] = [PROPOSED_RESISTANCE_CLAIM,
                         f"attacker base for T_A is {'v' if base == v else base}"]
-
-    t_a = mod_exp(base, x_attacker, params)
-    msg1 = proposed.Msg1(id_a=id_a, t_a=t_a)
-    _record(transcript, DIR_AB,
-            Msg1Frame(q=params.q, g=params.g, id_a=id_a, t_a=t_a))
-
-    try:
-        msg2, server = proposed.prop_server_respond(msg1, record, params,
-                                                    hash_spec, y_server)
-    except PakeError as exc:
-        return AttackReport(scheme=SCHEME_PROPOSED,
-                            attack=ATTACK_STOLEN_VERIFIER_PROPOSED,
-                            succeeded=False, attacker_key=None, victim_key=None,
-                            transcript=transcript,
-                            notes=f"server rejected Msg1: {exc}")
-    _record(transcript, DIR_BA, Msg2Frame(t_b=msg2.t_b))
-
-    # attacker's stand-in for r = g^(x*y): exponentiate T_B by its own nonce
-    r_attacker = mod_exp(msg2.t_b, x_attacker, params)
-    d_a = hash_spec.of_ints([r_attacker]) % params.q
-    _record(transcript, DIR_AB, Msg3Frame(d_a=d_a))
-
-    try:
-        msg4, victim_key = proposed.prop_server_finish(proposed.Msg3(d_a=d_a),
-                                                       server)
-    except AuthFail as exc:
-        return AttackReport(scheme=SCHEME_PROPOSED,
-                            attack=ATTACK_STOLEN_VERIFIER_PROPOSED,
-                            succeeded=False, attacker_key=None, victim_key=None,
-                            transcript=transcript,
-                            notes="; ".join(notes + [
-                                f"measured: server rejected d_A ({exc})"]))
-    _record(transcript, DIR_BA, Msg4Frame(e_b=msg4.e_b))
-    attacker_key = SessionKey.from_value(
-        hash_spec.of_ints([id_a, id_b, r_attacker]) % params.q, params)
-    notes.append("measured: server accepted the impersonation; keys "
-                 + ("match" if attacker_key == victim_key else "differ"))
-    if params.q <= DESK_SCALE_BOUND:
-        table = DlogTable.for_params(params)
-        left = (table.dlog(msg4.e_b) * table.dlog(t_a)) % params.order
-        right = (table.dlog(msg2.t_b) * table.dlog(r_attacker)) % params.order
-        notes.append("attacker-side server-auth check "
-                     + ("passes" if left == right else "fails"))
+    run = run_in_memory(
+        _proposed_impersonator(base, ids, params, hash_spec, x_attacker),
+        lambda msg1: proposed_server(msg1, record, params, hash_spec, y_server))
+    if run.server is None:
+        notes = [f"server rejected Msg1: {run.error}"]
+    elif run.error is not None:
+        notes.append(f"measured: server rejected d_A ({run.error})")
+    else:
+        notes.append("measured: server accepted the impersonation; keys "
+                     + ("match" if run.key_a == run.key_b else "differ"))
+        if params.q <= DESK_SCALE_BOUND:
+            server, r_attacker = run.server, run.client
+            table = DlogTable.for_params(params)
+            left = (table.dlog(server.e_b) * table.dlog(server.t_a)) % params.order
+            right = (table.dlog(server.t_b) * table.dlog(r_attacker)) % params.order
+            notes.append("attacker-side server-auth check "
+                         + ("passes" if left == right else "fails"))
     return AttackReport(scheme=SCHEME_PROPOSED,
                         attack=ATTACK_STOLEN_VERIFIER_PROPOSED,
-                        succeeded=True, attacker_key=attacker_key,
-                        victim_key=victim_key, transcript=transcript,
+                        succeeded=run.error is None, attacker_key=run.key_a,
+                        victim_key=run.key_b, transcript=run.transcript,
                         notes="; ".join(notes))
 
 
@@ -362,6 +320,16 @@ def _census_one(obs, password: int, params: GroupParams, hash_spec: HashSpec,
     return None, "unique nonce pair fails the confirmation equations"
 
 
+# each tamperable field: the frame that carries it and its name there
+_TAMPER_FIELDS = {
+    SCHEME_PROPOSED: {"t_a": (Msg1Frame, "t_a"), "t_b": (Msg2Frame, "t_b"),
+                      "d_a": (Msg3Frame, "d_a"), "e_b": (Msg4Frame, "e_b")},
+    SCHEME_LKY: {"t_a_masked": (Msg1Frame, "t_a"),
+                 "t_b_masked": (LkyMsg2Frame, "t_b_masked"),
+                 "d_b": (LkyMsg2Frame, "d_b"), "d_a": (Msg3Frame, "d_a")},
+}
+
+
 def mitm_tamper_experiment(scheme: str, tamper: TamperSpec, params: GroupParams,
                            hash_spec: HashSpec, nonces: Tuple[int, int],
                            creds: Credentials) -> AttackReport:
@@ -377,138 +345,44 @@ def mitm_tamper_experiment(scheme: str, tamper: TamperSpec, params: GroupParams,
     """
     if tamper.value < 0:
         raise ScenarioError("tamper values must be nonnegative wire integers")
-    x, y = nonces
-    if scheme == SCHEME_PROPOSED:
-        return _mitm_proposed(tamper, params, hash_spec, x, y, creds)
-    if scheme == SCHEME_LKY:
-        return _mitm_lky(tamper, params, hash_spec, x, y, creds)
-    raise ScenarioError(f"unknown scheme {scheme!r}")
-
-
-def _tampered(tamper: TamperSpec, name: str, value: int,
-              notes: List[str]) -> int:
-    if tamper.field != name:
-        return value
-    if tamper.value == value:
-        notes.append(f"identity substitution on {name}; wire value unchanged")
-    else:
-        notes.append(f"replaced {name} = {value} with {tamper.value} in flight")
-    return tamper.value
-
-
-def _fail_report(scheme: str, transcript: Transcript, notes: List[str],
-                 who: str, exc: Exception) -> AttackReport:
-    return AttackReport(scheme=scheme, attack=ATTACK_MITM, succeeded=False,
-                        attacker_key=None, victim_key=None, transcript=transcript,
-                        notes="; ".join(notes + [f"{who} rejected: {exc}"]))
-
-
-def _mitm_proposed(tamper: TamperSpec, params: GroupParams, hash_spec: HashSpec,
-                   x: int, y: int, creds: Credentials) -> AttackReport:
-    if tamper.field not in ("t_a", "t_b", "d_a", "e_b"):
+    if scheme not in _TAMPER_FIELDS:
+        raise ScenarioError(f"unknown scheme {scheme!r}")
+    if tamper.field not in _TAMPER_FIELDS[scheme]:
         raise ScenarioError(f"no such field in this scheme: {tamper.field!r}")
-    record = VerifierRecord(id_a=creds.id_a, id_b=creds.id_b,
-                            v=derive_verifier(creds, params, hash_spec))
-    transcript = Transcript()
+    carrier, name = _TAMPER_FIELDS[scheme][tamper.field]
     notes: List[str] = []
 
-    msg1, client = proposed.prop_client_start(creds, params, hash_spec, x)
-    t_a_wire = _tampered(tamper, "t_a", msg1.t_a, notes)
-    _record(transcript, DIR_AB,
-            Msg1Frame(q=params.q, g=params.g, id_a=msg1.id_a, t_a=t_a_wire))
-    try:
-        msg2, server = proposed.prop_server_respond(
-            proposed.Msg1(id_a=msg1.id_a, t_a=t_a_wire), record, params,
-            hash_spec, y)
-    except PakeError as exc:
-        return _fail_report(SCHEME_PROPOSED, transcript, notes, "server", exc)
+    def wire(frame):
+        if not isinstance(frame, carrier):
+            return frame
+        value = getattr(frame, name)
+        if tamper.value == value:
+            notes.append(f"identity substitution on {tamper.field}; "
+                         "wire value unchanged")
+        else:
+            notes.append(f"replaced {tamper.field} = {value} with "
+                         f"{tamper.value} in flight")
+        if tamper.field.endswith("_masked"):
+            try:
+                masked_value(tamper.value, params)
+            except MalformedFrame:
+                raise ScenarioError(
+                    f"tamper value {tamper.value} does not fit a "
+                    f"{params.q_byte_len}-byte masked field") from None
+        return replace(frame, **{name: tamper.value})
 
-    t_b_wire = _tampered(tamper, "t_b", msg2.t_b, notes)
-    _record(transcript, DIR_BA, Msg2Frame(t_b=t_b_wire))
-    try:
-        msg3 = proposed.prop_client_confirm(proposed.Msg2(t_b=t_b_wire), client)
-    except PakeError as exc:
-        return _fail_report(SCHEME_PROPOSED, transcript, notes, "client", exc)
-
-    d_a_wire = _tampered(tamper, "d_a", msg3.d_a, notes)
-    _record(transcript, DIR_AB, Msg3Frame(d_a=d_a_wire))
-    try:
-        msg4, server_key = proposed.prop_server_finish(
-            proposed.Msg3(d_a=d_a_wire), server)
-    except PakeError as exc:
-        return _fail_report(SCHEME_PROPOSED, transcript, notes, "server", exc)
-
-    e_b_wire = _tampered(tamper, "e_b", msg4.e_b, notes)
-    _record(transcript, DIR_BA, Msg4Frame(e_b=e_b_wire))
-    try:
-        client_key = proposed.prop_client_finish(
-            proposed.Msg4(e_b=e_b_wire), client,
-            skip_server_auth=params.q > DESK_SCALE_BOUND)
-    except PakeError as exc:
-        return _fail_report(SCHEME_PROPOSED, transcript, notes, "client", exc)
-
-    return _mitm_completed(SCHEME_PROPOSED, tamper, transcript, notes,
-                           client_key, server_key)
-
-
-def _fit_masked(value: int, params: GroupParams) -> bytes:
-    if value >= 256 ** params.q_byte_len:
-        raise ScenarioError(
-            f"tamper value {value} does not fit a {params.q_byte_len}-byte "
-            "masked field")
-    return value.to_bytes(params.q_byte_len, "big")
-
-
-def _mitm_lky(tamper: TamperSpec, params: GroupParams, hash_spec: HashSpec,
-              x: int, y: int, creds: Credentials) -> AttackReport:
-    if tamper.field not in ("t_a_masked", "t_b_masked", "d_b", "d_a"):
-        raise ScenarioError(f"no such field in this scheme: {tamper.field!r}")
-    transcript = Transcript()
-    notes: List[str] = []
-
-    msg1, client = lky.lky_client_start(creds, params, hash_spec, x)
-    record = VerifierRecord(id_a=creds.id_a, id_b=creds.id_b, v=client.v)
-    t_a_int = _tampered(tamper, "t_a_masked", msg1.t_a_masked.as_int, notes)
-    t_a_wire = lky.MaskedValue(_fit_masked(t_a_int, params))
-    _record(transcript, DIR_AB,
-            Msg1Frame(q=params.q, g=params.g, id_a=msg1.id_a, t_a=t_a_int))
-    try:
-        msg2, server = lky.lky_server_respond(
-            lky.Msg1(id_a=msg1.id_a, t_a_masked=t_a_wire), record, params,
-            hash_spec, y)
-    except PakeError as exc:
-        return _fail_report(SCHEME_LKY, transcript, notes, "server", exc)
-
-    t_b_int = _tampered(tamper, "t_b_masked", msg2.t_b_masked.as_int, notes)
-    t_b_wire = lky.MaskedValue(_fit_masked(t_b_int, params))
-    d_b_wire = _tampered(tamper, "d_b", msg2.d_b, notes)
-    _record(transcript, DIR_BA, LkyMsg2Frame(t_b_masked=t_b_int, d_b=d_b_wire))
-    try:
-        msg3, client_key = lky.lky_client_finish(
-            lky.Msg2(t_b_masked=t_b_wire, d_b=d_b_wire), client)
-    except PakeError as exc:
-        return _fail_report(SCHEME_LKY, transcript, notes, "client", exc)
-
-    d_a_wire = _tampered(tamper, "d_a", msg3.d_a, notes)
-    _record(transcript, DIR_AB, Msg3Frame(d_a=d_a_wire))
-    try:
-        server_key = lky.lky_server_finish(lky.Msg3(d_a=d_a_wire), server)
-    except PakeError as exc:
-        return _fail_report(SCHEME_LKY, transcript, notes, "server", exc)
-
-    return _mitm_completed(SCHEME_LKY, tamper, transcript, notes,
-                           client_key, server_key)
-
-
-def _mitm_completed(scheme: str, tamper: TamperSpec, transcript: Transcript,
-                    notes: List[str], client_key: SessionKey,
-                    server_key: SessionKey) -> AttackReport:
+    run = run_pair(scheme, creds, params, hash_spec, *nonces, wire=wire)
+    if run.error is not None:
+        notes.append(f"{run.rejected_by} rejected: {run.error}")
+        return AttackReport(scheme=scheme, attack=ATTACK_MITM, succeeded=False,
+                            attacker_key=None, victim_key=None,
+                            transcript=run.transcript, notes="; ".join(notes))
     changed = any(n.startswith("replaced") for n in notes)
     notes.append("session completed; keys "
-                 + ("match" if client_key == server_key else "differ"))
+                 + ("match" if run.key_a == run.key_b else "differ"))
     if changed:
         # an accepted, genuinely altered run; surfaced loudly, never expected
         notes.append("TAMPER ACCEPTED: substitution went unnoticed")
     return AttackReport(scheme=scheme, attack=ATTACK_MITM, succeeded=False,
-                        attacker_key=None, victim_key=server_key,
-                        transcript=transcript, notes="; ".join(notes))
+                        attacker_key=None, victim_key=run.key_b,
+                        transcript=run.transcript, notes="; ".join(notes))

@@ -71,7 +71,6 @@ from .errors import (
     ScenarioError,
     SearchExhausted,
     StoreParseError,
-    ThrottledError,
     UnknownIdentity,
     ValidationError,
     VersionMismatch,
@@ -519,7 +518,7 @@ def main(argv=None) -> int:
     except RemoteError as exc:
         print(f"error: server refused: {exc}", file=sys.stderr)
         return 1 if exc.code in _AUTH_ERROR_CODES else 2
-    except (AuthFail, ThrottledError, UnknownIdentity, RetryNonce) as exc:
+    except (AuthFail, UnknownIdentity, RetryNonce) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (MalformedFrame, VersionMismatch, StoreParseError,

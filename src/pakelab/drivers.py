@@ -1,0 +1,172 @@
+"""One client driver and one server driver per scheme, and the in-memory pump.
+
+A driver runs one party's side of a session over wire frames and does no
+I/O. It is a generator: it yields ``(frame, state)`` for each frame its
+party sends, is resumed with ``send(peer_frame)``, and on acceptance
+returns ``(final frame or None, key, state)``, the final frame being the
+last one its party sends. A rejection is raised from the step that
+detects it. A server driver is built from the client's MSG1 frame, since
+the caller looks up the verifier record from it first.
+
+Every conversion between a wire frame and a scheme message lives here, so
+each scheme's message sequence is written once. Three adapters run the
+drivers: run_in_memory below (honest sessions, golden replay and the attack
+experiments), the service's server loop and client_connect's client loop
+(pakelab.netio.service).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+from . import lky, proposed
+from .core import (
+    DESK_SCALE_BOUND,
+    SCHEME_LKY,
+    SCHEME_PROPOSED,
+    Credentials,
+    GroupParams,
+    HashSpec,
+    SessionKey,
+    VerifierRecord,
+    derive_verifier,
+)
+from .errors import MalformedFrame, PakeError
+from .netio.frames import (
+    LkyMsg2Frame,
+    Msg1Frame,
+    Msg2Frame,
+    Msg3Frame,
+    Msg4Frame,
+    encode_frame,
+    frame_label,
+)
+from .transcript import DIR_AB, DIR_BA, Transcript
+
+
+def expect(frame, cls, name: str = ""):
+    """frame if it is a cls, else MalformedFrame naming what arrived."""
+    if not isinstance(frame, cls):
+        raise MalformedFrame(
+            f"expected {name or cls.__name__}, got {frame_label(frame)}")
+    return frame
+
+
+def masked_value(value: int, params: GroupParams) -> lky.MaskedValue:
+    """A masked wire integer as the fixed-width value the lky steps hash and unmask."""
+    if value >= 256 ** params.q_byte_len:
+        raise MalformedFrame("masked value exceeds the group width")
+    return lky.MaskedValue(value.to_bytes(params.q_byte_len, "big"))
+
+
+def lky_client(creds: Credentials, params: GroupParams, hash_spec: HashSpec,
+               x: int):
+    msg1, state = lky.lky_client_start(creds, params, hash_spec, x)
+    reply = yield Msg1Frame(q=params.q, g=params.g, id_a=msg1.id_a,
+                            t_a=msg1.t_a_masked.as_int), state
+    msg2 = expect(reply, LkyMsg2Frame)
+    msg3, key = lky.lky_client_finish(
+        lky.Msg2(t_b_masked=masked_value(msg2.t_b_masked, params), d_b=msg2.d_b),
+        state)
+    return Msg3Frame(d_a=msg3.d_a), key, state
+
+
+def lky_server(msg1: Msg1Frame, record: VerifierRecord, params: GroupParams,
+               hash_spec: HashSpec, y: int):
+    msg2, state = lky.lky_server_respond(
+        lky.Msg1(id_a=msg1.id_a, t_a_masked=masked_value(msg1.t_a, params)),
+        record, params, hash_spec, y)
+    reply = yield LkyMsg2Frame(t_b_masked=msg2.t_b_masked.as_int,
+                               d_b=msg2.d_b), state
+    key = lky.lky_server_finish(
+        lky.Msg3(d_a=expect(reply, Msg3Frame, "MSG3").d_a), state)
+    return None, key, state
+
+
+def proposed_client(creds: Credentials, params: GroupParams, hash_spec: HashSpec,
+                    x: int, skip_server_auth: bool = False):
+    """The revised client; above the desk-scale bound it always skips server auth."""
+    msg1, state = proposed.prop_client_start(creds, params, hash_spec, x)
+    reply = yield Msg1Frame(q=params.q, g=params.g, id_a=msg1.id_a,
+                            t_a=msg1.t_a), state
+    msg3 = proposed.prop_client_confirm(
+        proposed.Msg2(t_b=expect(reply, Msg2Frame).t_b), state)
+    reply = yield Msg3Frame(d_a=msg3.d_a), state
+    key = proposed.prop_client_finish(
+        proposed.Msg4(e_b=expect(reply, Msg4Frame).e_b), state,
+        skip_server_auth=skip_server_auth or params.q > DESK_SCALE_BOUND)
+    return None, key, state
+
+
+def proposed_server(msg1: Msg1Frame, record: VerifierRecord, params: GroupParams,
+                    hash_spec: HashSpec, y: int):
+    msg2, state = proposed.prop_server_respond(
+        proposed.Msg1(id_a=msg1.id_a, t_a=msg1.t_a), record, params,
+        hash_spec, y)
+    reply = yield Msg2Frame(t_b=msg2.t_b), state
+    msg4, key = proposed.prop_server_finish(
+        proposed.Msg3(d_a=expect(reply, Msg3Frame, "MSG3").d_a), state)
+    return Msg4Frame(e_b=msg4.e_b), key, state
+
+
+CLIENTS = {SCHEME_LKY: lky_client, SCHEME_PROPOSED: proposed_client}
+SERVERS = {SCHEME_LKY: lky_server, SCHEME_PROPOSED: proposed_server}
+
+
+@dataclass
+class InMemoryRun:
+    """What run_in_memory saw; on a rejection, who rejected and why."""
+
+    transcript: Transcript
+    client: object = None               # each party's latest state
+    server: object = None
+    key_a: Optional[SessionKey] = None  # set when that party accepted
+    key_b: Optional[SessionKey] = None
+    rejected_by: Optional[str] = None   # "client" or "server"
+    error: Optional[PakeError] = None
+
+
+def run_in_memory(client, serve: Callable, wire: Callable = lambda frame: frame,
+                  ) -> InMemoryRun:
+    """Pump frames between a client driver and the server driver serve(msg1) builds.
+
+    Each frame passes through wire (the MITM experiment's tamper hook) and is
+    recorded once, as the receiver gets it. An exception from the client's
+    first step reaches the caller: nobody has received anything yet. A
+    PakeError raised by a party on a frame it received ends the run.
+    """
+    run = InMemoryRun(Transcript())
+    frame, run.client = next(client)
+    parties = {"client": client}
+    receiver = "server"
+    while frame is not None:
+        frame = wire(frame)
+        run.transcript.record(DIR_AB if receiver == "server" else DIR_BA,
+                              frame_label(frame), encode_frame(frame))
+        try:
+            if receiver not in parties:
+                parties[receiver] = serve(frame)
+                frame, state = next(parties[receiver])
+            else:
+                frame, state = parties[receiver].send(frame)
+        except StopIteration as done:
+            frame, key, state = done.value
+            setattr(run, "key_b" if receiver == "server" else "key_a", key)
+        except PakeError as exc:
+            run.rejected_by, run.error = receiver, exc
+            return run
+        setattr(run, receiver, state)
+        receiver = "client" if receiver == "server" else "server"
+    return run
+
+
+def run_pair(scheme: str, creds: Credentials, params: GroupParams,
+             hash_spec: HashSpec, x: int, y: int,
+             wire: Callable = lambda frame: frame) -> InMemoryRun:
+    """run_in_memory for an honest client of scheme and a server enrolled with creds."""
+    record = VerifierRecord(id_a=creds.id_a, id_b=creds.id_b,
+                            v=derive_verifier(creds, params, hash_spec))
+    return run_in_memory(
+        CLIENTS[scheme](creds, params, hash_spec, x),
+        lambda msg1: SERVERS[scheme](msg1, record, params, hash_spec, y), wire)

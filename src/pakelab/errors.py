@@ -97,10 +97,6 @@ class DuplicateEntry(PakeError):
     """Verifier store already holds an entry for this identity pair."""
 
 
-class ThrottledError(PakeError):
-    """Server refused the attempt: too many consecutive failures for this identity."""
-
-
 class RemoteError(PakeError):
     """Server answered with an ERROR frame; .code carries the wire error code."""
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from . import lky, proposed
 from .attacks import (
     ATTACK_MITM,
     ATTACK_STOLEN_VERIFIER_LKY,
@@ -33,11 +32,9 @@ from .attacks import (
     stolen_verifier_attack_proposed,
 )
 from .core import (
-    DESK_SCALE_BOUND,
     DIGEST256,
     TOYSUM,
     Credentials,
-    DlogTable,
     GroupParams,
     HashSpec,
     SCHEME_LKY,
@@ -45,21 +42,13 @@ from .core import (
     SessionKey,
     TOY_CREDS,
     TOY_PARAMS,
-    VerifierRecord,
     derive_verifier,
     sample_nonce,
 )
-from .errors import CounterDrift, PakeError, RetryNonce, ScenarioError
-from .netio.frames import (
-    LkyMsg2Frame,
-    Msg1Frame,
-    Msg2Frame,
-    Msg3Frame,
-    Msg4Frame,
-    encode_frame,
-    frame_label,
-)
-from .transcript import DIR_AB, DIR_BA, Transcript
+from .drivers import CLIENTS, run_pair
+from .errors import CounterDrift, RetryNonce, ScenarioError
+from .proposed import FLAG_UNAUTHENTICATED
+from .transcript import Transcript
 
 MAX_NONCE_RESAMPLES = 64
 
@@ -175,18 +164,14 @@ def append_log_line(path: Union[str, Path], obj: dict):
 
 
 def run_honest_session(scenario: Scenario) -> SessionReport:
-    """Drive both state machines over an in-memory channel.
+    """Drive both parties' drivers over an in-memory channel.
 
     Protocol rejections land in the report (error text plus false auth
     flags); only malformed scenarios raise.
     """
     if scenario.tamper is not None or scenario.attack is not None:
         raise ScenarioError("honest sessions take no tamper or attack")
-    if scenario.scheme == SCHEME_LKY:
-        runner = _run_lky
-    elif scenario.scheme == SCHEME_PROPOSED:
-        runner = _run_proposed
-    else:
+    if scenario.scheme not in CLIENTS:
         raise ScenarioError(f"unknown scheme {scenario.scheme!r}")
 
     explicit = scenario.x is not None and scenario.y is not None
@@ -195,7 +180,7 @@ def run_honest_session(scenario: Scenario) -> SessionReport:
         if attempt >= MAX_NONCE_RESAMPLES:
             break
         try:
-            return runner(scenario, x, y)
+            return _run_session(scenario, x, y)
         except RetryNonce as exc:
             last_retry = exc
             if explicit:
@@ -225,92 +210,21 @@ def counters_from(client_tally, server_tally, transcript: Transcript) -> Counter
     )
 
 
-def _failed_session(scenario: Scenario, transcript: Transcript, counters: Counters,
-                    flags: List[str], who: str, exc: Exception,
-                    auth_a: bool = False) -> SessionReport:
-    return SessionReport(scheme=scenario.scheme, params=scenario.params,
-                         transcript=transcript, key_a=None, key_b=None,
-                         auth_a_ok=auth_a, auth_b_ok=False, counters=counters,
-                         flags=flags, error=f"{who}: {exc}")
-
-
-def _run_lky(scenario: Scenario, x: int, y: int) -> SessionReport:
-    params, creds, hash_spec = scenario.params, scenario.creds, scenario.hash_spec
-    record = VerifierRecord(id_a=creds.id_a, id_b=creds.id_b,
-                            v=derive_verifier(creds, params, hash_spec))
-    transcript = Transcript()
-
-    msg1, client = lky.lky_client_start(creds, params, hash_spec, x)
-    transcript.record(DIR_AB, "msg1", encode_frame(
-        Msg1Frame(q=params.q, g=params.g, id_a=msg1.id_a,
-                  t_a=msg1.t_a_masked.as_int)))
-    msg2, server = lky.lky_server_respond(msg1, record, params, hash_spec, y)
-    transcript.record(DIR_BA, "lky-msg2", encode_frame(
-        LkyMsg2Frame(t_b_masked=msg2.t_b_masked.as_int, d_b=msg2.d_b)))
-
-    try:
-        msg3, key_a = lky.lky_client_finish(msg2, client)
-    except PakeError as exc:
-        return _failed_session(scenario, transcript,
-                               counters_from(client.tally, server.tally, transcript),
-                               [], "client", exc)
-    transcript.record(DIR_AB, "msg3", encode_frame(Msg3Frame(d_a=msg3.d_a)))
-
-    try:
-        key_b = lky.lky_server_finish(msg3, server)
-    except PakeError as exc:
-        return _failed_session(scenario, transcript,
-                               counters_from(client.tally, server.tally, transcript),
-                               [], "server", exc, auth_a=True)
-
-    return SessionReport(scheme=scenario.scheme, params=params,
-                         transcript=transcript, key_a=key_a, key_b=key_b,
-                         auth_a_ok=True, auth_b_ok=True,
-                         counters=counters_from(client.tally, server.tally,
-                                                transcript),
-                         flags=[])
-
-
-def _run_proposed(scenario: Scenario, x: int, y: int) -> SessionReport:
-    params, creds, hash_spec = scenario.params, scenario.creds, scenario.hash_spec
-    record = VerifierRecord(id_a=creds.id_a, id_b=creds.id_b,
-                            v=derive_verifier(creds, params, hash_spec))
-    transcript = Transcript()
-
-    msg1, client = proposed.prop_client_start(creds, params, hash_spec, x)
-    transcript.record(DIR_AB, "msg1", encode_frame(
-        Msg1Frame(q=params.q, g=params.g, id_a=msg1.id_a, t_a=msg1.t_a)))
-    msg2, server = proposed.prop_server_respond(msg1, record, params, hash_spec, y)
-    transcript.record(DIR_BA, "msg2", encode_frame(Msg2Frame(t_b=msg2.t_b)))
-
-    msg3 = proposed.prop_client_confirm(msg2, client)
-    transcript.record(DIR_AB, "msg3", encode_frame(Msg3Frame(d_a=msg3.d_a)))
-
-    try:
-        msg4, key_b = proposed.prop_server_finish(msg3, server)
-    except PakeError as exc:
-        return _failed_session(scenario, transcript,
-                               counters_from(client.tally, server.tally, transcript),
-                               list(client.flags), "server", exc)
-    transcript.record(DIR_BA, "msg4", encode_frame(Msg4Frame(e_b=msg4.e_b)))
-
-    skip = params.q > DESK_SCALE_BOUND
-    try:
-        key_a = proposed.prop_client_finish(msg4, client, skip_server_auth=skip)
-    except PakeError as exc:
-        report = _failed_session(scenario, transcript,
-                                 counters_from(client.tally, server.tally,
-                                               transcript),
-                                 list(client.flags), "client", exc)
-        report.auth_b_ok = True            # the server had already accepted
-        return report
-
-    return SessionReport(scheme=scenario.scheme, params=params,
-                         transcript=transcript, key_a=key_a, key_b=key_b,
-                         auth_a_ok=not skip, auth_b_ok=True,
-                         counters=counters_from(client.tally, server.tally,
-                                                transcript),
-                         flags=list(client.flags))
+def _run_session(scenario: Scenario, x: int, y: int) -> SessionReport:
+    run = run_pair(scenario.scheme, scenario.creds, scenario.params,
+                   scenario.hash_spec, x, y)
+    if isinstance(run.error, RetryNonce):
+        raise run.error                 # the server's nonce; resample both
+    failed = run.error is not None
+    flags = list(run.client.flags)
+    # a party that accepted before its peer rejected still counts as ok
+    return SessionReport(
+        scheme=scenario.scheme, params=scenario.params, transcript=run.transcript,
+        key_a=None if failed else run.key_a, key_b=None if failed else run.key_b,
+        auth_a_ok=run.key_a is not None and FLAG_UNAUTHENTICATED not in flags,
+        auth_b_ok=run.key_b is not None,
+        counters=counters_from(run.client.tally, run.server.tally, run.transcript),
+        flags=flags, error=f"{run.rejected_by}: {run.error}" if failed else None)
 
 
 def run_attack_scenario(scenario: Scenario) -> AttackReport:
@@ -461,29 +375,20 @@ def golden_vectors() -> List[GoldenVector]:
 def replay_golden(vector: GoldenVector) -> Dict[str, int]:
     """Re-run a golden scenario and harvest its intermediate values."""
     scenario = vector.scenario
-    params, creds, hash_spec = scenario.params, scenario.creds, scenario.hash_spec
-    x, y = scenario.x, scenario.y
-    record = VerifierRecord(id_a=creds.id_a, id_b=creds.id_b,
-                            v=derive_verifier(creds, params, hash_spec))
+    run = run_pair(scenario.scheme, scenario.creds, scenario.params,
+                   scenario.hash_spec, scenario.x, scenario.y)
+    if run.error is not None:
+        raise run.error
+    assert run.key_a == run.key_b
+    client, server = run.client, run.server
     if scenario.scheme == SCHEME_LKY:
-        msg1, client = lky.lky_client_start(creds, params, hash_spec, x)
-        msg2, server = lky.lky_server_respond(msg1, record, params, hash_spec, y)
-        msg3, key_a = lky.lky_client_finish(msg2, client)
-        key_b = lky.lky_server_finish(msg3, server)
-        assert key_a == key_b
-        return {"v": client.v, "t_a_masked": msg1.t_a_masked.as_int,
-                "t_b_masked": msg2.t_b_masked.as_int, "r": server.r_b,
-                "d_b": msg2.d_b, "d_a": msg3.d_a, "key": key_a.value}
-    msg1, client = proposed.prop_client_start(creds, params, hash_spec, x)
-    msg2, server = proposed.prop_server_respond(msg1, record, params, hash_spec, y)
-    msg3 = proposed.prop_client_confirm(msg2, client)
-    msg4, key_b = proposed.prop_server_finish(msg3, server)
-    key_a = proposed.prop_client_finish(msg4, client,
-                                        pairing=DlogTable.for_params(params))
-    assert key_a == key_b
-    return {"v": record.v, "t_a": msg1.t_a, "t_b": msg2.t_b, "r": client.r,
-            "d_a": msg3.d_a, "f_a": server.f_a, "e_b": msg4.e_b,
-            "key": key_a.value}
+        return {"v": client.v, "t_a_masked": client.t_a_masked.as_int,
+                "t_b_masked": server.t_b_masked.as_int, "r": server.r_b,
+                "d_b": server.d_b, "d_a": server.d_a_expected,
+                "key": run.key_a.value}
+    return {"v": server.record.v, "t_a": client.t_a, "t_b": server.t_b,
+            "r": client.r, "d_a": server.f_a, "f_a": server.f_a,
+            "e_b": server.e_b, "key": run.key_a.value}
 
 
 def check_golden(vector: GoldenVector) -> Tuple[bool, Dict[str, int]]:

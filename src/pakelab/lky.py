@@ -119,6 +119,7 @@ class LkyClientState:
     x: int = field(repr=False)          # ephemeral; never serialized
     t_a_masked: MaskedValue
     tally: Tally
+    flags: list = field(default_factory=list)   # always empty; read like proposed's
     phase: str = PHASE_STARTED
 
 

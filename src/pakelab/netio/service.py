@@ -1,10 +1,13 @@
 """TCP demo server (entity B) and client (entity A).
 
 The server speaks one session per connection: MSG1 in, MSG2 out, MSG3 in,
-then MSG4 (or OK for the baseline scheme) out on acceptance. Every refusal
-is an ERROR frame with a stable code; malformed input can never bring the
-listener down. Group parameters ride in MSG1 and are compared against the
-server's configuration, never negotiated.
+then MSG4 (or OK for the baseline scheme) out on acceptance. Both ends run
+the scheme's drivers (pakelab.drivers); the server loop and the client loop
+here only move frames and map what the drivers raise to ERROR frames or
+exceptions. Every refusal is an ERROR frame with a stable code; malformed
+input can never bring the listener down, and a peer that stays silent for
+READ_TIMEOUT seconds is dropped as a hang-up. Group parameters ride in MSG1
+and are compared against the server's configuration, never negotiated.
 
 Two deliberately guarded modes:
 
@@ -28,12 +31,11 @@ import socket
 import socketserver
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .. import lky, proposed
 from ..core import (
-    DESK_SCALE_BOUND,
     DIGEST256,
     Credentials,
     GroupParams,
@@ -55,7 +57,14 @@ from ..errors import (
     UnmaskOutOfRange,
     VersionMismatch,
 )
-from ..harness import SessionReport, append_log_line, counters_from
+from ..drivers import SERVERS, expect, lky_client, proposed_client
+from ..harness import (
+    MAX_NONCE_RESAMPLES,
+    SessionReport,
+    append_log_line,
+    counters_from,
+)
+from ..proposed import FLAG_UNAUTHENTICATED
 from ..transcript import DIR_AB, DIR_BA, Transcript
 from .frames import (
     ERR_AUTH_FAIL,
@@ -65,11 +74,7 @@ from .frames import (
     ERR_UNKNOWN_IDENTITY,
     ERR_VERSION_MISMATCH,
     ErrorFrame,
-    LkyMsg2Frame,
     Msg1Frame,
-    Msg2Frame,
-    Msg3Frame,
-    Msg4Frame,
     OkFrame,
     RegisterFrame,
     encode_frame,
@@ -84,6 +89,10 @@ DEFAULT_MAX_FAIL = 5
 
 # serve_forever's shutdown poll; short so that Service.stop() returns promptly
 POLL_INTERVAL = 0.05
+
+# seconds a connection may sit in one read or write before it is dropped as
+# a hang-up, so a silent peer cannot pin its handler thread
+READ_TIMEOUT = 30.0
 
 
 def parse_address(text: str) -> Tuple[str, int]:
@@ -119,6 +128,8 @@ class ClientOptions:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    timeout = READ_TIMEOUT
+
     def handle(self):
         self.server.service._handle_connection(self)
 
@@ -196,26 +207,22 @@ class Service:
 
     def _handle_connection(self, conn: _Handler):
         try:
-            try:
-                frame = read_frame(conn.rfile)
-            except VersionMismatch as exc:
-                self._reply_error(conn, ERR_VERSION_MISMATCH, str(exc))
-                return
-            except MalformedFrame as exc:
-                self._reply_error(conn, ERR_MALFORMED, str(exc))
-                return
+            frame = read_frame(conn.rfile)
             if frame is None:
                 return
             if isinstance(frame, RegisterFrame):
                 self._handle_register(conn, frame)
             elif isinstance(frame, Msg1Frame):
-                if self.config.insecure_lky:
-                    self._handle_lky_session(conn, frame)
-                else:
-                    self._handle_proposed_session(conn, frame)
+                self._handle_session(conn, frame)
             else:
                 self._reply_error(conn, ERR_MALFORMED,
                                   f"expected MSG1 or REGISTER, got {frame_label(frame)}")
+        except VersionMismatch as exc:
+            self._reply_error(conn, ERR_VERSION_MISMATCH, str(exc))
+        except (MalformedFrame, UnmaskOutOfRange, NotInGroup) as exc:
+            self._reply_error(conn, ERR_MALFORMED, str(exc))
+        except (TimeoutError, ConnectionError) as exc:
+            log.info("peer hung up or went silent: %s", exc)
         except Exception:
             # the listener must survive anything a peer throws at it
             log.exception("connection handler failed")
@@ -262,14 +269,13 @@ class Service:
                         "id_b": frame.id_b})
         self._send(conn, OkFrame())
 
-    def _preflight(self, conn: _Handler, msg1: Msg1Frame,
-                   transcript: Transcript) -> Optional[VerifierRecord]:
+    def _preflight(self, conn: _Handler, msg1: Msg1Frame) -> Optional[VerifierRecord]:
         """Shared MSG1 policy: params match, throttle, identity lookup."""
         cfg = self.config
         if (msg1.q, msg1.g) != (cfg.params.q, cfg.params.g):
             self._reply_error(conn, ERR_PARAM_MISMATCH,
                               f"group ({msg1.q}, {msg1.g}) is not "
-                              f"({cfg.params.q}, {cfg.params.g})", transcript)
+                              f"({cfg.params.q}, {cfg.params.g})")
             return None
         with self._lock:
             failures = self.store.failure_count(msg1.id_a)
@@ -277,19 +283,18 @@ class Service:
         if failures >= cfg.max_fail:
             self._reply_error(conn, ERR_THROTTLED,
                               f"{failures} consecutive failures for "
-                              f"id_a={msg1.id_a}", transcript)
+                              f"id_a={msg1.id_a}")
             return None
         if not records:
             self._reply_error(conn, ERR_UNKNOWN_IDENTITY,
-                              f"no verifier on record for id_a={msg1.id_a}",
-                              transcript)
+                              f"no verifier on record for id_a={msg1.id_a}")
             return None
         if len(records) > 1:
             # MSG1 names only id_a; with several (id_a, id_b) rows the server
             # cannot know which shared secret this session means
             self._reply_error(conn, ERR_UNKNOWN_IDENTITY,
                               f"id_a={msg1.id_a} is enrolled with multiple "
-                              "server identities", transcript)
+                              "server identities")
             return None
         return records[0]
 
@@ -299,110 +304,56 @@ class Service:
         with self._lock:
             return sample_nonce(params, self._rng)
 
-    def _read_msg3(self, conn: _Handler, transcript: Transcript) -> Optional[Msg3Frame]:
-        try:
-            frame = read_frame(conn.rfile)
-        except VersionMismatch as exc:
-            self._reply_error(conn, ERR_VERSION_MISMATCH, str(exc), transcript)
-            return None
-        except MalformedFrame as exc:
-            self._reply_error(conn, ERR_MALFORMED, str(exc), transcript)
-            return None
-        if frame is None:
-            log.info("peer hung up before MSG3")
-            return None
-        if not isinstance(frame, Msg3Frame):
-            self._reply_error(conn, ERR_MALFORMED,
-                              f"expected MSG3, got {frame_label(frame)}", transcript)
-            return None
-        transcript.record(DIR_AB, "msg3", encode_frame(frame))
-        return frame
+    def _handle_session(self, conn: _Handler, msg1: Msg1Frame):
+        """Run the served scheme's server driver over this connection.
 
-    def _handle_proposed_session(self, conn: _Handler, msg1: Msg1Frame):
+        Frames the driver rejects as malformed, or that fail to parse, end
+        in _handle_connection with their ERROR frame.
+        """
         cfg = self.config
+        scheme = SCHEME_LKY if cfg.insecure_lky else SCHEME_PROPOSED
         transcript = Transcript()
         transcript.record(DIR_AB, "msg1", encode_frame(msg1))
-        record = self._preflight(conn, msg1, transcript)
+        record = self._preflight(conn, msg1)
         if record is None:
             return
-        try:
-            msg2, server = proposed.prop_server_respond(
-                proposed.Msg1(id_a=msg1.id_a, t_a=msg1.t_a), record,
-                cfg.params, cfg.hash_spec, self._server_nonce(cfg.params))
-        except NotInGroup as exc:
-            self._reply_error(conn, ERR_MALFORMED, str(exc), transcript)
-            return
-        self._send(conn, Msg2Frame(t_b=msg2.t_b), transcript)
-
-        msg3 = self._read_msg3(conn, transcript)
-        if msg3 is None:
-            return
-        try:
-            msg4, key_b = proposed.prop_server_finish(
-                proposed.Msg3(d_a=msg3.d_a), server)
-        except AuthFail as exc:
-            with self._lock:
-                count = self.store.note_failure(msg1.id_a)
-            self._reply_error(conn, ERR_AUTH_FAIL,
-                              f"{exc} (consecutive failures: {count})", transcript,
-                              _SessionEnd(SCHEME_PROPOSED, None, server.tally, str(exc)))
-            return
-        with self._lock:
-            self.store.clear_failures(msg1.id_a)
-        self._send(conn, Msg4Frame(e_b=msg4.e_b), transcript,
-                   _SessionEnd(SCHEME_PROPOSED, key_b, server.tally))
-
-    def _handle_lky_session(self, conn: _Handler, msg1: Msg1Frame):
-        cfg = self.config
-        transcript = Transcript()
-        transcript.record(DIR_AB, "msg1", encode_frame(msg1))
-        record = self._preflight(conn, msg1, transcript)
-        if record is None:
-            return
-        if msg1.t_a >= 256 ** cfg.params.q_byte_len:
-            self._reply_error(conn, ERR_MALFORMED,
-                              "masked value exceeds the group width", transcript)
-            return
-        masked = lky.MaskedValue(msg1.t_a.to_bytes(cfg.params.q_byte_len, "big"))
-        lky_msg1 = lky.Msg1(id_a=msg1.id_a, t_a_masked=masked)
-        for _ in range(64):
+        for _ in range(MAX_NONCE_RESAMPLES):
+            server = SERVERS[scheme](msg1, record, cfg.params, cfg.hash_spec,
+                                     self._server_nonce(cfg.params))
             try:
-                msg2, server = lky.lky_server_respond(
-                    lky_msg1, record, cfg.params, cfg.hash_spec,
-                    self._server_nonce(cfg.params))
+                frame, state = next(server)
                 break
             except RetryNonce:
-                if self.config.y_override is not None:
+                if cfg.y_override is not None:
                     self._reply_error(conn, ERR_AUTH_FAIL,
-                                      "pinned server nonce is degenerate",
-                                      transcript)
+                                      "pinned server nonce is degenerate")
                     return
-            except UnmaskOutOfRange as exc:
-                self._reply_error(conn, ERR_MALFORMED, str(exc), transcript)
-                return
         else:
-            self._reply_error(conn, ERR_AUTH_FAIL, "could not pick a usable nonce",
-                              transcript)
-            return
-        self._send(conn, LkyMsg2Frame(t_b_masked=msg2.t_b_masked.as_int,
-                                      d_b=msg2.d_b), transcript)
-
-        msg3 = self._read_msg3(conn, transcript)
-        if msg3 is None:
+            self._reply_error(conn, ERR_AUTH_FAIL, "could not pick a usable nonce")
             return
         try:
-            key_b = lky.lky_server_finish(lky.Msg3(d_a=msg3.d_a), server)
+            while True:
+                self._send(conn, frame, transcript)
+                reply = read_frame(conn.rfile)
+                if reply is None:
+                    log.info("peer hung up before MSG3")
+                    return
+                transcript.record(DIR_AB, frame_label(reply), encode_frame(reply))
+                frame, state = server.send(reply)
+        except StopIteration as done:
+            final, key_b, state = done.value
         except AuthFail as exc:
             with self._lock:
                 count = self.store.note_failure(msg1.id_a)
             self._reply_error(conn, ERR_AUTH_FAIL,
                               f"{exc} (consecutive failures: {count})", transcript,
-                              _SessionEnd(SCHEME_LKY, None, server.tally, str(exc)))
+                              _SessionEnd(scheme, None, state.tally, str(exc)))
             return
         with self._lock:
             self.store.clear_failures(msg1.id_a)
-        self._send(conn, OkFrame(), transcript,
-                   _SessionEnd(SCHEME_LKY, key_b, server.tally))
+        # a server that accepts with nothing left to send acknowledges with OK
+        self._send(conn, final if final is not None else OkFrame(), transcript,
+                   _SessionEnd(scheme, key_b, state.tally))
 
     def _log_session(self, transcript: Transcript, end: _SessionEnd):
         report = SessionReport(scheme=end.scheme, params=self.config.params,
@@ -419,11 +370,6 @@ class Service:
             append_log_line(self.config.log_path, obj)
 
 
-def serve(config: ServeConfig) -> Service:
-    """Bind a Service; callers pick .start() (background) or .serve_blocking()."""
-    return Service(config)
-
-
 # -- client side ---------------------------------------------------------------
 
 
@@ -436,12 +382,6 @@ def _client_read(rfile) -> object:
     return frame
 
 
-def _expect(frame, cls):
-    if not isinstance(frame, cls):
-        raise MalformedFrame(f"expected {cls.__name__}, got {frame_label(frame)}")
-    return frame
-
-
 def _client_send(sock: socket.socket, frame, transcript: Transcript):
     """Encode frame once; the same bytes go to the transcript and the wire."""
     data = encode_frame(frame)
@@ -449,8 +389,8 @@ def _client_send(sock: socket.socket, frame, transcript: Transcript):
     sock.sendall(data)
 
 
-def _client_recv(rfile, cls, transcript: Transcript):
-    frame = _expect(_client_read(rfile), cls)
+def _client_recv(rfile, transcript: Transcript):
+    frame = _client_read(rfile)
     transcript.record(DIR_BA, frame_label(frame), encode_frame(frame))
     return frame
 
@@ -462,7 +402,7 @@ def client_register(address: Tuple[str, int], record: VerifierRecord,
         rfile = sock.makefile("rb")
         sock.sendall(encode_frame(RegisterFrame(id_a=record.id_a,
                                                 id_b=record.id_b, v=record.v)))
-        _expect(_client_read(rfile), OkFrame)
+        expect(_client_read(rfile), OkFrame)
 
 
 def client_connect(address: Tuple[str, int], creds: Credentials,
@@ -472,62 +412,17 @@ def client_connect(address: Tuple[str, int], creds: Credentials,
     """Run one session as entity A against a listening server."""
     opts = options if options is not None else ClientOptions()
     if opts.scheme == SCHEME_PROPOSED:
-        key, report = _connect_proposed(address, creds, params, opts)
+        start = partial(proposed_client, skip_server_auth=opts.skip_server_auth)
     elif opts.scheme == SCHEME_LKY:
-        key, report = _connect_lky(address, creds, params, opts)
+        start = lky_client
     else:
         raise ValueError(f"unknown scheme {opts.scheme!r}")
-    if opts.log_path is not None:
-        append_log_line(opts.log_path, report.to_json_obj())
-    return key, report
-
-
-def _client_nonce(params: GroupParams, opts: ClientOptions) -> int:
-    if opts.x is not None:
-        return opts.x
     rng = random.Random(opts.seed)
-    return sample_nonce(params, rng)
-
-
-def _client_report(scheme: str, params: GroupParams, transcript: Transcript,
-                   key: SessionKey, tally, flags) -> SessionReport:
-    return SessionReport(scheme=scheme, params=params, transcript=transcript,
-                         key_a=key, key_b=None, auth_a_ok=True, auth_b_ok=True,
-                         counters=counters_from(tally, Tally(), transcript),
-                         flags=["client-side view"] + list(flags))
-
-
-def _connect_proposed(address, creds: Credentials, params: GroupParams,
-                      opts: ClientOptions) -> Tuple[SessionKey, SessionReport]:
-    msg1, client = proposed.prop_client_start(creds, params, opts.hash_spec,
-                                              _client_nonce(params, opts))
-    transcript = Transcript()
-    with socket.create_connection(address, timeout=opts.timeout) as sock:
-        rfile = sock.makefile("rb")
-        _client_send(sock, Msg1Frame(q=params.q, g=params.g, id_a=msg1.id_a,
-                                     t_a=msg1.t_a), transcript)
-        msg2 = _client_recv(rfile, Msg2Frame, transcript)
-        msg3 = proposed.prop_client_confirm(proposed.Msg2(t_b=msg2.t_b), client)
-        _client_send(sock, Msg3Frame(d_a=msg3.d_a), transcript)
-        msg4 = _client_recv(rfile, Msg4Frame, transcript)
-        skip = opts.skip_server_auth or params.q > DESK_SCALE_BOUND
-        key = proposed.prop_client_finish(proposed.Msg4(e_b=msg4.e_b), client,
-                                          skip_server_auth=skip)
-    report = _client_report(SCHEME_PROPOSED, params, transcript, key,
-                            client.tally, client.flags)
-    if skip:
-        report.auth_a_ok = False
-    return key, report
-
-
-def _connect_lky(address, creds: Credentials, params: GroupParams,
-                 opts: ClientOptions) -> Tuple[SessionKey, SessionReport]:
-    rng = random.Random(opts.seed)
-    for _ in range(64):
-        nonce = opts.x if opts.x is not None else sample_nonce(params, rng)
+    for _ in range(MAX_NONCE_RESAMPLES):
+        client = start(creds, params, opts.hash_spec,
+                       opts.x if opts.x is not None else sample_nonce(params, rng))
         try:
-            msg1, client = lky.lky_client_start(creds, params, opts.hash_spec,
-                                                nonce)
+            frame, state = next(client)
             break
         except RetryNonce:
             if opts.x is not None:
@@ -537,16 +432,23 @@ def _connect_lky(address, creds: Credentials, params: GroupParams,
     transcript = Transcript()
     with socket.create_connection(address, timeout=opts.timeout) as sock:
         rfile = sock.makefile("rb")
-        _client_send(sock, Msg1Frame(q=params.q, g=params.g, id_a=msg1.id_a,
-                                     t_a=msg1.t_a_masked.as_int), transcript)
-        resp = _client_recv(rfile, LkyMsg2Frame, transcript)
-        if resp.t_b_masked >= 256 ** params.q_byte_len:
-            raise MalformedFrame("masked value exceeds the group width")
-        masked = lky.MaskedValue(
-            resp.t_b_masked.to_bytes(params.q_byte_len, "big"))
-        msg3, key = lky.lky_client_finish(
-            lky.Msg2(t_b_masked=masked, d_b=resp.d_b), client)
-        _client_send(sock, Msg3Frame(d_a=msg3.d_a), transcript)
-        _client_recv(rfile, OkFrame, transcript)
-    return key, _client_report(SCHEME_LKY, params, transcript, key,
-                               client.tally, [])
+        try:
+            while True:
+                _client_send(sock, frame, transcript)
+                frame, state = client.send(_client_recv(rfile, transcript))
+        except StopIteration as done:
+            final, key, state = done.value
+        if final is not None:
+            # the server accepts on this last frame and acknowledges it with OK
+            _client_send(sock, final, transcript)
+            expect(_client_recv(rfile, transcript), OkFrame)
+    flags = list(state.flags)
+    report = SessionReport(scheme=opts.scheme, params=params, transcript=transcript,
+                           key_a=key, key_b=None,
+                           auth_a_ok=FLAG_UNAUTHENTICATED not in flags,
+                           auth_b_ok=True,
+                           counters=counters_from(state.tally, Tally(), transcript),
+                           flags=["client-side view"] + flags)
+    if opts.log_path is not None:
+        append_log_line(opts.log_path, report.to_json_obj())
+    return key, report

@@ -51,9 +51,6 @@ class Transcript:
     def bytes_on_wire(self) -> int:
         return sum(len(e) for e in self.entries)
 
-    def hexes(self) -> list:
-        return [e.hex for e in self.entries]
-
     def __iter__(self) -> Iterator[TranscriptEntry]:
         return iter(self.entries)
 

@@ -29,7 +29,7 @@ from pakelab.core import (
     hash_to_exponent,
     mod_inverse,
 )
-from pakelab.errors import GroupTooLarge, ScenarioError
+from pakelab.errors import GroupTooLarge, RetryNonce, ScenarioError
 from pakelab.harness import Scenario, run_honest_session
 from pakelab.transcript import Transcript
 
@@ -319,3 +319,17 @@ def test_mitm_transcript_records_the_post_tamper_wire_view():
     first = next(iter(report.transcript))
     assert first.label == "msg1"
     assert first.hex.endswith("0106")            # final field holds the 6
+
+
+def test_lky_mitm_with_a_degenerate_client_nonce_raises():
+    # g^7 = v on the toy group: the client cannot start, nobody rejects
+    with pytest.raises(RetryNonce):
+        mitm(SCHEME_LKY, "d_a", 1, x=7, y=4)
+
+
+def test_oversized_masked_tamper_is_refused_only_when_reached():
+    # v^1 = v: the server refuses MSG1 before T_B is ever put on the wire
+    report = mitm(SCHEME_LKY, "t_b_masked", 256, x=3, y=1)
+    assert report.notes == "server rejected: v^y equals v; resample y"
+    with pytest.raises(ScenarioError):
+        mitm(SCHEME_LKY, "t_b_masked", 256, x=3, y=4)

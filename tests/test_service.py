@@ -1,6 +1,7 @@
 """TCP service: loopback sessions, error codes, throttling, enrollment, logs."""
 
 import json
+import logging
 import socket
 import threading
 
@@ -31,11 +32,13 @@ from pakelab.netio.frames import (
     ERR_UNKNOWN_IDENTITY,
     ERR_VERSION_MISMATCH,
     ErrorFrame,
+    Msg1Frame,
     OkFrame,
     RegisterFrame,
     encode_frame,
     read_frame,
 )
+from pakelab.harness import Scenario, run_honest_session
 from pakelab.netio import service as service_module
 from pakelab.netio.service import (
     ClientOptions,
@@ -44,7 +47,6 @@ from pakelab.netio.service import (
     client_connect,
     client_register,
     parse_address,
-    serve,
 )
 from pakelab.netio.store import VerifierStore
 
@@ -104,7 +106,7 @@ def test_parse_address():
 def test_proposed_loopback_agrees_on_the_toy_key(tmp_path):
     server_log = tmp_path / "server.jsonl"
     client_log = tmp_path / "client.jsonl"
-    with serve(toy_config(tmp_path, log_path=server_log)) as service:
+    with Service(toy_config(tmp_path, log_path=server_log)) as service:
         key, report = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
                                      toy_options(log_path=client_log))
     assert key.value == 9
@@ -122,7 +124,7 @@ def test_proposed_loopback_agrees_on_the_toy_key(tmp_path):
 
 def test_lky_loopback(tmp_path):
     log = tmp_path / "server.jsonl"
-    with serve(toy_config(tmp_path, insecure_lky=True,
+    with Service(toy_config(tmp_path, insecure_lky=True,
                           log_path=log)) as service:
         key, report = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
                                      toy_options(scheme=SCHEME_LKY))
@@ -135,7 +137,7 @@ def test_lky_loopback(tmp_path):
 
 
 def test_sequential_sessions_share_one_service(tmp_path):
-    with serve(toy_config(tmp_path)) as service:
+    with Service(toy_config(tmp_path)) as service:
         for _ in range(3):
             key, _ = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
                                     toy_options())
@@ -154,7 +156,7 @@ def test_parallel_sessions(tmp_path):
         except Exception as exc:           # collected, not swallowed
             errors.append(exc)
 
-    with serve(toy_config(tmp_path)) as service:
+    with Service(toy_config(tmp_path)) as service:
         threads = [threading.Thread(target=one_session, args=(service,))
                    for _ in range(4)]
         for t in threads:
@@ -166,7 +168,7 @@ def test_parallel_sessions(tmp_path):
 
 
 def test_client_can_skip_server_auth(tmp_path):
-    with serve(toy_config(tmp_path)) as service:
+    with Service(toy_config(tmp_path)) as service:
         key, report = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
                                      toy_options(skip_server_auth=True))
     assert key.value == 9
@@ -187,7 +189,7 @@ def test_session_is_logged_before_the_client_returns(tmp_path, scheme, creds,
     log = tmp_path / "server.jsonl"
     config = toy_config(tmp_path, insecure_lky=scheme == SCHEME_LKY,
                         log_path=log, max_fail=100)
-    with serve(config) as service:
+    with Service(config) as service:
         for n in range(1, 21):
             try:
                 client_connect(service.address, creds, TOY_PARAMS,
@@ -214,7 +216,7 @@ def test_client_encodes_each_sent_frame_once(tmp_path, monkeypatch):
         return encode_frame(frame)
 
     monkeypatch.setattr(service_module, "encode_frame", counting_encode)
-    with serve(toy_config(tmp_path)) as service:
+    with Service(toy_config(tmp_path)) as service:
         key, report = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
                                      toy_options())
     assert key.value == 9
@@ -227,7 +229,7 @@ def test_client_encodes_each_sent_frame_once(tmp_path, monkeypatch):
 
 
 def test_wrong_password_is_refused(tmp_path):
-    with serve(toy_config(tmp_path)) as service:
+    with Service(toy_config(tmp_path)) as service:
         with pytest.raises(RemoteError) as exc:
             client_connect(service.address, WRONG_CREDS, TOY_PARAMS,
                            toy_options(x=5))
@@ -236,7 +238,7 @@ def test_wrong_password_is_refused(tmp_path):
 
 
 def test_throttling_after_repeated_failures(tmp_path):
-    with serve(toy_config(tmp_path, max_fail=3)) as service:
+    with Service(toy_config(tmp_path, max_fail=3)) as service:
         for n in (1, 2, 3):
             with pytest.raises(RemoteError) as exc:
                 client_connect(service.address, WRONG_CREDS, TOY_PARAMS,
@@ -251,7 +253,7 @@ def test_throttling_after_repeated_failures(tmp_path):
 
 
 def test_success_resets_the_failure_counter(tmp_path):
-    with serve(toy_config(tmp_path, max_fail=3)) as service:
+    with Service(toy_config(tmp_path, max_fail=3)) as service:
         for _ in range(2):
             with pytest.raises(RemoteError):
                 client_connect(service.address, WRONG_CREDS, TOY_PARAMS,
@@ -267,7 +269,7 @@ def test_success_resets_the_failure_counter(tmp_path):
 
 def test_unknown_identity(tmp_path):
     stranger = Credentials(id_a=99, id_b=12, password=10)
-    with serve(toy_config(tmp_path)) as service:
+    with Service(toy_config(tmp_path)) as service:
         with pytest.raises(RemoteError) as exc:
             client_connect(service.address, stranger, TOY_PARAMS,
                            toy_options())
@@ -277,7 +279,7 @@ def test_unknown_identity(tmp_path):
 def test_ambiguous_identity_is_refused(tmp_path):
     write_toy_store(tmp_path / "verifiers.tsv",
                     extra=[VerifierRecord(id_a=9, id_b=15, v=11)])
-    with serve(toy_config(tmp_path)) as service:
+    with Service(toy_config(tmp_path)) as service:
         with pytest.raises(RemoteError) as exc:
             client_connect(service.address, TOY_CREDS, TOY_PARAMS,
                            toy_options())
@@ -287,14 +289,14 @@ def test_ambiguous_identity_is_refused(tmp_path):
 
 def test_group_mismatch_is_refused(tmp_path):
     other = GroupParams(q=29, g=2)
-    with serve(toy_config(tmp_path)) as service:
+    with Service(toy_config(tmp_path)) as service:
         with pytest.raises(RemoteError) as exc:
             client_connect(service.address, TOY_CREDS, other, toy_options())
     assert exc.value.code == ERR_PARAM_MISMATCH
 
 
 def test_version_mismatch_reply(tmp_path):
-    with serve(toy_config(tmp_path)) as service:
+    with Service(toy_config(tmp_path)) as service:
         data = bytearray(encode_frame(OkFrame()))
         data[2] = 0x02
         reply = raw_exchange(service.address, bytes(data))
@@ -303,14 +305,14 @@ def test_version_mismatch_reply(tmp_path):
 
 
 def test_garbage_opener_reply(tmp_path):
-    with serve(toy_config(tmp_path)) as service:
+    with Service(toy_config(tmp_path)) as service:
         reply = raw_exchange(service.address, b"GET / HTTP/1.1\r\n\r\n")
     assert isinstance(reply, ErrorFrame)
     assert reply.code == ERR_MALFORMED
 
 
 def test_wrong_opening_frame_type(tmp_path):
-    with serve(toy_config(tmp_path)) as service:
+    with Service(toy_config(tmp_path)) as service:
         reply = raw_exchange(service.address, encode_frame(OkFrame()))
     assert isinstance(reply, ErrorFrame)
     assert reply.code == ERR_MALFORMED
@@ -318,7 +320,7 @@ def test_wrong_opening_frame_type(tmp_path):
 
 
 def test_lky_refused_when_pinned_server_nonce_degenerates(tmp_path):
-    with serve(toy_config(tmp_path, insecure_lky=True,
+    with Service(toy_config(tmp_path, insecure_lky=True,
                           y_override=1)) as service:
         with pytest.raises(RemoteError) as exc:
             client_connect(service.address, TOY_CREDS, TOY_PARAMS,
@@ -328,14 +330,14 @@ def test_lky_refused_when_pinned_server_nonce_degenerates(tmp_path):
 
 
 def test_lky_client_refuses_its_own_degenerate_nonce(tmp_path):
-    with serve(toy_config(tmp_path, insecure_lky=True)) as service:
+    with Service(toy_config(tmp_path, insecure_lky=True)) as service:
         with pytest.raises(RetryNonce):
             client_connect(service.address, TOY_CREDS, TOY_PARAMS,
                            toy_options(scheme=SCHEME_LKY, x=7))
 
 
 def test_client_rejects_unknown_scheme(tmp_path):
-    with serve(toy_config(tmp_path)) as service:
+    with Service(toy_config(tmp_path)) as service:
         with pytest.raises(ValueError):
             client_connect(service.address, TOY_CREDS, TOY_PARAMS,
                            toy_options(scheme="quantum"))
@@ -345,7 +347,7 @@ def test_client_rejects_unknown_scheme(tmp_path):
 
 
 def test_enrollment_is_off_by_default(tmp_path):
-    with serve(toy_config(tmp_path)) as service:
+    with Service(toy_config(tmp_path)) as service:
         with pytest.raises(RemoteError) as exc:
             client_register(service.address,
                             VerifierRecord(id_a=20, id_b=12, v=7))
@@ -359,7 +361,7 @@ def test_enrollment_round_trip(tmp_path):
     v = derive_verifier(creds, TOY_PARAMS, TOYSUM_SPEC)
     config = ServeConfig(params=TOY_PARAMS, store_path=store_path,
                          hash_spec=TOYSUM_SPEC, y_override=4, enroll=True)
-    with serve(config) as service:
+    with Service(config) as service:
         client_register(service.address,
                         VerifierRecord(id_a=creds.id_a, id_b=creds.id_b, v=v))
         key, _ = client_connect(service.address, creds, TOY_PARAMS,
@@ -371,7 +373,7 @@ def test_enrollment_round_trip(tmp_path):
 
 def test_enrollment_rejects_non_group_verifiers(tmp_path):
     config = toy_config(tmp_path, enroll=True)
-    with serve(config) as service:
+    with Service(config) as service:
         reply = raw_exchange(service.address, encode_frame(
             RegisterFrame(id_a=20, id_b=12, v=13)))
     assert isinstance(reply, ErrorFrame)
@@ -401,7 +403,7 @@ def test_service_refuses_a_store_row_outside_the_group(tmp_path):
 
 
 def test_service_survives_abusive_peers(tmp_path):
-    with serve(toy_config(tmp_path)) as service:
+    with Service(toy_config(tmp_path)) as service:
         with socket.create_connection(service.address, timeout=5.0) as sock:
             sock.sendall(b"\x50\x4b\x01\x02\xff\xff")   # promises 65535 bytes
         raw_exchange(service.address, b"\x00")
@@ -410,3 +412,62 @@ def test_service_survives_abusive_peers(tmp_path):
         key, _ = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
                                 toy_options())
         assert key.value == 9
+
+
+def test_silent_peers_are_dropped_at_the_read_deadline(tmp_path, monkeypatch,
+                                                       caplog):
+    monkeypatch.setattr(service_module._Handler, "timeout", 0.2)
+    caplog.set_level(logging.INFO, logger="pakelab.netio")
+    with Service(toy_config(tmp_path)) as service:
+        silent = [socket.create_connection(service.address, timeout=5.0)
+                  for _ in range(3)]
+        try:
+            for sock in silent:
+                assert sock.recv(1) == b""          # EOF, and no ERROR frame
+        finally:
+            for sock in silent:
+                sock.close()
+        key, _ = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                                toy_options())
+        assert key.value == 9
+    hang_ups = [r for r in caplog.records if "hung up" in r.getMessage()]
+    assert len(hang_ups) == 3
+    assert all(r.levelno == logging.INFO and r.exc_info is None
+               for r in caplog.records)
+
+
+# -- one message sequence, in memory and over TCP ------------------------------
+
+
+@pytest.mark.parametrize("scheme", ["proposed", SCHEME_LKY])
+@pytest.mark.parametrize("x, y", [(3, 4), (5, 7), (2, 9)])
+def test_tcp_frames_match_the_in_memory_session(tmp_path, scheme, x, y):
+    report = run_honest_session(Scenario(scheme=scheme, hash_spec=TOYSUM_SPEC,
+                                         x=x, y=y))
+    assert report.error is None
+    config = toy_config(tmp_path, insecure_lky=scheme == SCHEME_LKY,
+                        y_override=y)
+    with Service(config) as service:
+        _, tcp = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                                toy_options(scheme=scheme, x=x))
+    in_memory = [(e.direction, e.label, e.data) for e in report.transcript]
+    over_tcp = [(e.direction, e.label, e.data) for e in tcp.transcript]
+    if scheme == SCHEME_LKY:
+        assert over_tcp[-1] == ("B->A", "ok", encode_frame(OkFrame()))
+        over_tcp = over_tcp[:-1]
+    assert over_tcp == in_memory
+
+
+@pytest.mark.parametrize("scheme, t_a", [("proposed", 8), (SCHEME_LKY, 15)])
+def test_a_repeated_msg1_is_refused(tmp_path, scheme, t_a):
+    msg1 = encode_frame(Msg1Frame(q=13, g=6, id_a=9, t_a=t_a))
+    config = toy_config(tmp_path, insecure_lky=scheme == SCHEME_LKY)
+    with Service(config) as service:
+        with socket.create_connection(service.address, timeout=5.0) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(msg1)
+            assert not isinstance(read_frame(rfile), ErrorFrame)
+            sock.sendall(msg1)
+            reply = read_frame(rfile)
+    assert reply == ErrorFrame(code=ERR_MALFORMED,
+                               detail="expected MSG3, got msg1")
