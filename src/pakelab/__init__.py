@@ -45,7 +45,6 @@ from .harness import (  # noqa: F401
     SessionReport,
     compare_efficiency,
     golden_vectors,
-    run_attack_scenario,
     run_honest_session,
 )
 

@@ -189,7 +189,10 @@ def cmd_register(args) -> int:
     creds = _credentials(args)
     v = derive_verifier(creds, params, _hash_spec(args))
     path = Path(args.store)
-    store = VerifierStore.load(path, params) if path.exists() else VerifierStore()
+    if path.exists():
+        store = VerifierStore.load(path, params, args.hash)
+    else:
+        store = VerifierStore(params, args.hash)
     store.add(VerifierRecord(id_a=creds.id_a, id_b=creds.id_b, v=v),
               replace=args.replace)
     store.save(path)

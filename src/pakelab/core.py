@@ -14,6 +14,9 @@ then bumps the result until it is nonzero and coprime to q-1, so that its
 inverse mod q-1 always exists. That adjustment is deterministic and both
 protocol sides apply it identically.
 
+Parameter validation and generation test primality (is_prime) and factor
+q-1 (prime_factors) here, in plain Python.
+
 Two oracles are deliberately brute-force and only constructible for small
 groups (q <= DESK_SCALE_BOUND): an exhaustive discrete-log table, and a toy
 bilinear map e(X, Y) = dlog(X) * dlog(Y) mod (q-1) built on top of it. They
@@ -27,10 +30,9 @@ import hashlib
 import random
 from array import array
 from dataclasses import dataclass, field
-from math import gcd
-from typing import Optional, Sequence
-
-import sympy
+from itertools import count
+from math import gcd, isqrt
+from typing import List, Optional, Sequence
 
 from .errors import (
     BaseOutOfRange,
@@ -164,13 +166,6 @@ def encode_residue(value: int, params: GroupParams) -> bytes:
     return value.to_bytes(params.q_byte_len, "big")
 
 
-def decode_residue(data: bytes, params: GroupParams) -> int:
-    """Inverse of encode_residue; enforces the fixed width."""
-    if len(data) != params.q_byte_len:
-        raise OutOfRange(f"expected {params.q_byte_len} bytes, got {len(data)}")
-    return int.from_bytes(data, "big")
-
-
 def mod_exp(base: int, exponent: int, params: GroupParams,
             tally: Optional[Tally] = None, registration: bool = False) -> int:
     """base^exponent mod q, for base in Z_q^* and exponent >= 0.
@@ -268,6 +263,160 @@ def digest_hash(inputs: Sequence[bytes], algorithm: str = "sha256") -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# Miller-Rabin over the 13 prime bases 2..41 is exact below this bound
+# (OEIS A014233); above it is_prime runs the strong BPSW test.
+MR_EXACT_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Primality of n by sympy.isprime's algorithm, without its tables.
+
+    Trial division by the primes up to 47, then deterministic Miller-Rabin
+    with bases 2..41 below MR_EXACT_BOUND; above it, strong BPSW: one
+    base-2 Miller-Rabin round and a strong Lucas test with Selfridge's
+    parameters, which no known composite passes.
+    """
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 53 * 53:                 # a composite this small has a factor up to 47
+        return True
+    if n < MR_EXACT_BOUND:
+        return all(_strong_probable_prime(n, base) for base in _SMALL_PRIMES[:13])
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    """One Miller-Rabin round, for odd n > base."""
+    m = n - 1
+    s = (m & -m).bit_length() - 1
+    x = pow(base, m >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if (n & 7) in (3, 5):
+                result = -result
+        a, n = n, a
+        if (a & 3) == 3 and (n & 3) == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test for odd n > 47.
+
+    Selfridge's parameters: the first D of 5, -7, 9, -11, ... with Jacobi
+    symbol (D/n) = -1, P = 1 and Q = (1 - D)/4; a square has no such D.
+    U and V are walked over the bits of d = (n+1)/2^s with the doubling
+    and increment formulas; the increment halves mod n by adding n to an
+    odd value and shifting.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    for D in count(5, 2):
+        if D & 2:
+            D = -D
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False            # |D| < n shares a factor with n
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            if U & 1:
+                U += n
+            if V & 1:
+                V += n
+            U, V, Qk = U >> 1, V >> 1, Qk * Q % n
+    if U % n == 0 or V % n == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+def prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n >= 1, ascending.
+
+    Trial division by the primes up to 47, then Pollard's rho on what is
+    left until every part passes is_prime.
+    """
+    if n < 1:
+        raise ValueError("only positive integers have prime factors")
+    found = set()
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            found.add(p)
+            while n % p == 0:
+                n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            found.add(m)
+        else:
+            d = _pollard_rho(m)
+            pending += [d, m // d]
+    return sorted(found)
+
+
+def _pollard_rho(n: int) -> int:
+    """A nontrivial factor of the odd composite n.
+
+    Brent's cycle search on x -> x^2 + c, with the gcd taken once per 128
+    steps; a batch that overshoots to n is replayed step by step, and a
+    walk that still finds only n moves on to the next c.
+    """
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def validate_params(params: GroupParams) -> None:
     """Check that q is prime and g generates all of Z_q^*.
 
@@ -279,16 +428,16 @@ def validate_params(params: GroupParams) -> None:
     q, g = params.q, params.g
     if not 1 < g < q:
         raise OutOfRange(f"generator {g} outside (1, {q})")
-    if q < 3 or not sympy.isprime(q):
+    if q < 3 or not is_prime(q):
         raise NotPrime(f"{q} is not prime")
     order = q - 1
     if q <= ORDER_CHECK_BOUND:
-        for p in sympy.factorint(order):
+        for p in prime_factors(order):
             if pow(g, order // p, q) == 1:
                 raise NotGenerator(f"{g} has order dividing {order // p} mod {q}")
     else:
         p = order // 2
-        if not sympy.isprime(p):
+        if not is_prime(p):
             raise NotPrime(f"{q} is not a safe prime; cannot certify generator order")
         if pow(g, 2, q) == 1 or pow(g, p, q) == 1:
             raise NotGenerator(f"{g} is not a generator mod safe prime {q}")
@@ -308,9 +457,9 @@ def generate_params(bit_length: int, seed: int) -> GroupParams:
     budget = 200000 if bit_length <= 64 else 20000
     for _ in range(budget):
         candidate = rng.getrandbits(bit_length) | (1 << (bit_length - 1)) | 1
-        if not sympy.isprime(candidate):
+        if not is_prime(candidate):
             continue
-        if bit_length > 64 and not sympy.isprime((candidate - 1) // 2):
+        if bit_length > 64 and not is_prime((candidate - 1) // 2):
             continue
         g = _find_generator(candidate, bit_length <= 64)
         if g is not None:
@@ -323,7 +472,7 @@ def generate_params(bit_length: int, seed: int) -> GroupParams:
 def _find_generator(q: int, exact: bool) -> Optional[int]:
     order = q - 1
     if exact:
-        factors = list(sympy.factorint(order))
+        factors = prime_factors(order)
         for g in range(2, q):
             if all(pow(g, order // p, q) != 1 for p in factors):
                 return g
@@ -387,11 +536,6 @@ class DlogTable:
         if not self.params.contains(element):
             raise NotInGroup(f"{element} not in Z_{self.params.q}^*")
         return self._table[element]
-
-
-def brute_force_dlog(element: int, params: GroupParams) -> int:
-    """Exponent k with g^k = element mod q, via the exhaustive table."""
-    return DlogTable.for_params(params).dlog(element)
 
 
 def toy_pairing(x: int, y: int, params: GroupParams) -> int:

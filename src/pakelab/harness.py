@@ -21,16 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from .attacks import (
-    ATTACK_MITM,
-    ATTACK_STOLEN_VERIFIER_LKY,
-    ATTACK_STOLEN_VERIFIER_PROPOSED,
-    AttackReport,
-    TamperSpec,
-    mitm_tamper_experiment,
-    stolen_verifier_attack_lky,
-    stolen_verifier_attack_proposed,
-)
+from .attacks import AttackReport
 from .core import (
     DIGEST256,
     TOYSUM,
@@ -42,7 +33,6 @@ from .core import (
     SessionKey,
     TOY_CREDS,
     TOY_PARAMS,
-    derive_verifier,
     sample_nonce,
 )
 from .drivers import CLIENTS, run_pair
@@ -84,8 +74,6 @@ class Scenario:
     x: Optional[int] = None
     y: Optional[int] = None
     seed: Optional[int] = None
-    tamper: Optional[TamperSpec] = None
-    attack: Optional[str] = None
 
     def nonce_pairs(self):
         """Yield (x, y) pairs: the explicit pair forever, or a seeded stream."""
@@ -169,8 +157,6 @@ def run_honest_session(scenario: Scenario) -> SessionReport:
     Protocol rejections land in the report (error text plus false auth
     flags); only malformed scenarios raise.
     """
-    if scenario.tamper is not None or scenario.attack is not None:
-        raise ScenarioError("honest sessions take no tamper or attack")
     if scenario.scheme not in CLIENTS:
         raise ScenarioError(f"unknown scheme {scenario.scheme!r}")
 
@@ -225,28 +211,6 @@ def _run_session(scenario: Scenario, x: int, y: int) -> SessionReport:
         auth_b_ok=run.key_b is not None,
         counters=counters_from(run.client.tally, run.server.tally, run.transcript),
         flags=flags, error=f"{run.rejected_by}: {run.error}" if failed else None)
-
-
-def run_attack_scenario(scenario: Scenario) -> AttackReport:
-    """Dispatch to the attacks module with nonces resolved from the scenario."""
-    if scenario.attack is None:
-        raise ScenarioError("scenario names no attack")
-    x, y = next(scenario.nonce_pairs())
-    params, creds, hash_spec = scenario.params, scenario.creds, scenario.hash_spec
-    if scenario.attack == ATTACK_STOLEN_VERIFIER_LKY:
-        v = derive_verifier(creds, params, hash_spec)
-        return stolen_verifier_attack_lky(v, (creds.id_a, creds.id_b), params,
-                                          hash_spec, x, y)
-    if scenario.attack == ATTACK_STOLEN_VERIFIER_PROPOSED:
-        v = derive_verifier(creds, params, hash_spec)
-        return stolen_verifier_attack_proposed(v, (creds.id_a, creds.id_b), params,
-                                               hash_spec, x, y)
-    if scenario.attack == ATTACK_MITM:
-        if scenario.tamper is None:
-            raise ScenarioError("mitm scenario needs a tamper spec")
-        return mitm_tamper_experiment(scenario.scheme, scenario.tamper, params,
-                                      hash_spec, (x, y), creds)
-    raise ScenarioError(f"unknown attack {scenario.attack!r}")
 
 
 # -- efficiency accounting ---------------------------------------------------

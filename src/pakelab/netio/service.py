@@ -14,7 +14,8 @@ Two deliberately guarded modes:
   * enrollment (config.enroll): accepts REGISTER frames, which carry the
     verifier in the clear. Faithful to the registration step under study,
     dangerous in any real deployment, so it is off by default and logs a
-    warning per registration.
+    warning per registration. Each one appends a row to the store file;
+    the file is compacted to v2 at start if it is not already (see store).
   * insecure_lky (config.insecure_lky): serves the broken baseline scheme
     instead of the revised one, for attack demonstrations.
 
@@ -90,6 +91,11 @@ DEFAULT_MAX_FAIL = 5
 # serve_forever's shutdown poll; short so that Service.stop() returns promptly
 POLL_INTERVAL = 0.05
 
+# pending connections the kernel queues for accept(); socketserver's default
+# of 5 overflows under 8 concurrent clients, and a refused SYN is retried
+# only after the kernel's 1 s retransmit timeout
+LISTEN_BACKLOG = 128
+
 # seconds a connection may sit in one read or write before it is dropped as
 # a hang-up, so a silent peer cannot pin its handler thread
 READ_TIMEOUT = 30.0
@@ -137,6 +143,7 @@ class _Handler(socketserver.StreamRequestHandler):
 class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+    request_queue_size = LISTEN_BACKLOG
 
 
 class _SessionEnd(NamedTuple):
@@ -155,15 +162,19 @@ class Service:
         validate_params(config.params)
         self.config = config
         path = Path(config.store_path)
+        mode = config.hash_spec.mode
         if path.exists():
-            self.store = VerifierStore.load(path, config.params)
+            self.store = VerifierStore.load(path, config.params, mode)
         elif config.enroll:
-            self.store = VerifierStore()    # enrollment mode may start empty
+            self.store = VerifierStore(config.params, mode)     # may start empty
         else:
             raise FileNotFoundError(f"verifier store not found: {path}")
+        if config.enroll and self.store.version != 2:
+            # REGISTER appends rows, so the file must be v2 and name this group
+            self.store.save(path)
         self._lock = threading.Lock()
         # log appends get their own lock: a session's line is written before
-        # its final frame, so it must not wait behind a store rewrite
+        # its final frame, so it must not wait behind a store write
         self._log_lock = threading.Lock()
         self._rng = random.Random(config.rng_seed)
         self._server = _Server(config.listen, _Handler)
@@ -261,8 +272,7 @@ class Service:
             return
         record = VerifierRecord(id_a=frame.id_a, id_b=frame.id_b, v=frame.v)
         with self._lock:
-            self.store.add(record, replace=True)
-            self.store.save(self.config.store_path)
+            self.store.append(self.config.store_path, record)
         log.warning("enrolled id_a=%d id_b=%d: the verifier crossed the wire "
                     "unprotected", frame.id_a, frame.id_b)
         self._log_line({"kind": "register", "id_a": frame.id_a,

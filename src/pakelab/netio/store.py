@@ -1,16 +1,29 @@
 """Server-side verifier persistence.
 
-The on-disk format is one header line
+A store file is one header line, then one record per line: id_a and id_b
+in decimal and the verifier in lowercase hex, tab-separated. Two versions
+load:
+
+  # pake-verifiers v2 q=<q> g=<g> hash=<mode>
+
+names the group and hash mode that derived the verifiers. Loading it for
+another group or mode is refused at line 1, since every login would fail.
+Rows may repeat a pair: REGISTER appends one row per enrollment, and the
+last row for a pair wins. Every line, the last one included, ends in a
+newline, so a row torn by an interrupted append is refused with its line
+number rather than read as a shorter, wrong verifier.
 
   # pake-verifiers v1
 
-then one record per line: id_a and id_b in decimal and the verifier in
-lowercase hex, tab-separated, sorted by (id_a, id_b). Records are keyed
-by the (id_a, id_b) pair, so one client identity may hold verifiers with
-several servers; in memory they are indexed by id_a, which is all MSG1
-names. Parsing is strict and every complaint carries a 1-based line number.
-Saves write a sibling file and rename it over the store, so an interrupted
-save leaves the previous file whole.
+names no group and refuses a repeated pair. A store that knows no group
+still saves as v1.
+
+save() is the compaction: one row per pair, sorted by (id_a, id_b),
+written to a sibling file that is renamed over the store, so an
+interrupted save leaves the previous file whole. Records are keyed by the
+(id_a, id_b) pair, so one client identity may hold verifiers with several
+servers; in memory they are indexed by id_a, which is all MSG1 names.
+Parsing is strict and every complaint carries a 1-based line number.
 
 Failure counters (for throttling repeat guessers) are kept per id_a and
 only in memory; restarting the service forgets them on purpose, since they
@@ -20,6 +33,7 @@ are rate-limit state, not credential state.
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -27,12 +41,34 @@ from ..core import GroupParams, VerifierRecord
 from ..errors import DuplicateEntry, StoreParseError, UnknownIdentity
 
 HEADER = "# pake-verifiers v1"
+_V2_HEADER = re.compile(r"# pake-verifiers v2 q=(\d+) g=(\d+) hash=(\S+)")
+
+
+def _v2_header(params: GroupParams, hash_mode: str) -> str:
+    return f"# pake-verifiers v2 q={params.q} g={params.g} hash={hash_mode}"
+
+
+def _describe(params: GroupParams, hash_mode: str) -> str:
+    return f"q={params.q}, g={params.g}, hash={hash_mode}"
+
+
+def _row(id_a: int, id_b: int, v: int) -> str:
+    return f"{id_a}\t{id_b}\t{v:x}\n"
 
 
 class VerifierStore:
-    """In-memory map of id_a -> {id_b -> VerifierRecord} with strict file round-trip."""
+    """In-memory map of id_a -> {id_b -> VerifierRecord} with strict file round-trip.
 
-    def __init__(self):
+    params and hash_mode name the group and hash mode the verifiers belong
+    to; a store that has both saves as v2. version is the format of the
+    file the store was loaded from, None for a store built in memory.
+    """
+
+    def __init__(self, params: Optional[GroupParams] = None,
+                 hash_mode: Optional[str] = None):
+        self.params = params
+        self.hash_mode = hash_mode
+        self.version: Optional[int] = None
         self._by_client: Dict[int, Dict[int, VerifierRecord]] = {}
         self._count = 0
         self._failures: Dict[int, int] = {}
@@ -84,54 +120,95 @@ class VerifierStore:
     def clear_failures(self, id_a: int):
         self._failures.pop(id_a, None)
 
+    def append(self, path: Union[str, Path], record: VerifierRecord):
+        """Enroll record, replacing the pair's verifier, as one row appended to path.
+
+        The row goes out in a single unbuffered write to the existing v2
+        file before the record enters memory, so a failed write changes
+        neither; a missing file raises rather than starting a headerless one.
+        """
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, _row(record.id_a, record.id_b, record.v).encode("ascii"))
+        finally:
+            os.close(fd)
+        self.add(record, replace=True)
+
     def save(self, path: Union[str, Path]):
-        """Write the store to path atomically: a temp sibling, then a rename."""
+        """Compact the store to path atomically: a temp sibling, then a rename."""
         path = Path(path)
-        rows = [(id_a, id_b, rec.v) for id_a, servers in self._by_client.items()
-                for id_b, rec in servers.items()]
-        rows.sort()
-        lines = [HEADER] + [f"{id_a}\t{id_b}\t{v:x}" for id_a, id_b, v in rows]
+        rows = sorted((id_a, id_b, rec.v) for id_a, servers in self._by_client.items()
+                      for id_b, rec in servers.items())
+        if self.params is not None and self.hash_mode is not None:
+            header = _v2_header(self.params, self.hash_mode)
+        else:
+            header = HEADER
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            tmp.write_text(header + "\n" + "".join(_row(*row) for row in rows),
+                           encoding="utf-8")
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
 
     @classmethod
-    def load(cls, path: Union[str, Path],
-             params: Optional[GroupParams] = None) -> "VerifierStore":
-        """Parse a store file; with params, every verifier must lie in Z_q^*."""
+    def load(cls, path: Union[str, Path], params: Optional[GroupParams] = None,
+             hash_mode: Optional[str] = None) -> "VerifierStore":
+        """Parse a store file; every verifier must lie in Z_q^* of the store's group.
+
+        A v2 file must name params and hash_mode where they are given, and
+        supplies them where they are not. A v1 file takes them from the
+        caller, so a later save() writes it as v2.
+        """
         text = Path(path).read_text(encoding="utf-8")
         lines = text.splitlines()
-        if not lines or lines[0] != HEADER:
-            raise StoreParseError(1, f"missing header {HEADER!r}")
-        store = cls()
+        header = _V2_HEADER.fullmatch(lines[0]) if lines else None
+        if header is not None:
+            store = cls(GroupParams(q=int(header[1]), g=int(header[2])), header[3])
+            store.version = 2
+            wanted = (params or store.params, hash_mode or store.hash_mode)
+            if wanted != (store.params, store.hash_mode):
+                raise StoreParseError(
+                    1, f"store was written for {_describe(store.params, store.hash_mode)}"
+                       f", not for {_describe(*wanted)}")
+            if not text.endswith("\n"):
+                raise StoreParseError(len(lines), "no newline at the end: a torn row")
+        elif lines and lines[0] == HEADER:
+            store = cls(params, hash_mode)
+            store.version = 1
+        else:
+            raise StoreParseError(1, f"missing header {HEADER!r} or "
+                                     f"'# pake-verifiers v2 q=<q> g=<g> hash=<mode>'")
         for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                raise StoreParseError(lineno, "blank line")
-            parts = line.split("\t")
-            if len(parts) != 3:
+            record = _parse_row(line, lineno, store.params)
+            if store.version == 1 and (record.id_a, record.id_b) in store:
                 raise StoreParseError(
-                    lineno, f"expected 3 tab-separated fields, got {len(parts)}")
-            id_a = _parse_decimal(parts[0], lineno, "id_a")
-            id_b = _parse_decimal(parts[1], lineno, "id_b")
-            try:
-                v = int(parts[2], 16)
-            except ValueError:
-                raise StoreParseError(
-                    lineno, f"verifier {parts[2]!r} is not hex") from None
-            if v < 1:
-                raise StoreParseError(lineno, "verifier must be a positive residue")
-            if params is not None and not params.contains(v):
-                raise StoreParseError(
-                    lineno, f"verifier {v:#x} is not in Z_{params.q}^*")
-            if (id_a, id_b) in store:
-                raise StoreParseError(
-                    lineno, f"duplicate entry for id_a={id_a}, id_b={id_b}")
-            store.add(VerifierRecord(id_a=id_a, id_b=id_b, v=v))
+                    lineno, f"duplicate entry for id_a={record.id_a}, id_b={record.id_b}")
+            store.add(record, replace=True)
         return store
+
+
+def _parse_row(line: str, lineno: int, params: Optional[GroupParams]) -> VerifierRecord:
+    if not line.strip():
+        raise StoreParseError(lineno, "blank line")
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise StoreParseError(
+            lineno, f"expected 3 tab-separated fields, got {len(parts)}")
+    id_a = _parse_decimal(parts[0], lineno, "id_a")
+    id_b = _parse_decimal(parts[1], lineno, "id_b")
+    try:
+        v = int(parts[2], 16)
+    except ValueError:
+        raise StoreParseError(
+            lineno, f"verifier {parts[2]!r} is not hex") from None
+    if v < 1:
+        raise StoreParseError(lineno, "verifier must be a positive residue")
+    if params is not None and not params.contains(v):
+        raise StoreParseError(
+            lineno, f"verifier {v:#x} is not in Z_{params.q}^*")
+    return VerifierRecord(id_a=id_a, id_b=id_b, v=v)
 
 
 def _parse_decimal(text: str, lineno: int, name: str) -> int:

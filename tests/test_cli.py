@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from pakelab.cli import load_params_file, main
 from pakelab.core import TOY_PARAMS, validate_params
+from pakelab.netio import service as service_module
 from pakelab.netio.store import VerifierStore
 
 
@@ -146,6 +149,48 @@ def test_register_builds_a_store(tmp_path, capsys):
     assert VerifierStore.load(store_path).lookup(9, 12).v == 7
     assert run_cli(*args) == 3              # duplicate pair
     assert run_cli(*args, "--replace") == 0
+
+
+def test_register_compacts_the_store_to_v2(tmp_path):
+    store_path = tmp_path / "verifiers.tsv"
+    store_path.write_text("# pake-verifiers v1\n9\t15\tb\n")
+    assert run_cli("register", "--store", str(store_path), "--hash", "toysum",
+                   "--id-a", "9", "--id-b", "12", "--password", "10") == 0
+    assert store_path.read_text() == ("# pake-verifiers v2 q=13 g=6 hash=toysum\n"
+                                      "9\t12\t7\n9\t15\tb\n")
+
+
+def test_serve_and_register_refuse_a_store_for_another_group(tmp_path, capsys,
+                                                            monkeypatch):
+    store_path = tmp_path / "verifiers.tsv"
+    assert run_cli("register", "--store", str(store_path), "--hash", "toysum",
+                   "--id-a", "9", "--id-b", "12", "--password", "10") == 0
+    before = store_path.read_bytes()
+    other = tmp_path / "q23.params"
+    other.write_text("23\n5\n")
+    capsys.readouterr()
+    monkeypatch.setattr(service_module, "_Server",
+                        lambda *args: pytest.fail("a listener was bound"))
+    for flags, theirs in ((["--params", str(other), "--hash", "toysum"],
+                           "q=23, g=5, hash=toysum"),
+                          (["--hash", "digest256"], "q=13, g=6, hash=digest256")):
+        assert run_cli("serve", "--listen", "127.0.0.1:0", "--enroll",
+                       "--store", str(store_path), *flags) == 2
+        assert run_cli("register", "--store", str(store_path), "--id-a", "20",
+                       "--id-b", "12", "--password", "3", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.count("line 1: store was written for q=13, g=6, hash=toysum, "
+                         f"not for {theirs}") == 2
+    assert store_path.read_bytes() == before
+
+
+def test_importing_the_cli_leaves_sympy_out():
+    code = "import sys, pakelab.cli; print('sympy' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_register_maps_string_identities(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Group arithmetic, hash modes, and the desk-scale oracles."""
 
 import hashlib
+import math
 from math import gcd
 import random
 
@@ -18,10 +19,9 @@ from pakelab.core import (
     DlogTable,
     GroupParams,
     HashSpec,
+    MR_EXACT_BOUND,
     SessionKey,
     Tally,
-    brute_force_dlog,
-    decode_residue,
     derive_verifier,
     digest_hash,
     encode_residue,
@@ -29,8 +29,10 @@ from pakelab.core import (
     generate_params,
     hash_to_exponent,
     int_to_bytes,
+    is_prime,
     mod_exp,
     mod_inverse,
+    prime_factors,
     sample_nonce,
     toy_pairing,
     toy_sum_hash,
@@ -109,7 +111,7 @@ def test_residue_round_trip(params, value):
         value %= params.q
     data = encode_residue(value, params)
     assert len(data) == params.q_byte_len
-    assert decode_residue(data, params) == value
+    assert int.from_bytes(data, "big") == value
 
 
 def test_residue_rejects_out_of_range():
@@ -117,8 +119,6 @@ def test_residue_rejects_out_of_range():
         encode_residue(13, TOY_PARAMS)
     with pytest.raises(OutOfRange):
         encode_residue(-1, TOY_PARAMS)
-    with pytest.raises(OutOfRange):
-        decode_residue(b"\x00\x01", TOY_PARAMS)
 
 
 # -- modular arithmetic ----------------------------------------------------------
@@ -335,6 +335,81 @@ def test_generate_params_rejects_tiny_sizes():
         generate_params(3, seed=0)
 
 
+# generate_params(bits, seed) -> (q, g) as the sympy-based search found them
+PINNED_PARAMS = {
+    (16, 0): (60331, 12), (16, 1): (49871, 17), (16, 2): (56431, 3),
+    (20, 0): (536111, 7), (20, 1): (665179, 2), (20, 2): (993869, 2),
+    (32, 0): (3626764237, 6), (32, 1): (2948425721, 3), (32, 2): (2606193617, 3),
+    (48, 0): (272409603467017, 5), (48, 1): (251444687128489, 17),
+    (48, 2): (150794612988881, 3),
+    (64, 0): (9625328367889806653, 2), (64, 1): (17324573639174612641, 17),
+    (64, 2): (15750464385269855119, 3),
+    (70, 0): (952030781924686401347, 2), (70, 1): (1094254571871969431999, 11),
+    (70, 2): (606248458674287615027, 2),
+    (96, 0): (72115765215199156333460896499, 2),
+    (96, 1): (74855837812239469103854051103, 5),
+    (96, 2): (56420442055648645786686964379, 2),
+}
+
+
+@pytest.mark.parametrize("bits,seed", sorted(PINNED_PARAMS))
+def test_generate_params_is_unchanged(bits, seed):
+    params = generate_params(bits, seed)
+    assert (params.q, params.g) == PINNED_PARAMS[bits, seed]
+
+
+# -- primality and factoring ----------------------------------------------------------
+
+
+def test_is_prime_matches_sympy_below_200000():
+    assert [n for n in range(200_001) if is_prime(n) != sympy.isprime(n)] == []
+
+
+def test_prime_factors_match_sympy_below_200000():
+    assert [n for n in range(1, 200_001)
+            if prime_factors(n) != sorted(sympy.factorint(n))] == []
+    with pytest.raises(ValueError):
+        prime_factors(0)
+
+
+def test_is_prime_matches_sympy_on_random_64_to_512_bit_values():
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.getrandbits(rng.randrange(64, 513))
+        assert is_prime(n) == sympy.isprime(n), n
+    for _ in range(40):
+        bits = rng.randrange(64, 513)
+        p = sympy.randprime(2 ** (bits - 1), 2 ** bits)
+        assert is_prime(p)
+        assert not is_prime(p * sympy.randprime(2 ** 20, 2 ** 21))
+        assert not is_prime(p * p)
+
+
+@pytest.mark.parametrize("n", [
+    MR_EXACT_BOUND,                 # strong pseudoprime to every base 2..41
+    318665857834031151167461,       # strong pseudoprime to every base 2..37
+    3825123056546413051,            # strong pseudoprime to bases 2..23
+    5459, 5777, 10877, 16109, 18971,    # strong Lucas pseudoprimes
+])
+def test_is_prime_refuses_known_pseudoprimes(n):
+    assert not is_prime(n) and not sympy.isprime(n)
+
+
+def test_prime_factors_match_sympy_on_random_64_to_512_bit_values():
+    rng = random.Random(7)
+    for _ in range(10):
+        # small primes with repeats, then a large prime cofactor: every
+        # factor is in Pollard rho's reach, whatever the total size
+        bits = rng.randrange(64, 513)
+        primes = []
+        while sum(p.bit_length() for p in primes) < bits // 2:
+            primes.append(sympy.randprime(2, 2 ** rng.randrange(2, 25)))
+        rest = bits - sum(p.bit_length() for p in primes)
+        primes.append(sympy.randprime(2 ** (rest - 1), 2 ** rest))
+        n = math.prod(primes)
+        assert prime_factors(n) == sorted(set(primes)) == sorted(sympy.factorint(n))
+
+
 # -- verifier derivation -----------------------------------------------------------
 
 
@@ -385,11 +460,6 @@ def test_dlog_rejects_non_elements():
         table.dlog(0)
     with pytest.raises(NotInGroup):
         table.dlog(13)
-
-
-def test_brute_force_dlog_agrees_with_table():
-    for element in range(1, 13):
-        assert pow(6, brute_force_dlog(element, TOY_PARAMS), 13) == element
 
 
 @given(params_st,

@@ -5,15 +5,17 @@ import random
 
 import pytest
 
-from pakelab.attacks import ATTACK_MITM, ATTACK_STOLEN_VERIFIER_LKY, TamperSpec
+from pakelab.attacks import ATTACK_STOLEN_VERIFIER_LKY, stolen_verifier_attack_lky
 from pakelab.core import (
     Credentials,
     HashSpec,
     SCHEME_LKY,
     SCHEME_PROPOSED,
+    TOY_CREDS,
     TOY_PARAMS,
     TOYSUM,
     DIGEST256,
+    derive_verifier,
     generate_params,
 )
 from pakelab.errors import CounterDrift, ScenarioError
@@ -27,7 +29,6 @@ from pakelab.harness import (
     compare_efficiency,
     golden_vectors,
     replay_golden,
-    run_attack_scenario,
     run_honest_session,
 )
 
@@ -99,12 +100,9 @@ def test_scenario_needs_nonces_or_a_seed():
 
 
 def test_honest_runner_refuses_adversarial_scenarios():
-    with pytest.raises(ScenarioError):
-        run_honest_session(Scenario(scheme=SCHEME_LKY, x=3, y=4,
-                                    attack=ATTACK_STOLEN_VERIFIER_LKY))
-    with pytest.raises(ScenarioError):
-        run_honest_session(Scenario(scheme=SCHEME_LKY, x=3, y=4,
-                                    tamper=TamperSpec(field="d_a", value=1)))
+    # attacks run from pakelab.attacks; a scenario has no field to name one
+    with pytest.raises(TypeError):
+        Scenario(scheme=SCHEME_LKY, x=3, y=4, attack=ATTACK_STOLEN_VERIFIER_LKY)
     with pytest.raises(ScenarioError):
         run_honest_session(Scenario(scheme="quantum", x=3, y=4))
 
@@ -138,8 +136,9 @@ def test_session_report_serializes_to_one_json_line():
 
 
 def test_attack_report_serializes():
-    report = run_attack_scenario(Scenario(
-        scheme=SCHEME_LKY, attack=ATTACK_STOLEN_VERIFIER_LKY, x=5, y=4))
+    v = derive_verifier(TOY_CREDS, TOY_PARAMS, HashSpec(TOYSUM))
+    report = stolen_verifier_attack_lky(v, (TOY_CREDS.id_a, TOY_CREDS.id_b),
+                                        TOY_PARAMS, HashSpec(TOYSUM), 5, 4)
     obj = attack_report_to_json(report)
     assert obj["kind"] == "attack"
     assert obj["succeeded"] is True
@@ -153,28 +152,6 @@ def test_append_log_line(tmp_path):
     append_log_line(path, {"kind": "b"})
     lines = path.read_text().splitlines()
     assert [json.loads(l)["kind"] for l in lines] == ["a", "b"]
-
-
-# -- attack scenarios ---------------------------------------------------------------
-
-
-def test_run_attack_scenario_dispatches():
-    report = run_attack_scenario(Scenario(
-        scheme=SCHEME_PROPOSED, attack=ATTACK_MITM,
-        tamper=TamperSpec(field="e_b", value=8), x=3, y=4))
-    assert report.attack == ATTACK_MITM
-    assert not report.succeeded
-
-
-def test_run_attack_scenario_rejects_bad_scenarios():
-    with pytest.raises(ScenarioError):
-        run_attack_scenario(Scenario(scheme=SCHEME_LKY, x=3, y=4))
-    with pytest.raises(ScenarioError):
-        run_attack_scenario(Scenario(scheme=SCHEME_LKY, x=3, y=4,
-                                     attack=ATTACK_MITM))
-    with pytest.raises(ScenarioError):
-        run_attack_scenario(Scenario(scheme=SCHEME_LKY, x=3, y=4,
-                                     attack="phrenology"))
 
 
 # -- golden vectors -----------------------------------------------------------------

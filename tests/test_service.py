@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from pakelab.core import (
+    DIGEST256,
     Credentials,
     GroupParams,
     HashSpec,
@@ -380,6 +381,73 @@ def test_enrollment_rejects_non_group_verifiers(tmp_path):
     assert reply.code == ERR_PARAM_MISMATCH
 
 
+V2_TOY_HEADER = b"# pake-verifiers v2 q=13 g=6 hash=toysum\n"
+
+
+def test_register_appends_one_row_and_a_restart_takes_the_last(tmp_path):
+    path = write_toy_store(tmp_path / "verifiers.tsv")            # a v1 file
+    config = toy_config(tmp_path, enroll=True)
+    creds = Credentials(id_a=9, id_b=12, password=5)              # a new password
+    v = derive_verifier(creds, TOY_PARAMS, TOYSUM_SPEC)
+    with Service(config) as service:
+        compacted = path.read_bytes()                              # now v2
+        assert compacted.startswith(V2_TOY_HEADER)
+        client_register(service.address, VerifierRecord(id_a=9, id_b=12, v=v))
+        assert path.read_bytes() == compacted + f"9\t12\t{v:x}\n".encode()
+        client_connect(service.address, creds, TOY_PARAMS, toy_options())
+    appended = path.read_bytes()
+    with Service(config) as service:
+        assert path.read_bytes() == appended        # a v2 file is not rewritten
+        assert service.store.lookup(9, 12).v == v
+        assert v != derive_verifier(TOY_CREDS, TOY_PARAMS, TOYSUM_SPEC)
+        client_connect(service.address, creds, TOY_PARAMS, toy_options())
+
+
+def test_concurrent_registers_leave_a_loadable_file(tmp_path):
+    config = toy_config(tmp_path, enroll=True)
+    records = [VerifierRecord(id_a=100 + i, id_b=12, v=1 + i % 12) for i in range(10)]
+    errors = []
+
+    def register(record, barrier):
+        barrier.wait()
+        try:
+            client_register(service.address, record)
+        except Exception as exc:                    # reported below
+            errors.append(exc)
+
+    with Service(config) as service:
+        for pair in (records[i:i + 2] for i in range(0, len(records), 2)):
+            barrier = threading.Barrier(2)
+            threads = [threading.Thread(target=register, args=(record, barrier))
+                       for record in pair]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+    assert errors == []
+    loaded = VerifierStore.load(config.store_path, TOY_PARAMS, TOYSUM)
+    assert len(loaded) == 1 + len(records)
+    assert all(loaded.lookup(r.id_a, r.id_b) == r for r in records)
+
+
+def test_service_refuses_a_store_for_another_group_before_binding(tmp_path,
+                                                                  monkeypatch):
+    path = tmp_path / "verifiers.tsv"
+    store = VerifierStore(TOY_PARAMS, TOYSUM)
+    store.add(VerifierRecord(id_a=9, id_b=12, v=7))
+    store.save(path)
+    before = path.read_bytes()
+    monkeypatch.setattr(service_module, "_Server",
+                        lambda *args: pytest.fail("a listener was bound"))
+    for overrides in ({"params": GroupParams(q=23, g=5)},
+                      {"hash_spec": HashSpec(DIGEST256)}):
+        with pytest.raises(StoreParseError) as exc:
+            Service(toy_config(tmp_path, enroll=True, **overrides))
+        assert exc.value.line == 1
+        assert "q=13, g=6, hash=toysum" in str(exc.value)
+    assert path.read_bytes() == before
+
+
 def test_service_requires_a_store_unless_enrolling(tmp_path):
     with pytest.raises(FileNotFoundError):
         Service(ServeConfig(params=TOY_PARAMS,
@@ -388,6 +456,9 @@ def test_service_requires_a_store_unless_enrolling(tmp_path):
                                   store_path=tmp_path / "absent.tsv",
                                   enroll=True))
     service._server.server_close()
+    # enrollment from an empty store starts a v2 file for the group
+    assert ((tmp_path / "absent.tsv").read_text()
+            == "# pake-verifiers v2 q=13 g=6 hash=digest256\n")
 
 
 def test_service_refuses_a_store_row_outside_the_group(tmp_path):

@@ -4,9 +4,11 @@ import os
 
 import pytest
 
-from pakelab.core import TOY_PARAMS, VerifierRecord
+from pakelab.core import DIGEST256, TOY_PARAMS, TOYSUM, GroupParams, VerifierRecord
 from pakelab.errors import DuplicateEntry, StoreParseError, UnknownIdentity
 from pakelab.netio.store import HEADER, VerifierStore
+
+V2_HEADER = "# pake-verifiers v2 q=13 g=6 hash=toysum"
 
 
 def sample_store():
@@ -93,6 +95,9 @@ def test_load_missing_file(tmp_path):
     (HEADER + "\n9\t12\tzz\n", 2),                  # non-hex verifier
     (HEADER + "\n9\t12\t0\n", 2),                   # verifier below 1
     (HEADER + "\n9\t12\t7\n9\t12\t7\n", 3),         # duplicate pair
+    (V2_HEADER, 1),                                 # v2 header without a newline
+    (V2_HEADER + "\n9\t12\t7", 2),                  # torn single row
+    (V2_HEADER + "\n9\t12\t7\n9\t15\tb", 3),        # torn appended row
 ])
 def test_load_rejects_malformed_files(tmp_path, content, bad_line):
     path = tmp_path / "verifiers.tsv"
@@ -188,3 +193,104 @@ def test_a_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
         store.save(path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["verifiers.tsv"]
+
+
+# -- v2: a header naming the group and hash mode, appended rows ---------------
+
+
+def toy_v2_store():
+    store = VerifierStore(TOY_PARAMS, TOYSUM)
+    store.add(VerifierRecord(id_a=9, id_b=15, v=11))
+    store.add(VerifierRecord(id_a=2, id_b=3, v=5))
+    store.add(VerifierRecord(id_a=9, id_b=12, v=7))
+    return store
+
+
+def test_a_v1_file_stays_v1_without_a_group_and_compacts_to_v2_with_one(tmp_path):
+    path = tmp_path / "verifiers.tsv"
+    path.write_text(HEADER + "\n9\t12\t7\n")
+    loaded = VerifierStore.load(path)
+    assert (loaded.version, loaded.params, loaded.hash_mode) == (1, None, None)
+    loaded.save(path)
+    assert path.read_text() == HEADER + "\n9\t12\t7\n"
+    loaded = VerifierStore.load(path, TOY_PARAMS, TOYSUM)
+    assert loaded.version == 1
+    loaded.save(path)
+    assert path.read_text() == V2_HEADER + "\n9\t12\t7\n"
+
+
+def test_v2_round_trip(tmp_path):
+    path = tmp_path / "verifiers.tsv"
+    toy_v2_store().save(path)
+    loaded = VerifierStore.load(path)
+    assert loaded.version == 2
+    assert (loaded.params, loaded.hash_mode) == (TOY_PARAMS, TOYSUM)
+    assert sorted((r.id_a, r.id_b, r.v) for r in loaded) == [
+        (2, 3, 5), (9, 12, 7), (9, 15, 11)]
+    assert VerifierStore.load(path, TOY_PARAMS, TOYSUM).lookup(9, 15).v == 11
+
+
+def test_v2_compaction_is_byte_stable(tmp_path):
+    path = tmp_path / "verifiers.tsv"
+    toy_v2_store().save(path)
+    pinned = (b"# pake-verifiers v2 q=13 g=6 hash=toysum\n"
+              b"2\t3\t5\n"
+              b"9\t12\t7\n"
+              b"9\t15\tb\n")
+    assert path.read_bytes() == pinned
+    VerifierStore.load(path).save(path)
+    assert path.read_bytes() == pinned
+    # appended rows that change nothing compact back to the same bytes
+    store = VerifierStore.load(path)
+    store.append(path, VerifierRecord(id_a=9, id_b=12, v=3))
+    store.append(path, VerifierRecord(id_a=9, id_b=12, v=7))
+    VerifierStore.load(path).save(path)
+    assert path.read_bytes() == pinned
+
+
+def test_append_writes_one_row_and_the_last_row_wins(tmp_path):
+    path = tmp_path / "verifiers.tsv"
+    toy_v2_store().save(path)
+    before = path.read_bytes()
+    store = VerifierStore.load(path)
+    store.append(path, VerifierRecord(id_a=9, id_b=12, v=3))
+    store.append(path, VerifierRecord(id_a=4, id_b=12, v=10))
+    assert path.read_bytes() == before + b"9\t12\t3\n4\t12\ta\n"
+    assert store.lookup(9, 12).v == 3 and len(store) == 4
+    reloaded = VerifierStore.load(path, TOY_PARAMS, TOYSUM)
+    assert reloaded.lookup(9, 12).v == 3
+    assert reloaded.lookup(4, 12).v == 10
+    assert len(reloaded) == 4
+    reloaded.save(path)
+    assert path.read_text().splitlines() == [
+        V2_HEADER, "2\t3\t5", "4\t12\ta", "9\t12\t3", "9\t15\tb"]
+
+
+def test_append_to_a_missing_file_raises_and_changes_nothing(tmp_path):
+    store = toy_v2_store()
+    with pytest.raises(FileNotFoundError):
+        store.append(tmp_path / "absent.tsv", VerifierRecord(id_a=4, id_b=12, v=10))
+    assert (4, 12) not in store
+    assert not (tmp_path / "absent.tsv").exists()
+
+
+@pytest.mark.parametrize("params,mode", [
+    (GroupParams(q=23, g=5), TOYSUM),
+    (TOY_PARAMS, DIGEST256),
+])
+def test_v2_refuses_another_group_or_hash_mode(tmp_path, params, mode):
+    path = tmp_path / "verifiers.tsv"
+    toy_v2_store().save(path)
+    with pytest.raises(StoreParseError) as exc:
+        VerifierStore.load(path, params, mode)
+    assert exc.value.line == 1
+    assert "q=13, g=6, hash=toysum" in str(exc.value)
+    assert f"q={params.q}, g={params.g}, hash={mode}" in str(exc.value)
+
+
+def test_v2_checks_rows_against_its_own_group(tmp_path):
+    path = tmp_path / "verifiers.tsv"
+    path.write_text(V2_HEADER + "\n9\t12\t7\n9\t15\td\n")     # 13 is not in Z_13^*
+    with pytest.raises(StoreParseError) as exc:
+        VerifierStore.load(path)
+    assert exc.value.line == 3
