@@ -128,12 +128,16 @@ def _credentials(args) -> Credentials:
                        password=parse_identity(args.password, "password", args))
 
 
-def load_params_file(path: str) -> GroupParams:
+def _read_params_file(path: str) -> GroupParams:
     lines = Path(path).read_text(encoding="utf-8").split()
     if len(lines) != 2 or not all(tok.isdigit() for tok in lines):
         raise MalformedFrame(
             f"params file {path} must hold two decimal integers (q, then g)")
-    params = GroupParams(q=int(lines[0]), g=int(lines[1]))
+    return GroupParams(q=int(lines[0]), g=int(lines[1]))
+
+
+def load_params_file(path: str) -> GroupParams:
+    params = _read_params_file(path)
     validate_params(params)
     return params
 
@@ -188,14 +192,19 @@ def cmd_register(args) -> int:
     params = _params(args)
     creds = _credentials(args)
     v = derive_verifier(creds, params, _hash_spec(args))
+    record = VerifierRecord(id_a=creds.id_a, id_b=creds.id_b, v=v)
     path = Path(args.store)
     if path.exists():
         store = VerifierStore.load(path, params, args.hash)
     else:
         store = VerifierStore(params, args.hash)
-    store.add(VerifierRecord(id_a=creds.id_a, id_b=creds.id_b, v=v),
-              replace=args.replace)
-    store.save(path)
+    store.add(record, replace=args.replace)     # refuses a duplicate before any write
+    if store.version == 2:
+        # one appended row, as REGISTER writes it: a running `serve --enroll`
+        # may append to this file too, and a rewrite would drop its rows
+        store.append(path, record)
+    else:
+        store.save(path)
     print(f"registered id_a={creds.id_a} id_b={creds.id_b} v={v:#x} "
           f"in {path} (q={params.q}, g={params.g})")
     _maybe_log(args, {"kind": "register", "id_a": str(creds.id_a),
@@ -205,8 +214,10 @@ def cmd_register(args) -> int:
 
 def cmd_serve(args) -> int:
     logging.getLogger("pakelab").setLevel(logging.INFO)
+    # read but not validated here: Service validates the group it serves
+    params = _read_params_file(args.params) if args.params else TOY_PARAMS
     config = ServeConfig(
-        params=_params(args),
+        params=params,
         store_path=args.store,
         listen=parse_address(args.listen),
         hash_spec=_hash_spec(args),
@@ -324,8 +335,8 @@ def _attack_stolen(args) -> int:
           f"accepted by the server (attacker held only the verifier)")
     if not lky_mode:
         print(PROPOSED_RESISTANCE_CLAIM)
-        verdict = ("claim does not hold at desk scale" if successes
-                   else "claim held in every trial")
+        verdict = (f"claim does not hold on a {params.q.bit_length()}-bit group"
+                   if successes else "claim held in every trial")
         print(f"measured verdict: {verdict}")
     if last_report is not None:
         _maybe_log(args, attack_report_to_json(last_report))

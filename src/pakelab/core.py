@@ -15,7 +15,9 @@ inverse mod q-1 always exists. That adjustment is deterministic and both
 protocol sides apply it identically.
 
 Parameter validation and generation test primality (is_prime) and factor
-q-1 (prime_factors) here, in plain Python.
+q-1 (prime_factors) here, in plain Python. Above 2^64 a group must be a
+safe prime q = 2p+1, and g^p = -1 with p prime is a Pocklington
+certificate that proves q prime and g of full order at once.
 
 Two oracles are deliberately brute-force and only constructible for small
 groups (q <= DESK_SCALE_BOUND): an exhaustive discrete-log table, and a toy
@@ -51,7 +53,7 @@ from .errors import (
 DESK_SCALE_BOUND = 2 ** 20
 
 # Below this, generator order is certified by fully factoring q-1; above it,
-# params must be safe primes (q = 2p+1) checked via g^2 != 1 and g^p != 1.
+# params must be safe primes (q = 2p+1), certified by g^p = -1 and p prime.
 ORDER_CHECK_BOUND = 2 ** 64
 
 TOYSUM = "toysum"
@@ -422,12 +424,22 @@ def validate_params(params: GroupParams) -> None:
 
     Below ORDER_CHECK_BOUND the order check is exact: q-1 is fully factored
     and g^((q-1)/p) != 1 is verified for every prime factor p. Above the
-    bound, q must be a safe prime 2p+1 and g is checked via g^2 != 1 and
-    g^p != 1, which certifies full order in that special form.
+    bound, q must be a safe prime 2p+1. There, g^p = -1 mod q, g^2 != 1
+    mod q and p prime are a Pocklington certificate (Brillhart, Lehmer and
+    Selfridge 1975): every prime factor of q is 1 mod p, hence above sqrt(q),
+    so q is prime, and g has order 2p = q-1. That costs one primality test,
+    of p, where testing q and p costs two. When the certificate does not
+    hold, the full sequence runs (is q prime, is p prime, g^2 != 1 and
+    g^p != 1) and says which check failed; the groups it accepts are
+    exactly those the certificate accepts.
     """
     q, g = params.q, params.g
     if not 1 < g < q:
         raise OutOfRange(f"generator {g} outside (1, {q})")
+    if q > ORDER_CHECK_BOUND and q & 1:
+        p = q >> 1
+        if pow(g, p, q) == q - 1 and gcd(g * g - 1, q) == 1 and is_prime(p):
+            return
     if q < 3 or not is_prime(q):
         raise NotPrime(f"{q} is not prime")
     order = q - 1

@@ -8,10 +8,11 @@ load:
 
 names the group and hash mode that derived the verifiers. Loading it for
 another group or mode is refused at line 1, since every login would fail.
-Rows may repeat a pair: REGISTER appends one row per enrollment, and the
-last row for a pair wins. Every line, the last one included, ends in a
-newline, so a row torn by an interrupted append is refused with its line
-number rather than read as a shorter, wrong verifier.
+Rows may repeat a pair: each enrollment (a REGISTER frame, or
+`pakelab register`) appends one row, and the last row for a pair wins.
+Every line, the last one included, ends in a newline, so a row torn by an
+interrupted append is refused with its line number rather than read as a
+shorter, wrong verifier.
 
   # pake-verifiers v1
 
@@ -20,9 +21,15 @@ still saves as v1.
 
 save() is the compaction: one row per pair, sorted by (id_a, id_b),
 written to a sibling file that is renamed over the store, so an
-interrupted save leaves the previous file whole. Records are keyed by the
-(id_a, id_b) pair, so one client identity may hold verifiers with several
-servers; in memory they are indexed by id_a, which is all MSG1 names.
+interrupted save leaves the previous file whole. It runs only where the
+file is not yet v2 for its group: `serve --enroll` compacts a v1 or
+missing file at start, and `register` compacts a v1 file or creates a
+missing one. Once a file is v2, enrollments only append, so rows that a
+running server appends are never lost to a rewrite.
+
+Records are keyed by the (id_a, id_b) pair, so one client identity may
+hold verifiers with several servers; in memory they are indexed by id_a,
+which is all MSG1 names.
 Parsing is strict and every complaint carries a 1-based line number.
 
 Failure counters (for throttling repeat guessers) are kept per id_a and

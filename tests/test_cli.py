@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from pakelab import cli as cli_module
 from pakelab.cli import load_params_file, main
-from pakelab.core import TOY_PARAMS, validate_params
+from pakelab.core import TOY_PARAMS, generate_params, validate_params
 from pakelab.netio import service as service_module
 from pakelab.netio.store import VerifierStore
 
@@ -112,7 +113,18 @@ def test_attack_stolen_verifier_proposed_prints_claim_and_verdict(capsys):
     out = capsys.readouterr().out
     assert "20/20 impersonations accepted" in out
     assert "claimed: verifier theft alone" in out
-    assert "measured verdict: claim does not hold at desk scale" in out
+    assert "measured verdict: claim does not hold on a 4-bit group" in out
+
+
+def test_stolen_verifier_verdict_names_the_group_it_ran_on(tmp_path, capsys):
+    params = generate_params(70, 0)
+    group = tmp_path / "group70.params"
+    group.write_text(f"{params.q}\n{params.g}\n")
+    assert run_cli("attack", "stolen-verifier-proposed", "--params", str(group),
+                   "--trials", "3", "--seed", "1") == 0
+    out = capsys.readouterr().out
+    assert "3/3 impersonations accepted" in out
+    assert "measured verdict: claim does not hold on a 70-bit group" in out
 
 
 def test_attack_mitm(capsys):
@@ -158,6 +170,69 @@ def test_register_compacts_the_store_to_v2(tmp_path):
                    "--id-a", "9", "--id-b", "12", "--password", "10") == 0
     assert store_path.read_text() == ("# pake-verifiers v2 q=13 g=6 hash=toysum\n"
                                       "9\t12\t7\n9\t15\tb\n")
+
+
+def test_register_appends_to_a_v2_store(tmp_path, capsys, monkeypatch):
+    store_path = tmp_path / "verifiers.tsv"
+    args = ("register", "--store", str(store_path), "--hash", "toysum",
+            "--password", "10")
+    assert run_cli(*args, "--id-a", "9", "--id-b", "12") == 0
+    # a running `serve --enroll` appends a row between register's load and write
+    real_load = VerifierStore.load
+
+    def load_then_server_appends(path, *rest):
+        store = real_load(path, *rest)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("30\t12\t2\n")
+        return store
+
+    monkeypatch.setattr(VerifierStore, "load", load_then_server_appends)
+    assert run_cli(*args, "--id-a", "20", "--id-b", "12") == 0
+    monkeypatch.undo()
+    assert store_path.read_text() == ("# pake-verifiers v2 q=13 g=6 hash=toysum\n"
+                                      "9\t12\t7\n30\t12\t2\n20\t12\t7\n")
+    before = store_path.read_bytes()
+    capsys.readouterr()
+    assert run_cli(*args, "--id-a", "9", "--id-b", "12") == 3
+    assert ("pair id_a=9, id_b=12 is already enrolled"
+            in capsys.readouterr().err)
+    assert store_path.read_bytes() == before
+    assert run_cli(*args[:-1], "11", "--id-a", "9", "--id-b", "12",
+                   "--replace") == 0
+    assert store_path.read_bytes() == before + b"9\t12\tb\n"
+    assert VerifierStore.load(store_path).lookup(9, 12).v == 11
+
+
+def test_serve_validates_the_group_once(tmp_path, monkeypatch):
+    group = tmp_path / "group70.params"
+    params = generate_params(70, 0)
+    group.write_text(f"{params.q}\n{params.g}\n")
+    checked = []
+    for module in (cli_module, service_module):
+        monkeypatch.setattr(module, "validate_params",
+                            lambda p: checked.append(p) or validate_params(p))
+    monkeypatch.setattr(service_module.Service, "serve_blocking",
+                        lambda self: self._server.server_close())
+    assert run_cli("serve", "--listen", "127.0.0.1:0", "--enroll", "--params",
+                   str(group), "--store", str(tmp_path / "verifiers.tsv")) == 0
+    assert checked == [params]
+
+
+def test_serve_refuses_a_bad_params_file_before_binding(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(service_module, "_Server",
+                        lambda *args: pytest.fail("a listener was bound"))
+    cases = (("13 six\n", 2, "must hold two decimal integers (q, then g)"),
+             ("13\n12\n", 3, "12 has order dividing 6 mod 13"),
+             ("15\n2\n", 3, "15 is not prime"),
+             ("13\n13\n", 3, "generator 13 outside (1, 13)"))
+    for text, code, message in cases:
+        group = tmp_path / "bad.params"
+        group.write_text(text)
+        assert run_cli("serve", "--listen", "127.0.0.1:0", "--enroll", "--params",
+                       str(group), "--store", str(tmp_path / "verifiers.tsv")) == code
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "verifiers.tsv").exists()
 
 
 def test_serve_and_register_refuse_a_store_for_another_group(tmp_path, capsys,

@@ -9,6 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from pakelab import core
 from pakelab.core import (
     DESK_SCALE_BOUND,
     DIGEST256,
@@ -20,6 +21,7 @@ from pakelab.core import (
     GroupParams,
     HashSpec,
     MR_EXACT_BOUND,
+    ORDER_CHECK_BOUND,
     SessionKey,
     Tally,
     derive_verifier,
@@ -319,6 +321,120 @@ def test_validate_params_accepts_a_safe_prime():
     g = next(g for g in range(2, 100)
              if pow(g, 2, q) != 1 and pow(g, p, q) != 1)
     validate_params(GroupParams(q=q, g=g))
+
+
+def _reference_validate_params(params):
+    """validate_params as it checked groups before the Pocklington certificate."""
+    q, g = params.q, params.g
+    if not 1 < g < q:
+        raise OutOfRange(f"generator {g} outside (1, {q})")
+    if q < 3 or not is_prime(q):
+        raise NotPrime(f"{q} is not prime")
+    order = q - 1
+    if q <= ORDER_CHECK_BOUND:
+        for p in prime_factors(order):
+            if pow(g, order // p, q) == 1:
+                raise NotGenerator(f"{g} has order dividing {order // p} mod {q}")
+    else:
+        p = order // 2
+        if not is_prime(p):
+            raise NotPrime(f"{q} is not a safe prime; cannot certify generator order")
+        if pow(g, 2, q) == 1 or pow(g, p, q) == 1:
+            raise NotGenerator(f"{g} is not a generator mod safe prime {q}")
+
+
+def _outcome(check, q, g):
+    try:
+        check(GroupParams(q=q, g=g))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "accepted"
+
+
+# safe primes q = 2p+1 of 65 to 256 bits, from sympy.nextprime on seeded starts
+SAFE_PRIMES = [
+    0x1a39378e03cfd577b,
+    0x83e7165ff90149c62b,
+    0xf3f49b851ff214b5da227,
+    0xe72525a45c4ab5996348cdfa3,
+    0xebad6be31cf54dd33e332a0933ba55af,
+    0xbb049a79af4f4799187abe2d2527bd1f9116537b,
+    0x96263ae78bd031f58086797afb57d2538946697f8d9b143b,
+    0xc988931038b275ea29549ce33a78fbd8014c3f267ad8a3c6e1d7a58f,
+    0xfd836e775ecfa8c3c82c640fa128932c05e1dd32e63928a43233d275a22eaf47,
+]
+
+# The RFC 3526 2048-bit MODP prime; perfbench/groups.py derives it and pins
+# the SHA-256 of its 256-byte big-endian encoding to the same digest.
+MODP2048_Q = int(
+    "ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74"
+    "020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f1437"
+    "4fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7ed"
+    "ee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf05"
+    "98da48361c55d39a69163fa8fd24cf5f83655d23dca3ad961c62f356208552bb"
+    "9ed529077096966d670c354e4abc9804f1746c08ca18217c32905e462e36ce3b"
+    "e39e772c180e86039b2783a2ec07a28fb5c55df06f4c52c9de2bcbf695581718"
+    "3995497cea956ae515d2261898fa051015728e5a8aacaa68ffffffffffffffff", 16)
+MODP2048_SHA256 = "d66436f79bbd6b2e38c0ffbd079be904d2641415e2e67140e09448be9a60890e"
+
+
+def _validation_corpus():
+    """(q, g) pairs around the safe-prime path, valid and invalid."""
+    cases = []
+    for q in SAFE_PRIMES:
+        assert sympy.isprime(q) and sympy.isprime(q // 2)
+        cases += [(q, g) for g in [*range(1, 40), q - 2, q - 1, q]]
+        cases += [(q + 1, g) for g in range(2, 6)]                 # even q
+    for bits in (65, 72, 84, 100, 128, 160, 192, 224, 256):
+        q = sympy.nextprime(2 ** (bits - 1) + 12345)
+        while sympy.isprime(q // 2):                               # p composite
+            q = sympy.nextprime(q)
+        cases += [(q, g) for g in [*range(2, 12), q - 1]]
+        p = sympy.nextprime(2 ** (bits - 2) + 777)
+        while sympy.isprime(2 * p + 1):                            # q = 2p+1 composite
+            p = sympy.nextprime(p)
+        cases += [(2 * p + 1, g) for g in [*range(2, 12), 2 * p, 2 * p - 1]]
+    for q in (ORDER_CHECK_BOUND - 59, ORDER_CHECK_BOUND + 1, ORDER_CHECK_BOUND + 3):
+        cases += [(q, g) for g in (2, 3, 5, q - 1)]
+    return cases
+
+
+def test_validate_params_matches_the_reference_sequence():
+    corpus = _validation_corpus()
+    outcomes = [_outcome(validate_params, q, g) for q, g in corpus]
+    assert outcomes == [_outcome(_reference_validate_params, q, g) for q, g in corpus]
+    # every branch is exercised
+    assert outcomes.count("accepted") >= 9
+    kinds = {outcome[0] for outcome in outcomes if outcome != "accepted"}
+    assert kinds == {OutOfRange, NotPrime, NotGenerator}
+
+
+def test_validate_params_on_the_rfc3526_2048_bit_prime():
+    encoded = MODP2048_Q.to_bytes(256, "big")
+    assert hashlib.sha256(encoded).hexdigest() == MODP2048_SHA256
+    q = MODP2048_Q
+    expected = {2: (NotGenerator, f"2 is not a generator mod safe prime {q}"),
+                11: "accepted",
+                q - 1: (NotGenerator, f"{q - 1} is not a generator mod safe prime {q}")}
+    for g, outcome in expected.items():
+        assert _outcome(validate_params, q, g) == outcome
+        assert _outcome(_reference_validate_params, q, g) == outcome
+
+
+def test_a_large_safe_prime_group_takes_one_strong_lucas_test(monkeypatch):
+    q = SAFE_PRIMES[4]                          # 128 bits, so p > MR_EXACT_BOUND
+    assert q // 2 > MR_EXACT_BOUND
+    params = GroupParams(q=q, g=next(g for g in range(2, 40)
+                                     if pow(g, q // 2, q) == q - 1))
+    calls = []
+    lucas = core._strong_lucas_probable_prime
+    monkeypatch.setattr(core, "_strong_lucas_probable_prime",
+                        lambda n: calls.append(n) or lucas(n))
+    validate_params(params)
+    assert calls == [q // 2]
+    calls.clear()
+    _reference_validate_params(params)
+    assert calls == [q, q // 2]
 
 
 @pytest.mark.parametrize("bits", [8, 10, 12, 16])
