@@ -51,6 +51,7 @@ from .core import (
     Credentials,
     GroupParams,
     HashSpec,
+    ORDER_CHECK_BOUND,
     SCHEME_LKY,
     SCHEME_PROPOSED,
     TOY_CREDS,
@@ -152,18 +153,25 @@ def _hash_spec(args) -> HashSpec:
     return HashSpec(args.hash)
 
 
-def _add_common(p, default_hash: str = DIGEST256, creds: bool = False,
-                params: bool = True):
-    if params:
-        p.add_argument("--params", metavar="FILE",
-                       help="group-parameter file (two decimal lines: q, g); "
-                            "default is the toy group q=13, g=6")
+def _add_common(p, default_hash: str = DIGEST256, creds: Optional[str] = None,
+                log: bool = True, password_help: Optional[str] = None):
+    """--params, --hash and --log, plus credentials: "required" or "toy" defaults."""
+    p.add_argument("--params", metavar="FILE",
+                   help="group-parameter file (two decimal lines: q, g); "
+                        "default is the toy group q=13, g=6")
     p.add_argument("--hash", choices=[TOYSUM, DIGEST256], default=default_hash,
                    help="hash mode (default: %(default)s)")
-    if creds:
+    if creds == "required":
         p.add_argument("--id-a", required=True, help="client identity")
         p.add_argument("--id-b", required=True, help="server identity")
         p.add_argument("--password", required=True, help="client password")
+    elif creds == "toy":
+        p.add_argument("--id-a", default=str(TOY_CREDS.id_a))
+        p.add_argument("--id-b", default=str(TOY_CREDS.id_b))
+        p.add_argument("--password", default=str(TOY_CREDS.password),
+                       help=password_help)
+    if log:
+        p.add_argument("--log", metavar="FILE")
 
 
 # -- subcommand bodies --------------------------------------------------------
@@ -182,8 +190,8 @@ def cmd_params_gen(args) -> int:
 
 def cmd_params_check(args) -> int:
     params = load_params_file(args.path)
-    certainty = ("order certified by factoring q-1"
-                 if params.q <= 2 ** 64 else "safe-prime check")
+    certainty = ("order certified by factoring q-1" if params.q <= ORDER_CHECK_BOUND
+                 else "order certified by Pocklington's criterion on q = 2p+1")
     print(f"ok: q={params.q}, g={params.g} generates Z_q^* ({certainty})")
     return 0
 
@@ -261,10 +269,7 @@ def cmd_simulate(args) -> int:
     if args.golden:
         return _simulate_golden(args)
     params = _params(args)
-    creds = Credentials(id_a=parse_identity(args.id_a, "id-a", args),
-                        id_b=parse_identity(args.id_b, "id-b", args),
-                        password=parse_identity(args.password, "password", args))
-    scenario = Scenario(scheme=args.scheme, params=params, creds=creds,
+    scenario = Scenario(scheme=args.scheme, params=params, creds=_credentials(args),
                         hash_spec=_hash_spec(args), x=args.x, y=args.y,
                         seed=args.seed)
     report = run_honest_session(scenario)
@@ -419,11 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_params_check)
 
     p_reg = sub.add_parser("register", help="derive a verifier into a store file")
-    _add_common(p_reg, creds=True)
+    _add_common(p_reg, creds="required")
     p_reg.add_argument("--store", required=True, metavar="FILE")
     p_reg.add_argument("--replace", action="store_true",
                        help="overwrite an existing entry for the same pair")
-    p_reg.add_argument("--log", metavar="FILE")
     p_reg.set_defaults(func=cmd_register)
 
     p_serve = sub.add_parser("serve", help="run the TCP server (entity B)")
@@ -439,27 +443,22 @@ def build_parser() -> argparse.ArgumentParser:
                          help="accept REGISTER frames (verifier in the clear)")
     p_serve.add_argument("--seed", type=int, help="server nonce RNG seed")
     p_serve.add_argument("--y-override", type=int, help=argparse.SUPPRESS)
-    p_serve.add_argument("--log", metavar="FILE")
     p_serve.set_defaults(func=cmd_serve)
 
     p_conn = sub.add_parser("connect", help="run one session as entity A")
-    _add_common(p_conn, creds=True)
+    _add_common(p_conn, creds="required")
     p_conn.add_argument("--addr", required=True, metavar="HOST:PORT")
     p_conn.add_argument("--scheme", choices=[SCHEME_PROPOSED, SCHEME_LKY],
                         default=SCHEME_PROPOSED)
     p_conn.add_argument("--x", type=int, help="explicit client nonce")
     p_conn.add_argument("--seed", type=int, help="client nonce RNG seed")
     p_conn.add_argument("--skip-server-auth", action="store_true")
-    p_conn.add_argument("--log", metavar="FILE")
     p_conn.set_defaults(func=cmd_connect)
 
     p_sim = sub.add_parser("simulate", help="in-memory honest run")
-    _add_common(p_sim, default_hash=TOYSUM)
+    _add_common(p_sim, default_hash=TOYSUM, creds="toy")
     p_sim.add_argument("--scheme", choices=[SCHEME_PROPOSED, SCHEME_LKY],
                        default=SCHEME_PROPOSED)
-    p_sim.add_argument("--id-a", default=str(TOY_CREDS.id_a))
-    p_sim.add_argument("--id-b", default=str(TOY_CREDS.id_b))
-    p_sim.add_argument("--password", default=str(TOY_CREDS.password))
     p_sim.add_argument("--x", type=int)
     p_sim.add_argument("--y", type=int)
     p_sim.add_argument("--seed", type=int)
@@ -469,27 +468,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check the pinned toy-group vectors")
     p_sim.add_argument("--bless", action="store_true",
                        help="with --golden: print regenerated vectors")
-    p_sim.add_argument("--log", metavar="FILE")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_att = sub.add_parser("attack", help="run an adversary experiment")
     att_sub = p_att.add_subparsers(dest="attack_name", required=True)
     for name in (ATTACK_STOLEN_VERIFIER_LKY, ATTACK_STOLEN_VERIFIER_PROPOSED):
         p = att_sub.add_parser(name, help="impersonation with a stolen verifier")
-        _add_common(p, default_hash=TOYSUM, creds=False)
-        p.add_argument("--id-a", default=str(TOY_CREDS.id_a))
-        p.add_argument("--id-b", default=str(TOY_CREDS.id_b))
-        p.add_argument("--password", default=str(TOY_CREDS.password),
-                       help="victim password used only to enroll the verifier")
+        _add_common(p, default_hash=TOYSUM, creds="toy",
+                    password_help="victim password used only to enroll the verifier")
         p.add_argument("--trials", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--log", metavar="FILE")
         p.set_defaults(func=cmd_attack)
     p_mitm = att_sub.add_parser(ATTACK_MITM, help="in-flight field substitution")
-    _add_common(p_mitm, default_hash=TOYSUM)
-    p_mitm.add_argument("--id-a", default=str(TOY_CREDS.id_a))
-    p_mitm.add_argument("--id-b", default=str(TOY_CREDS.id_b))
-    p_mitm.add_argument("--password", default=str(TOY_CREDS.password))
+    _add_common(p_mitm, default_hash=TOYSUM, creds="toy")
     p_mitm.add_argument("--scheme", choices=[SCHEME_PROPOSED, SCHEME_LKY],
                         default=SCHEME_PROPOSED)
     p_mitm.add_argument("--field", required=True,
@@ -497,13 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mitm.add_argument("--value", type=int, required=True)
     p_mitm.add_argument("--x", type=int, default=3)
     p_mitm.add_argument("--y", type=int, default=4)
-    p_mitm.add_argument("--log", metavar="FILE")
     p_mitm.set_defaults(func=cmd_attack)
     p_cen = att_sub.add_parser("census", help="offline dictionary consistency")
-    _add_common(p_cen, default_hash=TOYSUM)
-    p_cen.add_argument("--id-a", default=str(TOY_CREDS.id_a))
-    p_cen.add_argument("--id-b", default=str(TOY_CREDS.id_b))
-    p_cen.add_argument("--password", default=str(TOY_CREDS.password))
+    _add_common(p_cen, default_hash=TOYSUM, creds="toy")
     p_cen.add_argument("--dictionary", "--dict", required=True,
                        help="comma-separated candidate passwords")
     p_cen.add_argument("--method", choices=["enumerate", "dlog"],
@@ -511,11 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--x", type=int)
     p_cen.add_argument("--y", type=int)
     p_cen.add_argument("--seed", type=int)
-    p_cen.add_argument("--log", metavar="FILE")
     p_cen.set_defaults(func=cmd_attack)
 
     p_bench = sub.add_parser("bench", help="cost table over seeded honest runs")
-    _add_common(p_bench)
+    _add_common(p_bench, log=False)
     p_bench.add_argument("--trials", type=int, required=True)
     p_bench.add_argument("--seed", type=int, required=True)
     p_bench.add_argument("--csv", metavar="FILE")

@@ -12,6 +12,10 @@ big-endian length and then the big-endian magnitude, minimally encoded
 A text field is a 2-byte length and UTF-8 bytes. Error frames carry one
 raw code byte before their detail text.
 
+One sans-I/O parser reads the layout and checks each field as it arrives;
+decode_frame drives it over a buffer, read_frame over a stream, where it
+also returns the bytes the frame arrived as.
+
 Decoding is strict: bad magic, unknown type, truncation, non-minimal
 integers, invalid UTF-8, out-of-range error codes, oversized frames, and
 trailing bytes all raise MalformedFrame; only a wrong version byte raises
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
-from typing import BinaryIO, Optional, Union
+from typing import BinaryIO, Generator, Optional, Tuple, Union
 
 from ..core import int_to_bytes
 from ..errors import MalformedFrame, VersionMismatch
@@ -143,19 +147,9 @@ def frame_label(frame: Frame) -> str:
     return _LABELS[_TYPE_OF[type(frame)]]
 
 
-def _encode_int_field(value: int) -> bytes:
-    if value < 0:
-        raise ValueError("wire integers are unsigned")
-    data = int_to_bytes(value)
+def _field(data: bytes) -> bytes:
     if len(data) > 0xFFFF:
-        raise ValueError("integer field exceeds 65535 bytes")
-    return struct.pack(">H", len(data)) + data
-
-
-def _encode_text_field(text: str) -> bytes:
-    data = text.encode("utf-8")
-    if len(data) > 0xFFFF:
-        raise ValueError("text field exceeds 65535 bytes")
+        raise ValueError(f"field of {len(data)} bytes exceeds 65535")
     return struct.pack(">H", len(data)) + data
 
 
@@ -169,115 +163,122 @@ def encode_frame(frame: Frame) -> bytes:
     out.append(frame_type)
     if isinstance(frame, ErrorFrame):
         out.append(frame.code)
-        out += _encode_text_field(frame.detail)
+        out += _field(frame.detail.encode("utf-8"))
     else:
         for f in fields(frame):
-            out += _encode_int_field(getattr(frame, f.name))
+            value = getattr(frame, f.name)
+            if value < 0:
+                raise ValueError("wire integers are unsigned")
+            out += _field(int_to_bytes(value))
     if len(out) > MAX_FRAME:
         raise ValueError(f"frame of {len(out)} bytes exceeds the {MAX_FRAME} cap")
     return bytes(out)
 
 
-class _Cursor:
-    """Strict offset walker over one frame's bytes."""
+def _frame_class(header: bytes) -> Optional[type]:
+    """The frame class a header names, checking as much of it as is there."""
+    if len(header) >= 2 and header[:2] != MAGIC:
+        raise MalformedFrame("bad magic")
+    if len(header) >= 3 and header[2] != VERSION:
+        raise VersionMismatch(f"wire version {header[2]:#04x}, expected {VERSION:#04x}")
+    if len(header) < 4:
+        return None
+    cls = _CLASS_OF.get(header[3])
+    if cls is None:
+        raise MalformedFrame(f"unknown frame type {header[3]:#04x}")
+    return cls
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise MalformedFrame(
-                f"truncated frame: wanted {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
+def _parse_frame() -> Generator[int, bytes, Frame]:
+    """Sans-I/O parser for one frame.
 
-    def take_int(self) -> int:
-        (length,) = struct.unpack(">H", self.take(2))
-        if length == 0:
-            raise MalformedFrame("integer field with zero length")
-        raw = self.take(length)
-        if length > 1 and raw[0] == 0:
-            raise MalformedFrame("integer field is not minimally encoded")
-        return int.from_bytes(raw, "big")
-
-    def take_text(self) -> str:
-        (length,) = struct.unpack(">H", self.take(2))
-        raw = self.take(length)
+    Yields how many bytes it needs next and must be sent exactly that many;
+    each field is checked as soon as it arrives, and the running size
+    against the cap after each field. The last yield is 0, at the end of
+    the frame, so a buffer driver can refuse trailing bytes before the
+    parser returns the frame.
+    """
+    cls = _frame_class((yield 4))
+    if cls is ErrorFrame:
+        code = (yield 1)[0]
+        (length,) = struct.unpack(">H", (yield 2))
+        data = (yield length) if length else b""
+        _check_size(7 + length)             # header, code, length prefix, text
         try:
-            return raw.decode("utf-8")
+            detail = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedFrame(f"detail text is not UTF-8: {exc}") from None
+        yield 0
+        if code not in ERROR_NAMES:
+            raise MalformedFrame(f"unknown error code {code:#04x}")
+        return ErrorFrame(code=code, detail=detail)
+    size, values = 4, []
+    for _ in fields(cls):
+        (length,) = struct.unpack(">H", (yield 2))
+        if length == 0:
+            raise MalformedFrame("integer field with zero length")
+        data = yield length
+        size += 2 + length
+        _check_size(size)
+        if length > 1 and data[0] == 0:
+            raise MalformedFrame("integer field is not minimally encoded")
+        values.append(int.from_bytes(data, "big"))
+    yield 0
+    return cls(*values)
 
-    def done(self):
-        if self.pos != len(self.data):
-            raise MalformedFrame(
-                f"{len(self.data) - self.pos} trailing bytes after frame")
+
+def _check_size(size: int):
+    # never trips under decode_frame, whose whole buffer is within the cap
+    if size > MAX_FRAME:
+        raise MalformedFrame(f"frame exceeds the {MAX_FRAME} cap")
 
 
 def decode_frame(data: bytes) -> Frame:
     """Parse exactly one frame from data; everything must be consumed."""
     if len(data) > MAX_FRAME:
         raise MalformedFrame(f"frame of {len(data)} bytes exceeds the {MAX_FRAME} cap")
-    cur = _Cursor(data)
-    if cur.take(2) != MAGIC:
-        raise MalformedFrame("bad magic")
-    version = cur.take(1)[0]
-    if version != VERSION:
-        raise VersionMismatch(f"wire version {version:#04x}, expected {VERSION:#04x}")
-    frame_type = cur.take(1)[0]
-    cls = _CLASS_OF.get(frame_type)
-    if cls is None:
-        raise MalformedFrame(f"unknown frame type {frame_type:#04x}")
-    if cls is ErrorFrame:
-        code = cur.take(1)[0]
-        detail = cur.take_text()
-        cur.done()
-        if code not in ERROR_NAMES:
-            raise MalformedFrame(f"unknown error code {code:#04x}")
-        return ErrorFrame(code=code, detail=detail)
-    values = [cur.take_int() for _ in fields(cls)]
-    cur.done()
-    return cls(*values)
+    parser = _parse_frame()
+    pos, n = 0, next(parser)
+    try:
+        while True:
+            if pos + n > len(data):
+                if pos == 0:
+                    # a short header: its bad magic or version comes first,
+                    # then the truncation, at the header byte that is missing
+                    _frame_class(data)
+                    n, pos = (2, 0) if len(data) < 2 else (1, len(data))
+                raise MalformedFrame(
+                    f"truncated frame: wanted {n} bytes at offset {pos}, "
+                    f"have {len(data) - pos}")
+            if n == 0 and pos != len(data):
+                raise MalformedFrame(f"{len(data) - pos} trailing bytes after frame")
+            chunk = data[pos:pos + n]
+            pos += n
+            n = parser.send(chunk)
+    except StopIteration as done:
+        return done.value
 
 
-def read_frame(stream: BinaryIO) -> Optional[Frame]:
+def read_frame(stream: BinaryIO) -> Optional[Tuple[Frame, bytes]]:
     """Read one frame from a blocking byte stream.
 
-    Returns None on clean EOF at a frame boundary. Mid-frame EOF raises
-    MalformedFrame. The raw bytes are re-parsed through decode_frame so
-    stream and buffer decoding cannot drift apart.
+    Returns the frame and the bytes it arrived as, or None on clean EOF at
+    a frame boundary. Mid-frame EOF raises MalformedFrame. The stream is
+    read only as far as the frame's own length fields reach, and each field
+    is checked by the same parser as decode_frame's as soon as it arrives.
     """
-    header = _read_exact(stream, 4, allow_eof=True)
-    if header is None:
-        return None
-    raw = bytearray(header)
-    if header[:2] != MAGIC:
-        raise MalformedFrame("bad magic")
-    if header[2] != VERSION:
-        raise VersionMismatch(
-            f"wire version {header[2]:#04x}, expected {VERSION:#04x}")
-    frame_type = header[3]
-    cls = _CLASS_OF.get(frame_type)
-    if cls is None:
-        raise MalformedFrame(f"unknown frame type {frame_type:#04x}")
-    if cls is ErrorFrame:
-        raw += _read_exact(stream, 1)
-        raw += _read_field(stream)
-    else:
-        for _ in fields(cls):
-            raw += _read_field(stream)
-            if len(raw) > MAX_FRAME:
-                raise MalformedFrame(f"frame exceeds the {MAX_FRAME} cap")
-    return decode_frame(bytes(raw))
-
-
-def _read_field(stream: BinaryIO) -> bytes:
-    header = _read_exact(stream, 2)
-    (length,) = struct.unpack(">H", header)
-    return header + (_read_exact(stream, length) if length else b"")
+    parser = _parse_frame()
+    raw = bytearray()
+    n = next(parser)
+    try:
+        while True:
+            chunk = _read_exact(stream, n, allow_eof=not raw)
+            if chunk is None:
+                return None
+            raw += chunk
+            n = parser.send(chunk)
+    except StopIteration as done:
+        return done.value, bytes(raw)
 
 
 def _read_exact(stream: BinaryIO, n: int, allow_eof: bool = False) -> Optional[bytes]:
@@ -289,5 +290,7 @@ def _read_exact(stream: BinaryIO, n: int, allow_eof: bool = False) -> Optional[b
                 return None
             raise MalformedFrame(
                 f"stream ended after {len(chunks)} of {n} expected bytes")
+        if len(chunk) == n:
+            return chunk                    # the usual case: one read
         chunks += chunk
     return bytes(chunks)

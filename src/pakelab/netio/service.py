@@ -105,6 +105,8 @@ def parse_address(text: str) -> Tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not port.isdigit():
         raise ValueError(f"address must be host:port, got {text!r}")
+    if int(port) > 0xFFFF:
+        raise ValueError(f"port {port} is out of range (0-65535)")
     return (host or "127.0.0.1", int(port))
 
 
@@ -218,13 +220,14 @@ class Service:
 
     def _handle_connection(self, conn: _Handler):
         try:
-            frame = read_frame(conn.rfile)
-            if frame is None:
+            received = read_frame(conn.rfile)
+            if received is None:
                 return
+            frame, raw = received
             if isinstance(frame, RegisterFrame):
                 self._handle_register(conn, frame)
             elif isinstance(frame, Msg1Frame):
-                self._handle_session(conn, frame)
+                self._handle_session(conn, frame, raw)
             else:
                 self._reply_error(conn, ERR_MALFORMED,
                                   f"expected MSG1 or REGISTER, got {frame_label(frame)}")
@@ -314,7 +317,7 @@ class Service:
         with self._lock:
             return sample_nonce(params, self._rng)
 
-    def _handle_session(self, conn: _Handler, msg1: Msg1Frame):
+    def _handle_session(self, conn: _Handler, msg1: Msg1Frame, raw: bytes):
         """Run the served scheme's server driver over this connection.
 
         Frames the driver rejects as malformed, or that fail to parse, end
@@ -323,7 +326,7 @@ class Service:
         cfg = self.config
         scheme = SCHEME_LKY if cfg.insecure_lky else SCHEME_PROPOSED
         transcript = Transcript()
-        transcript.record(DIR_AB, "msg1", encode_frame(msg1))
+        transcript.record(DIR_AB, "msg1", raw)
         record = self._preflight(conn, msg1)
         if record is None:
             return
@@ -344,11 +347,12 @@ class Service:
         try:
             while True:
                 self._send(conn, frame, transcript)
-                reply = read_frame(conn.rfile)
-                if reply is None:
+                received = read_frame(conn.rfile)
+                if received is None:
                     log.info("peer hung up before MSG3")
                     return
-                transcript.record(DIR_AB, frame_label(reply), encode_frame(reply))
+                reply, raw = received
+                transcript.record(DIR_AB, frame_label(reply), raw)
                 frame, state = server.send(reply)
         except StopIteration as done:
             final, key_b, state = done.value
@@ -383,15 +387,6 @@ class Service:
 # -- client side ---------------------------------------------------------------
 
 
-def _client_read(rfile) -> object:
-    frame = read_frame(rfile)
-    if frame is None:
-        raise MalformedFrame("server closed the connection mid-session")
-    if isinstance(frame, ErrorFrame):
-        raise RemoteError(frame.code, frame.detail)
-    return frame
-
-
 def _client_send(sock: socket.socket, frame, transcript: Transcript):
     """Encode frame once; the same bytes go to the transcript and the wire."""
     data = encode_frame(frame)
@@ -399,9 +394,16 @@ def _client_send(sock: socket.socket, frame, transcript: Transcript):
     sock.sendall(data)
 
 
-def _client_recv(rfile, transcript: Transcript):
-    frame = _client_read(rfile)
-    transcript.record(DIR_BA, frame_label(frame), encode_frame(frame))
+def _client_recv(rfile, transcript: Optional[Transcript] = None):
+    """Read the server's next frame, recorded as the bytes that arrived."""
+    received = read_frame(rfile)
+    if received is None:
+        raise MalformedFrame("server closed the connection mid-session")
+    frame, raw = received
+    if isinstance(frame, ErrorFrame):
+        raise RemoteError(frame.code, frame.detail)
+    if transcript is not None:
+        transcript.record(DIR_BA, frame_label(frame), raw)
     return frame
 
 
@@ -412,7 +414,7 @@ def client_register(address: Tuple[str, int], record: VerifierRecord,
         rfile = sock.makefile("rb")
         sock.sendall(encode_frame(RegisterFrame(id_a=record.id_a,
                                                 id_b=record.id_b, v=record.v)))
-        expect(_client_read(rfile), OkFrame)
+        expect(_client_recv(rfile), OkFrame)
 
 
 def client_connect(address: Tuple[str, int], creds: Credentials,

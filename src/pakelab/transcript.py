@@ -1,9 +1,10 @@
 """Ordered record of what crossed the wire during one protocol run.
 
 Directions are absolute: "A->B" is always client to server regardless of
-which side recorded the entry. Payloads are the exact encoded frames, so a
-transcript doubles as a replay corpus and as the byte-count source for the
-efficiency table.
+which side recorded the entry. Payloads are the exact frame bytes: a sender
+records what it encoded, and a TCP receiver the bytes that arrived, never a
+re-encoding of what it decoded. A transcript doubles as a replay corpus and
+as the byte-count source for the efficiency table.
 """
 
 from __future__ import annotations

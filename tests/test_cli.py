@@ -42,6 +42,15 @@ def test_params_gen_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_params_check_names_the_pocklington_certificate(tmp_path, capsys):
+    group = tmp_path / "group70.params"
+    params = generate_params(70, 0)
+    group.write_text(f"{params.q}\n{params.g}\n")
+    assert run_cli("params", "check", str(group)) == 0
+    out = capsys.readouterr().out
+    assert "Pocklington" in out and "safe-prime check" not in out
+
+
 def test_params_check_rejects_bad_files(tmp_path, capsys):
     garbled = tmp_path / "garbled.params"
     garbled.write_text("13 six\n")
@@ -353,6 +362,23 @@ def test_connect_refused_port_exits_3():
     # nothing listens on a fresh ephemeral port that was never opened
     assert run_cli("connect", "--addr", "127.0.0.1:1", "--hash", "toysum",
                    "--id-a", "9", "--id-b", "12", "--password", "10") == 3
+
+
+def test_serve_refuses_a_port_out_of_range_before_binding(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(service_module, "_Server",
+                        lambda *args: pytest.fail("a listener was bound"))
+    assert run_cli("serve", "--listen", "127.0.0.1:99999", "--enroll",
+                   "--store", str(tmp_path / "verifiers.tsv")) == 3
+    assert "port 99999 is out of range" in capsys.readouterr().err
+
+
+def test_connect_refuses_a_port_out_of_range_before_dialing(capsys, monkeypatch):
+    monkeypatch.setattr(service_module.socket, "create_connection",
+                        lambda *args, **kwargs: pytest.fail("a port was dialed"))
+    assert run_cli("connect", "--addr", "127.0.0.1:99999", "--hash", "toysum",
+                   "--id-a", "9", "--id-b", "12", "--password", "10") == 3
+    assert "port 99999 is out of range" in capsys.readouterr().err
 
 
 def test_serve_requires_an_existing_store(tmp_path):

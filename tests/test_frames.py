@@ -196,9 +196,9 @@ def test_read_frame_walks_a_stream():
     frames = [Msg1Frame(q=13, g=6, id_a=9, t_a=8), OkFrame(),
               ErrorFrame(code=ERR_AUTH_FAIL, detail="denied")]
     stream = io.BytesIO(b"".join(encode_frame(f) for f in frames))
-    assert read_frame(stream) == frames[0]
-    assert read_frame(stream) == frames[1]
-    assert read_frame(stream) == frames[2]
+    assert read_frame(stream) == (frames[0], encode_frame(frames[0]))
+    assert read_frame(stream) == (frames[1], encode_frame(frames[1]))
+    assert read_frame(stream) == (frames[2], encode_frame(frames[2]))
     assert read_frame(stream) is None       # clean EOF
 
 

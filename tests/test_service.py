@@ -86,7 +86,8 @@ def raw_exchange(address, payload: bytes):
     with socket.create_connection(address, timeout=5.0) as sock:
         sock.sendall(payload)
         sock.shutdown(socket.SHUT_WR)      # half-close so short payloads EOF
-        return read_frame(sock.makefile("rb"))
+        frame, _ = read_frame(sock.makefile("rb"))
+        return frame
 
 
 # -- address parsing -----------------------------------------------------------
@@ -99,6 +100,10 @@ def test_parse_address():
         parse_address("localhost")
     with pytest.raises(ValueError):
         parse_address("host:port")
+    assert parse_address("127.0.0.1:65535") == ("127.0.0.1", 65535)
+    for text in ("127.0.0.1:65536", "127.0.0.1:99999", ":1000000"):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_address(text)
 
 
 # -- happy paths -----------------------------------------------------------------
@@ -209,11 +214,12 @@ def test_session_is_logged_before_the_client_returns(tmp_path, scheme, creds,
 
 
 def test_client_encodes_each_sent_frame_once(tmp_path, monkeypatch):
-    client_encodes = []
+    client_encodes, server_encodes = [], []
 
     def counting_encode(frame):
-        if threading.current_thread() is threading.main_thread():
-            client_encodes.append(type(frame).__name__)
+        on_client = threading.current_thread() is threading.main_thread()
+        (client_encodes if on_client else server_encodes).append(
+            type(frame).__name__)
         return encode_frame(frame)
 
     monkeypatch.setattr(service_module, "encode_frame", counting_encode)
@@ -221,9 +227,32 @@ def test_client_encodes_each_sent_frame_once(tmp_path, monkeypatch):
         key, report = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
                                      toy_options())
     assert key.value == 9
-    assert client_encodes.count("Msg1Frame") == 1
-    assert client_encodes.count("Msg3Frame") == 1
+    # each end encodes only the frames it sends, each once
+    assert client_encodes == ["Msg1Frame", "Msg3Frame"]
+    assert server_encodes == ["Msg2Frame", "Msg4Frame"]
     assert report.transcript.bytes_on_wire == 37
+
+
+def test_server_logs_received_frames_as_the_bytes_that_arrived(tmp_path):
+    # the client's two frames, sent over a raw socket in small pieces
+    session = run_honest_session(Scenario(scheme="proposed", hash_spec=TOYSUM_SPEC,
+                                          x=3, y=4))
+    sent = [e.data for e in session.transcript if e.direction == "A->B"]
+    log = tmp_path / "server.jsonl"
+    received = []
+    with Service(toy_config(tmp_path, log_path=log)) as service:
+        with socket.create_connection(service.address, timeout=5.0) as sock:
+            rfile = sock.makefile("rb")
+            for data in sent:
+                for i in range(0, len(data), 3):
+                    sock.sendall(data[i:i + 3])
+                frame, raw = read_frame(rfile)
+                assert not isinstance(frame, ErrorFrame)
+                received.append(raw)
+    logged = json.loads(log.read_text().splitlines()[-1])["transcript"]
+    assert [(e["direction"], bytes.fromhex(e["frame"])) for e in logged] == [
+        ("A->B", sent[0]), ("B->A", received[0]),
+        ("A->B", sent[1]), ("B->A", received[1])]
 
 
 # -- refusal codes ------------------------------------------------------------------
@@ -537,8 +566,8 @@ def test_a_repeated_msg1_is_refused(tmp_path, scheme, t_a):
         with socket.create_connection(service.address, timeout=5.0) as sock:
             rfile = sock.makefile("rb")
             sock.sendall(msg1)
-            assert not isinstance(read_frame(rfile), ErrorFrame)
+            assert not isinstance(read_frame(rfile)[0], ErrorFrame)
             sock.sendall(msg1)
-            reply = read_frame(rfile)
+            reply, _ = read_frame(rfile)
     assert reply == ErrorFrame(code=ERR_MALFORMED,
                                detail="expected MSG3, got msg1")
