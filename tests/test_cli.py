@@ -277,6 +277,22 @@ def test_importing_the_cli_leaves_sympy_out():
     assert out.strip() == "False"
 
 
+def test_a_desk_scale_session_leaves_ctypes_out():
+    code = ("import sys, pakelab.cli\n"
+            "from pakelab.core import generate_params\n"
+            "from pakelab.harness import Scenario, run_honest_session\n"
+            "for scheme in ('lky', 'proposed'):\n"
+            "    report = run_honest_session(Scenario(\n"
+            "        scheme, params=generate_params(20, 1), seed=3))\n"
+            "    assert report.auth_a_ok and report.auth_b_ok\n"
+            "print('ctypes' in sys.modules)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
+
+
 def test_register_maps_string_identities(tmp_path, capsys):
     store_path = tmp_path / "verifiers.tsv"
     assert run_cli("register", "--store", str(store_path),

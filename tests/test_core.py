@@ -4,6 +4,7 @@ import hashlib
 import math
 from math import gcd
 import random
+import threading
 
 import pytest
 import sympy
@@ -171,6 +172,97 @@ def test_mod_exp_matches_pow_on_a_safe_prime_group():
     mod_exp(params.g, params.q - 2, params, tally, registration=True)
     mod_exp(params.g, params.q - 2, params)
     assert (tally.modexp, tally.modexp_registration) == (1, 1)
+
+
+# The RFC 3526 3072-bit MODP prime; 5 is its smallest full-order base.
+MODP3072_Q = int(
+    "ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74"
+    "020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f1437"
+    "4fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7ed"
+    "ee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf05"
+    "98da48361c55d39a69163fa8fd24cf5f83655d23dca3ad961c62f356208552bb"
+    "9ed529077096966d670c354e4abc9804f1746c08ca18217c32905e462e36ce3b"
+    "e39e772c180e86039b2783a2ec07a28fb5c55df06f4c52c9de2bcbf695581718"
+    "3995497cea956ae515d2261898fa051015728e5a8aaac42dad33170d04507a33"
+    "a85521abdf1cba64ecfb850458dbef0a8aea71575d060c7db3970f85a6e1e4c7"
+    "abf5ae8cdb0933d71e8c94e04a25619dcee3d2261ad2ee6bf12ffa06d98a0864"
+    "d87602733ec86a64521f2b18177b200cbbe117577a615d6c770988c0bad946e2"
+    "08e24fa074e5ab3143db5bfce0fd108e4b82d120a93ad2caffffffffffffffff", 16)
+
+
+def _powmod_cases():
+    """(base, exponent, modulus) with moduli of 65 to 3072 bits."""
+    rng = random.Random(4096)
+    groups = [(SAFE_PRIMES[0], 2), (generate_params(80, seed=1).q, 2),
+              (SAFE_PRIMES[4], 2), (sympy.nextprime(2 ** 511 + 12345), 3),
+              (MODP2048_Q, 11), (MODP3072_Q, 5)]
+    cases = []
+    for q, g in groups:
+        exponents = [0, 1, q - 2, q - 1, q, 2 * q + 3, 2 ** 4096,
+                     rng.randrange(q * q)]
+        cases += [(base, e, q) for base in (1, g, q - 1) for e in exponents]
+    assert sorted({q.bit_length() for _, _, q in cases}) == [65, 80, 128, 512,
+                                                             2048, 3072]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def powmod_cases():
+    cases = _powmod_cases()
+    return cases, [pow(*case) for case in cases]
+
+
+def test_powmod_matches_pow_from_65_to_3072_bits(powmod_cases):
+    cases, expected = powmod_cases
+    assert [core._powmod(*case) for case in cases] == expected
+
+
+def test_powmod_without_libcrypto_gives_the_same_results(powmod_cases, monkeypatch):
+    monkeypatch.setattr(core, "_libcrypto", lambda: None)
+    cases, expected = powmod_cases
+    assert [core._powmod(*case) for case in cases] == expected
+
+
+def test_powmod_keeps_pow_at_or_below_the_bound_and_for_even_moduli(monkeypatch):
+    monkeypatch.setattr(core, "_libcrypto",
+                        lambda: pytest.fail("libcrypto consulted"))
+    for modulus in (13, 665179, ORDER_CHECK_BOUND - 59, ORDER_CHECK_BOUND + 2,
+                    MODP2048_Q + 1):
+        for base, exponent in ((1, 0), (3, modulus - 2), (modulus - 1, 2 ** 100 + 1)):
+            assert core._powmod(base, exponent, modulus) == pow(base, exponent, modulus)
+
+
+def test_powmod_runs_on_libcrypto_when_the_library_is_found(monkeypatch):
+    import ctypes.util
+    if ctypes.util.find_library("crypto") is None:
+        pytest.skip("no libcrypto on this host")
+    assert core._libcrypto() is not None
+    # a fallback to pow would now fail, so the gain cannot be lost silently
+    monkeypatch.setattr(core, "pow", lambda *args: pytest.fail("pow called"),
+                        raising=False)
+    params = GroupParams(q=MODP2048_Q, g=11)
+    assert mod_exp(11, MODP2048_Q - 2, params) == pow(11, MODP2048_Q - 2, MODP2048_Q)
+    assert core._powmod(2, SAFE_PRIMES[0] - 1, SAFE_PRIMES[0]) == 1
+
+
+def test_powmod_from_four_threads_at_once():
+    q = MODP2048_Q
+    rng = random.Random(2048)
+    work = [(rng.randrange(2, q), rng.randrange(q)) for _ in range(20)]
+    expected = [pow(base, exponent, q) for base, exponent in work]
+    results = {}
+
+    def run(k):
+        order = work[k:] + work[:k]            # each thread in its own order
+        results[k] = [core._powmod(base, exponent, q) for base, exponent in order]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert results == {k: expected[k:] + expected[:k] for k in range(4)}
 
 
 @given(st.integers(min_value=2, max_value=10 ** 6),
@@ -437,6 +529,17 @@ def test_a_large_safe_prime_group_takes_one_strong_lucas_test(monkeypatch):
     assert calls == [q, q // 2]
 
 
+def test_generate_params_sieves_q_and_p_before_any_strong_lucas_test(monkeypatch):
+    calls = []
+    lucas = core._strong_lucas_probable_prime
+    monkeypatch.setattr(core, "_strong_lucas_probable_prime",
+                        lambda n: calls.append(n) or lucas(n))
+    q = generate_params(128, 0).q
+    # q and p once in the search, p again in validate_params; testing every
+    # candidate q before looking at p made 282 calls
+    assert calls == [q, q // 2, q // 2]
+
+
 @pytest.mark.parametrize("bits", [8, 10, 12, 16])
 def test_generate_params_is_deterministic_and_valid(bits):
     params = generate_params(bits, seed=7)
@@ -465,6 +568,8 @@ PINNED_PARAMS = {
     (96, 0): (72115765215199156333460896499, 2),
     (96, 1): (74855837812239469103854051103, 5),
     (96, 2): (56420442055648645786686964379, 2),
+    (128, 0): (263422996056446349745752076335805244567, 5),
+    (128, 1): (197082816705788428017759540199210530659, 2),
 }
 
 
