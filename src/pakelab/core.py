@@ -15,15 +15,18 @@ inverse mod q-1 always exists. That adjustment is deterministic and both
 protocol sides apply it identically.
 
 Parameter validation and generation test primality (is_prime) and factor
-q-1 (prime_factors) here, in plain Python. Above 2^64 a group must be a
-safe prime q = 2p+1, and g^p = -1 with p prime is a Pocklington
-certificate that proves q prime and g of full order at once.
+q-1 (prime_factors) here. Above 2^64 a group must be a safe prime
+q = 2p+1, and g^p = -1 with p prime is a Pocklington certificate that
+proves q prime and g of full order at once.
 
-Exponentiation modulo a prime above 2^64 (mod_exp, and the large
-exponentiations of validation) runs on OpenSSL's libcrypto, through
-ctypes, when ctypes.util.find_library("crypto") finds it: about ten times
-faster than pow at 2048 bits. The library loads on the first such call, so
-desk-scale groups never import ctypes; without it, pow does the work.
+Large-number arithmetic runs on OpenSSL's libcrypto, through ctypes, when
+ctypes.util.find_library("crypto") finds it: exponentiation modulo an odd
+number above NATIVE_POWMOD_BOUND (mod_exp, and the exponentiations of
+validation), about ten times faster than pow at 2048 bits, and the strong
+Lucas test above NATIVE_LUCAS_BOUND, about four times faster than Python
+at 2048 bits. Below the bounds, and without the library, pow and Python
+arithmetic do the work. The library loads on the first such call, so
+desk-scale groups never import ctypes.
 
 Two oracles are deliberately brute-force and only constructible for small
 groups (q <= DESK_SCALE_BOUND): an exhaustive discrete-log table, and a toy
@@ -37,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import random
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import count
@@ -62,6 +66,12 @@ DESK_SCALE_BOUND = 2 ** 20
 # Below this, generator order is certified by fully factoring q-1; above it,
 # params must be safe primes (q = 2p+1), certified by g^p = -1 and p prime.
 ORDER_CHECK_BOUND = 2 ** 64
+
+# Above these, and when libcrypto is found, _powmod (odd moduli) and the
+# strong Lucas test run on it through ctypes; below, pow and Python
+# arithmetic are faster than a ctypes call per operation.
+NATIVE_POWMOD_BOUND = 2 ** 90
+NATIVE_LUCAS_BOUND = 2 ** 720
 
 TOYSUM = "toysum"
 DIGEST256 = "digest256"
@@ -180,7 +190,7 @@ def mod_exp(base: int, exponent: int, params: GroupParams,
     """base^exponent mod q, for base in Z_q^* and exponent >= 0.
 
     The arithmetic is _powmod: the built-in three-argument pow up to
-    ORDER_CHECK_BOUND, libcrypto's constant-time Montgomery exponentiation
+    NATIVE_POWMOD_BOUND, libcrypto's constant-time Montgomery exponentiation
     above it when the library is found. This wrapper exists for its range
     checks and to increment the caller's tally (per-session or
     registration bucket) when one is supplied, which is how the efficiency
@@ -202,56 +212,74 @@ def mod_exp(base: int, exponent: int, params: GroupParams,
 def _powmod(base: int, exponent: int, modulus: int) -> int:
     """base^exponent mod modulus, for base >= 0, exponent >= 0, modulus > 1.
 
-    An odd modulus above ORDER_CHECK_BOUND goes to libcrypto's
+    An odd modulus above NATIVE_POWMOD_BOUND goes to libcrypto's
     BN_mod_exp_mont_consttime, through ctypes: at 2048 bits 3.7 ms where
-    pow takes 40 ms (x86-64 Xeon, OpenSSL 3.0). At 64 bits and below the
-    ctypes call costs more than it saves, so these, even moduli, and every
-    call on a host where find_library("crypto") finds nothing run the
-    built-in pow. Each call
-    has its own BN_CTX, so threads share no state, and the ctypes call
-    releases the GIL while libcrypto works.
+    pow takes 40 ms (x86-64 Xeon, OpenSSL 3.0). Below the bound the ctypes
+    call costs more than it saves, so these, even moduli, and every call
+    on a host where find_library("crypto") finds nothing run the built-in
+    pow. The ctypes call releases the GIL while libcrypto works.
     """
-    lib = _libcrypto() if modulus > ORDER_CHECK_BOUND and modulus & 1 else None
+    lib = _libcrypto() if modulus > NATIVE_POWMOD_BOUND and modulus & 1 else None
     if lib is None:
         return pow(base, exponent, modulus)
     import ctypes
-    failed = MemoryError("libcrypto ran out of memory in _powmod")
-    ctx = lib.BN_CTX_new()
-    if not ctx:
-        raise failed
-    lib.BN_CTX_start(ctx)
-    try:
-        result, *operands = [lib.BN_CTX_get(ctx) for _ in range(4)]
-        if not operands[-1]:          # once BN_CTX_get fails, later calls fail too
-            raise failed
+    with _bignums(lib, 4) as (ctx, (result, *operands)):
         for value, bn in zip((base, exponent, modulus), operands):
-            data = value.to_bytes((value.bit_length() + 7) // 8, "big")
-            if not lib.BN_bin2bn(data, len(data), bn):
-                raise failed
+            _set_bn(lib, bn, value)
         if not lib.BN_mod_exp_mont_consttime(result, *operands, ctx, None):
-            raise failed
+            raise _native_failure()
         width = (modulus.bit_length() + 7) // 8
         out = ctypes.create_string_buffer(width)
         lib.BN_bn2binpad(result, out, width)
         return int.from_bytes(out.raw, "big")
+
+
+@contextmanager
+def _bignums(lib, count: int):
+    """A new BN_CTX and count BIGNUMs from it, ended and freed on exit.
+
+    Each native computation makes its own, so threads share no state.
+    """
+    ctx = lib.BN_CTX_new()
+    if not ctx:
+        raise _native_failure()
+    lib.BN_CTX_start(ctx)
+    try:
+        bns = [lib.BN_CTX_get(ctx) for _ in range(count)]
+        if not bns[-1]:               # once BN_CTX_get fails, later calls fail too
+            raise _native_failure()
+        yield ctx, bns
     finally:
         lib.BN_CTX_end(ctx)
         lib.BN_CTX_free(ctx)
 
 
+def _set_bn(lib, bn, value: int) -> None:
+    """Store the nonnegative int value in the BIGNUM bn."""
+    data = value.to_bytes((value.bit_length() + 7) // 8, "big")
+    if not lib.BN_bin2bn(data, len(data), bn):
+        raise _native_failure()
+
+
+def _native_failure() -> MemoryError:
+    return MemoryError("libcrypto ran out of memory")
+
+
 @cache
 def _libcrypto():
-    """OpenSSL's libcrypto with the BIGNUM calls _powmod makes, or None.
+    """OpenSSL's libcrypto with every BIGNUM call made here, or None.
 
     Loaded on the first call, which comes from the first exponentiation
-    above ORDER_CHECK_BOUND, so desk-scale runs never import ctypes.
+    above NATIVE_POWMOD_BOUND, so desk-scale runs never import ctypes. A
+    library without one of the calls (all are in OpenSSL 1.1.0 and later)
+    counts as not found.
     """
     import ctypes
     import ctypes.util
     path = ctypes.util.find_library("crypto")
     if path is None:
         return None
-    bn = ctypes.c_void_p
+    bn, status = ctypes.c_void_p, ctypes.c_int
     try:
         lib = ctypes.CDLL(path)
         for name, restype, argtypes in (
@@ -260,9 +288,17 @@ def _libcrypto():
                 ("BN_CTX_start", None, [bn]),
                 ("BN_CTX_get", bn, [bn]),
                 ("BN_CTX_end", None, [bn]),
-                ("BN_bin2bn", bn, [ctypes.c_char_p, ctypes.c_int, bn]),
-                ("BN_bn2binpad", ctypes.c_int, [bn, ctypes.c_char_p, ctypes.c_int]),
-                ("BN_mod_exp_mont_consttime", ctypes.c_int, [bn] * 6)):
+                ("BN_bin2bn", bn, [ctypes.c_char_p, status, bn]),
+                ("BN_bn2binpad", status, [bn, ctypes.c_char_p, status]),
+                ("BN_is_zero", status, [bn]),
+                ("BN_mod_exp_mont_consttime", status, [bn] * 6),
+                ("BN_MONT_CTX_new", bn, []),
+                ("BN_MONT_CTX_set", status, [bn] * 3),
+                ("BN_MONT_CTX_free", None, [bn]),
+                ("BN_to_montgomery", status, [bn] * 4),
+                ("BN_mod_mul_montgomery", status, [bn] * 5),
+                ("BN_mod_add_quick", status, [bn] * 4),
+                ("BN_mod_sub_quick", status, [bn] * 4)):
             function = getattr(lib, name)
             function.restype, function.argtypes = restype, argtypes
     except (OSError, AttributeError):        # unloadable, or older than 1.1.0
@@ -358,7 +394,9 @@ def is_prime(n: int) -> bool:
     Trial division by the primes up to 47, then deterministic Miller-Rabin
     with bases 2..41 below MR_EXACT_BOUND; above it, strong BPSW: one
     base-2 Miller-Rabin round and a strong Lucas test with Selfridge's
-    parameters, which no known composite passes.
+    parameters, which no known composite passes. The exponentiations run
+    in _powmod and the Lucas test's walk on libcrypto for large n (see
+    the module docstring); the verdicts are the same either way.
     """
     if n < 2:
         return False
@@ -407,9 +445,12 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
     Selfridge's parameters: the first D of 5, -7, 9, -11, ... with Jacobi
     symbol (D/n) = -1, P = 1 and Q = (1 - D)/4; a square has no such D.
-    U and V are walked over the bits of d = (n+1)/2^s with the doubling
-    and increment formulas; the increment halves mod n by adding n to an
-    odd value and shifting.
+    The D search and the square test run here; the U/V/Q^k walk runs on
+    libcrypto's Montgomery arithmetic (_lucas_walk_native) for n above
+    NATIVE_LUCAS_BOUND when the library is found, and in Python
+    (_lucas_walk) otherwise. At 2048 bits that is 20-25 ms where Python
+    takes 90-110 ms (x86-64 Xeon, OpenSSL 3.0); the two cost the same near
+    720 bits, and below that Python is faster.
     """
     if isqrt(n) ** 2 == n:
         return False
@@ -422,6 +463,20 @@ def _strong_lucas_probable_prime(n: int) -> bool:
         if j == 0:
             return False            # |D| < n shares a factor with n
     Q = (1 - D) // 4
+    lib = _libcrypto() if n > NATIVE_LUCAS_BOUND else None
+    if lib is None:
+        return _lucas_walk(n, D, Q)
+    return _lucas_walk_native(lib, n, D, Q)
+
+
+def _lucas_walk(n: int, D: int, Q: int) -> bool:
+    """The strong Lucas verdict for odd n, given Selfridge's D and Q.
+
+    With n+1 = d * 2^s, d odd: U_d = 0 or V_(d*2^r) = 0 mod n for some
+    0 <= r < s. U and V are walked over the bits of d with the doubling
+    and increment formulas; the increment halves mod n by adding n to an
+    odd value and shifting.
+    """
     s = ((n + 1) & -(n + 1)).bit_length() - 1
     U, V, Qk = 1, 1, Q % n
     for bit in bin((n + 1) >> s)[3:]:
@@ -441,6 +496,62 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return True
         Qk = Qk * Qk % n
     return False
+
+
+def _lucas_walk_native(lib, n: int, D: int, Q: int) -> bool:
+    """_lucas_walk on libcrypto's Montgomery arithmetic, in one context.
+
+    The verdict only asks which values are 0 mod n, so U and V may carry
+    a common factor c that is a unit mod n: each Montgomery product
+    multiplies it by R^-1, and leaving out the increment's halving doubles
+    it. qk holds c^2 R^-1 Q^k, which V's doubling subtracts twice; it is
+    squared on a doubling and multiplied by 4Q on an increment. That is 5
+    ctypes calls per bit of d, and 4 more on a 1 bit.
+    """
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    failed = _native_failure()
+    mont = lib.BN_MONT_CTX_new()
+    if not mont:
+        raise failed
+    try:
+        with _bignums(lib, 7) as (ctx, (u, v, qk, t, d_factor, q4_factor,
+                                        modulus)):
+            _set_bn(lib, modulus, n)
+            if not lib.BN_MONT_CTX_set(mont, modulus, ctx):
+                raise failed
+            # c = R: U_1 = V_1 = 1 and the constants in Montgomery form
+            for bn, value in ((u, 1), (v, 1), (qk, Q % n), (d_factor, D % n),
+                              (q4_factor, 4 * Q % n)):
+                _set_bn(lib, bn, value)
+                if not lib.BN_to_montgomery(bn, bn, mont, ctx):
+                    raise failed
+            mul, add, sub = (lib.BN_mod_mul_montgomery, lib.BN_mod_add_quick,
+                             lib.BN_mod_sub_quick)
+            for bit in bin((n + 1) >> s)[3:]:
+                if not (mul(t, u, v, mont, ctx) and mul(v, v, v, mont, ctx)
+                        and sub(v, v, qk, modulus) and sub(v, v, qk, modulus)
+                        and mul(qk, qk, qk, mont, ctx)):
+                    raise failed
+                u, t = t, u
+                if bit == "1":
+                    if not (mul(t, d_factor, u, mont, ctx) and add(t, t, v, modulus)
+                            and add(u, u, v, modulus)
+                            and mul(qk, qk, q4_factor, mont, ctx)):
+                        raise failed
+                    v, t = t, v
+            if lib.BN_is_zero(u) or lib.BN_is_zero(v):
+                return True
+            for _ in range(s - 1):
+                if not (mul(v, v, v, mont, ctx) and sub(v, v, qk, modulus)
+                        and sub(v, v, qk, modulus)):
+                    raise failed
+                if lib.BN_is_zero(v):
+                    return True
+                if not mul(qk, qk, qk, mont, ctx):
+                    raise failed
+            return False
+    finally:
+        lib.BN_MONT_CTX_free(mont)
 
 
 def prime_factors(n: int) -> List[int]:
@@ -544,11 +655,15 @@ def generate_params(bit_length: int, seed: int) -> GroupParams:
     generator check; both q and p must pass trial division and a base-2
     Miller-Rabin round before either gets a full primality test. That
     drops only composites, so the result is the same as testing q, then p.
+
+    The search gives up after a budget of candidates. Safe primes thin out
+    as 1/bits^2, so above 64 bits the budget is 3 * bits^2, at least 20000:
+    6 to 12 times the mean number of draws measured from 96 to 256 bits.
     """
     if bit_length < 4:
         raise ValueError("bit_length must be at least 4")
     rng = random.Random(seed)
-    budget = 200000 if bit_length <= 64 else 20000
+    budget = 200000 if bit_length <= 64 else max(20000, 3 * bit_length ** 2)
     for _ in range(budget):
         candidate = rng.getrandbits(bit_length) | (1 << (bit_length - 1)) | 1
         if bit_length > 64:

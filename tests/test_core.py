@@ -226,8 +226,9 @@ def test_powmod_without_libcrypto_gives_the_same_results(powmod_cases, monkeypat
 def test_powmod_keeps_pow_at_or_below_the_bound_and_for_even_moduli(monkeypatch):
     monkeypatch.setattr(core, "_libcrypto",
                         lambda: pytest.fail("libcrypto consulted"))
+    assert SAFE_PRIMES[1].bit_length() == 72
     for modulus in (13, 665179, ORDER_CHECK_BOUND - 59, ORDER_CHECK_BOUND + 2,
-                    MODP2048_Q + 1):
+                    SAFE_PRIMES[1], MODP2048_Q + 1):
         for base, exponent in ((1, 0), (3, modulus - 2), (modulus - 1, 2 ** 100 + 1)):
             assert core._powmod(base, exponent, modulus) == pow(base, exponent, modulus)
 
@@ -242,7 +243,8 @@ def test_powmod_runs_on_libcrypto_when_the_library_is_found(monkeypatch):
                         raising=False)
     params = GroupParams(q=MODP2048_Q, g=11)
     assert mod_exp(11, MODP2048_Q - 2, params) == pow(11, MODP2048_Q - 2, MODP2048_Q)
-    assert core._powmod(2, SAFE_PRIMES[0] - 1, SAFE_PRIMES[0]) == 1
+    assert SAFE_PRIMES[3] > core.NATIVE_POWMOD_BOUND
+    assert core._powmod(2, SAFE_PRIMES[3] - 1, SAFE_PRIMES[3]) == 1
 
 
 def test_powmod_from_four_threads_at_once():
@@ -579,6 +581,15 @@ def test_generate_params_is_unchanged(bits, seed):
     assert (params.q, params.g) == PINNED_PARAMS[bits, seed]
 
 
+@pytest.mark.parametrize("bits", [160, 256])
+def test_generate_params_reaches_160_and_256_bits(bits):
+    # seed 0 draws 23,440 candidates at 160 bits and 38,143 at 256 bits,
+    # past the fixed budget of 20000 that once held above 64 bits
+    params = generate_params(bits, 0)
+    assert params.q.bit_length() == bits
+    assert sympy.isprime(params.q) and sympy.isprime(params.q // 2)
+
+
 # -- primality and factoring ----------------------------------------------------------
 
 
@@ -614,6 +625,129 @@ def test_is_prime_matches_sympy_on_random_64_to_512_bit_values():
 ])
 def test_is_prime_refuses_known_pseudoprimes(n):
     assert not is_prime(n) and not sympy.isprime(n)
+
+
+# -- the strong Lucas walk on libcrypto -------------------------------------------------
+
+# the strong Lucas pseudoprimes below 10^5 (OEIS A217255)
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                             40309, 58519, 75077, 97439]
+
+
+def _needs_libcrypto():
+    import ctypes.util
+    if ctypes.util.find_library("crypto") is None:
+        pytest.skip("no libcrypto on this host")
+    assert core._libcrypto() is not None
+
+
+def _lucas_corpus():
+    """Primes, products of two primes and odd composites without a factor up
+    to 47, from just above NATIVE_LUCAS_BOUND to 3072 bits."""
+    rng = random.Random(3072)
+
+    def prime(bits):
+        return sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+
+    p384, p512, p736 = prime(384), prime(512), prime(736)
+    primes = [p736, MODP2048_Q, MODP2048_Q // 2, MODP3072_Q // 2]
+    products = [p384 * prime(384), p512 * prime(512), p512 * p736,
+                p512 * (MODP2048_Q // 2), p736 * MODP2048_Q]
+    odd = []
+    for bits in (721, 800, 1024, 1536, 3072):
+        n = 2
+        while math.gcd(n, math.prod(core._SMALL_PRIMES)) != 1:
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        odd.append(n)
+    corpus = primes + products + odd
+    assert min(corpus) > core.NATIVE_LUCAS_BOUND and max(corpus).bit_length() == 3072
+    return corpus, [n in primes for n in corpus]
+
+
+def test_the_native_lucas_walk_gives_the_python_verdicts(monkeypatch):
+    _needs_libcrypto()
+    corpus, is_a_prime = _lucas_corpus()
+    native = [core._strong_lucas_probable_prime(n) for n in corpus]
+    assert native == is_a_prime
+    monkeypatch.setattr(core, "_libcrypto", lambda: None)
+    assert [core._strong_lucas_probable_prime(n) for n in corpus] == native
+
+
+def _selfridge(n):
+    """(n, D, Q) as _strong_lucas_probable_prime hands them to the walk."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_lucas_walk", lambda *args: seen.append(args))
+        core._strong_lucas_probable_prime(n)
+    (args,) = seen
+    return args
+
+
+def test_the_native_lucas_walk_called_directly_matches_on_small_numbers():
+    _needs_libcrypto()
+    lib = core._libcrypto()
+    small = STRONG_LUCAS_PSEUDOPRIMES + [53, 1009, 65537, 1009 * 1013, 99991 * 99989]
+    for n in small:
+        args = _selfridge(n)
+        assert core._lucas_walk_native(lib, *args) == core._lucas_walk(*args), n
+    assert all(core._lucas_walk(*_selfridge(n)) for n in STRONG_LUCAS_PSEUDOPRIMES)
+
+
+def test_the_strong_lucas_test_stays_in_python_at_or_below_the_bound(monkeypatch):
+    monkeypatch.setattr(core, "_libcrypto",
+                        lambda: pytest.fail("libcrypto consulted"))
+    for n in STRONG_LUCAS_PSEUDOPRIMES + [SAFE_PRIMES[-1], MR_EXACT_BOUND]:
+        assert core._strong_lucas_probable_prime(n) == (n != MR_EXACT_BOUND)
+
+
+def test_the_strong_lucas_test_runs_on_libcrypto_at_2048_bits(monkeypatch):
+    _needs_libcrypto()
+    # a fallback to the Python walk would now fail, so the gain cannot be
+    # lost silently
+    monkeypatch.setattr(core, "_lucas_walk",
+                        lambda *args: pytest.fail("Python walk called"))
+    p = MODP2048_Q // 2
+    assert core._strong_lucas_probable_prime(p)
+    assert not core._strong_lucas_probable_prime(p + 2)
+    validate_params(GroupParams(q=MODP2048_Q, g=11))
+
+
+def test_the_native_lucas_walk_from_four_threads_at_once():
+    _needs_libcrypto()
+    p = MODP2048_Q // 2
+    work = [p, MODP2048_Q, p + 2, MODP2048_Q + 4]     # p + 2 and q + 4 are composite
+    expected = [True, True, False, False]
+    results = {}
+
+    def run(k):
+        order = work[k:] + work[:k]            # each thread in its own order
+        results[k] = [core._strong_lucas_probable_prime(n) for n in order]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert results == {k: expected[k:] + expected[:k] for k in range(4)}
+
+
+def test_a_library_without_one_of_the_calls_counts_as_not_found(monkeypatch):
+    import ctypes
+    import ctypes.util
+
+    class Library:
+        def __init__(self, path):
+            pass
+
+        def __getattr__(self, name):
+            if name == "BN_mod_mul_montgomery":
+                raise AttributeError(name)
+            return lambda *args: None
+
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: "libcrypto.so")
+    monkeypatch.setattr(ctypes, "CDLL", Library)
+    assert core._libcrypto.__wrapped__() is None
 
 
 def test_prime_factors_match_sympy_on_random_64_to_512_bit_values():
