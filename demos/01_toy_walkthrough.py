@@ -59,10 +59,10 @@ print(f"A checks e(E_B, T_A) == e(T_B, r), then both sides hold"
 
 print("\n--- baseline scheme (3 messages, masked shares) ---")
 m1, lc = lky_client_start(creds, params, spec, x=3)
-print(f"A -> B  T_A (+) v = {m1.t_a_masked.as_int}    (g^3 = 8 xored with v = 7)")
+print(f"A -> B  T_A (+) v = {m1.t_a}    (g^3 = 8 xored with v = 7)")
 
 m2, ls = lky_server_respond(m1, record, params, spec, y=4)
-print(f"B -> A  T_B (+) v = {m2.t_b_masked.as_int}, d_B = {m2.d_b}")
+print(f"B -> A  T_B (+) v = {m2.t_b_masked}, d_B = {m2.d_b}")
 
 m3, key_a = lky_client_finish(m2, lc)
 print(f"A -> B  d_A = {m3.d_a}")

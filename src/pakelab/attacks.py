@@ -43,14 +43,8 @@ from .core import (
     mod_exp,
     mod_inverse,
 )
-from .drivers import (
-    lky_server,
-    masked_value,
-    proposed_server,
-    run_in_memory,
-    run_pair,
-)
-from .errors import GroupTooLarge, MalformedFrame, ScenarioError
+from .drivers import lky_server, proposed_server, run_in_memory, run_pair
+from .errors import GroupTooLarge, ScenarioError
 from .netio.frames import (
     LkyMsg2Frame,
     Msg1Frame,
@@ -111,13 +105,11 @@ def _lky_impersonator(v: int, ids: Tuple[int, int], params: GroupParams,
     """Client driver of an attacker who holds v: T_A = v^x (+) v, r = T_B^x."""
     id_a, id_b = ids
     t_a_masked = lky.xor_mask(mod_exp(v, x, params), v, params)
-    msg2 = yield Msg1Frame(q=params.q, g=params.g, id_a=id_a,
-                           t_a=t_a_masked.as_int), None
-    t_b_masked = masked_value(msg2.t_b_masked, params)
-    r = mod_exp(lky.xor_unmask(t_b_masked, v, params), x, params)
-    if msg2.d_b != hash_spec.of_ints([id_b, t_a_masked.as_int, r]):
+    msg2 = yield Msg1Frame(q=params.q, g=params.g, id_a=id_a, t_a=t_a_masked), None
+    r = mod_exp(lky.xor_unmask(msg2.t_b_masked, v, params), x, params)
+    if msg2.d_b != hash_spec.of_ints([id_b, t_a_masked, r]):
         notes.append("server confirmation d_B did not verify on the attacker side")
-    d_a = hash_spec.of_ints([id_a, t_b_masked.as_int, r])
+    d_a = hash_spec.of_ints([id_a, msg2.t_b_masked, r])
     key = SessionKey.from_value(hash_spec.of_ints([r]) % params.q, params)
     return Msg3Frame(d_a=d_a), key, None
 
@@ -362,13 +354,11 @@ def mitm_tamper_experiment(scheme: str, tamper: TamperSpec, params: GroupParams,
         else:
             notes.append(f"replaced {tamper.field} = {value} with "
                          f"{tamper.value} in flight")
-        if tamper.field.endswith("_masked"):
-            try:
-                masked_value(tamper.value, params)
-            except MalformedFrame:
-                raise ScenarioError(
-                    f"tamper value {tamper.value} does not fit a "
-                    f"{params.q_byte_len}-byte masked field") from None
+        if (tamper.field.endswith("_masked")
+                and tamper.value.bit_length() > 8 * params.q_byte_len):
+            raise ScenarioError(
+                f"tamper value {tamper.value} does not fit a "
+                f"{params.q_byte_len}-byte masked field")
         return replace(frame, **{name: tamper.value})
 
     run = run_pair(scheme, creds, params, hash_spec, *nonces, wire=wire)

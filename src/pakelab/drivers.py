@@ -8,10 +8,12 @@ last one its party sends. A rejection is raised from the step that
 detects it. A server driver is built from the client's MSG1 frame, since
 the caller looks up the verifier record from it first.
 
-Every conversion between a wire frame and a scheme message lives here, so
-each scheme's message sequence is written once. Three adapters run the
-drivers: run_in_memory below (honest sessions, golden replay and the attack
-experiments), the service's server loop and client_connect's client loop
+The scheme steps (pakelab.lky, pakelab.proposed) take and return the wire
+frames themselves, so a driver only sequences them: it yields what a step
+returned and checks each reply's frame type with expect before passing it
+to the next step. Three adapters run the drivers: run_in_memory below
+(honest sessions, golden replay and the attack experiments), the
+service's server loop and client_connect's client loop
 (pakelab.netio.service).
 """
 
@@ -53,34 +55,19 @@ def expect(frame, cls, name: str = ""):
     return frame
 
 
-def masked_value(value: int, params: GroupParams) -> lky.MaskedValue:
-    """A masked wire integer as the fixed-width value the lky steps hash and unmask."""
-    if value >= 256 ** params.q_byte_len:
-        raise MalformedFrame("masked value exceeds the group width")
-    return lky.MaskedValue(value.to_bytes(params.q_byte_len, "big"))
-
-
 def lky_client(creds: Credentials, params: GroupParams, hash_spec: HashSpec,
                x: int):
     msg1, state = lky.lky_client_start(creds, params, hash_spec, x)
-    reply = yield Msg1Frame(q=params.q, g=params.g, id_a=msg1.id_a,
-                            t_a=msg1.t_a_masked.as_int), state
-    msg2 = expect(reply, LkyMsg2Frame)
-    msg3, key = lky.lky_client_finish(
-        lky.Msg2(t_b_masked=masked_value(msg2.t_b_masked, params), d_b=msg2.d_b),
-        state)
-    return Msg3Frame(d_a=msg3.d_a), key, state
+    reply = yield msg1, state
+    msg3, key = lky.lky_client_finish(expect(reply, LkyMsg2Frame), state)
+    return msg3, key, state
 
 
 def lky_server(msg1: Msg1Frame, record: VerifierRecord, params: GroupParams,
                hash_spec: HashSpec, y: int):
-    msg2, state = lky.lky_server_respond(
-        lky.Msg1(id_a=msg1.id_a, t_a_masked=masked_value(msg1.t_a, params)),
-        record, params, hash_spec, y)
-    reply = yield LkyMsg2Frame(t_b_masked=msg2.t_b_masked.as_int,
-                               d_b=msg2.d_b), state
-    key = lky.lky_server_finish(
-        lky.Msg3(d_a=expect(reply, Msg3Frame, "MSG3").d_a), state)
+    msg2, state = lky.lky_server_respond(msg1, record, params, hash_spec, y)
+    reply = yield msg2, state
+    key = lky.lky_server_finish(expect(reply, Msg3Frame, "MSG3"), state)
     return None, key, state
 
 
@@ -88,26 +75,21 @@ def proposed_client(creds: Credentials, params: GroupParams, hash_spec: HashSpec
                     x: int, skip_server_auth: bool = False):
     """The revised client; above the desk-scale bound it always skips server auth."""
     msg1, state = proposed.prop_client_start(creds, params, hash_spec, x)
-    reply = yield Msg1Frame(q=params.q, g=params.g, id_a=msg1.id_a,
-                            t_a=msg1.t_a), state
-    msg3 = proposed.prop_client_confirm(
-        proposed.Msg2(t_b=expect(reply, Msg2Frame).t_b), state)
-    reply = yield Msg3Frame(d_a=msg3.d_a), state
+    reply = yield msg1, state
+    msg3 = proposed.prop_client_confirm(expect(reply, Msg2Frame), state)
+    reply = yield msg3, state
     key = proposed.prop_client_finish(
-        proposed.Msg4(e_b=expect(reply, Msg4Frame).e_b), state,
+        expect(reply, Msg4Frame), state,
         skip_server_auth=skip_server_auth or params.q > DESK_SCALE_BOUND)
     return None, key, state
 
 
 def proposed_server(msg1: Msg1Frame, record: VerifierRecord, params: GroupParams,
                     hash_spec: HashSpec, y: int):
-    msg2, state = proposed.prop_server_respond(
-        proposed.Msg1(id_a=msg1.id_a, t_a=msg1.t_a), record, params,
-        hash_spec, y)
-    reply = yield Msg2Frame(t_b=msg2.t_b), state
-    msg4, key = proposed.prop_server_finish(
-        proposed.Msg3(d_a=expect(reply, Msg3Frame, "MSG3").d_a), state)
-    return Msg4Frame(e_b=msg4.e_b), key, state
+    msg2, state = proposed.prop_server_respond(msg1, record, params, hash_spec, y)
+    reply = yield msg2, state
+    msg4, key = proposed.prop_server_finish(expect(reply, Msg3Frame, "MSG3"), state)
+    return msg4, key, state
 
 
 CLIENTS = {SCHEME_LKY: lky_client, SCHEME_PROPOSED: proposed_client}

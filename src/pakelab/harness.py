@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -54,15 +54,7 @@ class Counters:
     hash_evals: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "modexp_client": self.modexp_client,
-            "modexp_server": self.modexp_server,
-            "modexp_registration": self.modexp_registration,
-            "messages": self.messages,
-            "round_trips": self.round_trips,
-            "bytes_on_wire": self.bytes_on_wire,
-            "hash_evals": self.hash_evals,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -88,6 +80,11 @@ class Scenario:
             raise ScenarioError("scenario needs explicit nonces or a seed")
 
 
+def _transcript_json(transcript: Transcript) -> List[dict]:
+    return [{"direction": e.direction, "label": e.label, "frame": e.hex}
+            for e in transcript]
+
+
 @dataclass
 class SessionReport:
     scheme: str
@@ -106,10 +103,7 @@ class SessionReport:
             "kind": "session",
             "scheme": self.scheme,
             "params": {"q": str(self.params.q), "g": str(self.params.g)},
-            "transcript": [
-                {"direction": e.direction, "label": e.label, "frame": e.hex}
-                for e in self.transcript
-            ],
+            "transcript": _transcript_json(self.transcript),
             "key_a": str(self.key_a.value) if self.key_a else None,
             "key_b": str(self.key_b.value) if self.key_b else None,
             "auth_a_ok": self.auth_a_ok,
@@ -134,10 +128,7 @@ def attack_report_to_json(report: AttackReport) -> dict:
         "succeeded": report.succeeded,
         "attacker_key": str(report.attacker_key.value) if report.attacker_key else None,
         "victim_key": str(report.victim_key.value) if report.victim_key else None,
-        "transcript": [
-            {"direction": e.direction, "label": e.label, "frame": e.hex}
-            for e in report.transcript
-        ],
+        "transcript": _transcript_json(report.transcript),
         "counters": {
             "messages": report.transcript.messages,
             "bytes_on_wire": report.transcript.bytes_on_wire,
@@ -346,8 +337,8 @@ def replay_golden(vector: GoldenVector) -> Dict[str, int]:
     assert run.key_a == run.key_b
     client, server = run.client, run.server
     if scenario.scheme == SCHEME_LKY:
-        return {"v": client.v, "t_a_masked": client.t_a_masked.as_int,
-                "t_b_masked": server.t_b_masked.as_int, "r": server.r_b,
+        return {"v": client.v, "t_a_masked": client.t_a_masked,
+                "t_b_masked": server.t_b_masked, "r": server.r_b,
                 "d_b": server.d_b, "d_a": server.d_a_expected,
                 "key": run.key_a.value}
     return {"v": server.record.v, "t_a": client.t_a, "t_b": server.t_b,

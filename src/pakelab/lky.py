@@ -1,17 +1,17 @@
 """The baseline verifier-based key agreement scheme ("lky" on the wire).
 
-Three messages; group elements travel XOR-masked with the fixed-width
-encoding of the verifier v:
+Three messages; group elements travel XOR-masked with the verifier v. Each
+step takes and returns the wire frame (pakelab.netio.frames) itself:
 
-  A -> B : id_A, T_A = g^x (+) v
-  B -> A : T_B = v^y (+) v,  d_B = h(id_B, T_A, r)
-  A -> B : d_A = h(id_A, T_B, r)
+  MSG1      A -> B : id_A, T_A = g^x (+) v                     Msg1Frame
+  LKY-MSG2  B -> A : T_B = v^y (+) v,  d_B = h(id_B, T_A, r)   LkyMsg2Frame
+  MSG3      A -> B : d_A = h(id_A, T_B, r)                     Msg3Frame
 
 where r = g^(x*y) is reached from both ends: the server computes
 (T_A (+) v)^y and the client (T_B (+) v)^(x * h^-1) with h^-1 the inverse
 of the adjusted password hash mod q-1. Hash inputs T_A / T_B are the masked
-transmitted integers, exactly as they appear on the wire. Both sides finish
-with session key h(r) mod q.
+integers exactly as they travel; a masked integer wider than q is a
+malformed frame. Both sides finish with session key h(r) mod q.
 
 This scheme is the workbench's broken baseline: anyone holding the stolen
 verifier can run the client side with v as the exponentiation base and be
@@ -39,7 +39,14 @@ from .core import (
     mod_exp,
     mod_inverse,
 )
-from .errors import AuthFail, RetryNonce, UnknownIdentity, UnmaskOutOfRange
+from .errors import (
+    AuthFail,
+    MalformedFrame,
+    RetryNonce,
+    UnknownIdentity,
+    UnmaskOutOfRange,
+)
+from .netio.frames import LkyMsg2Frame, Msg1Frame, Msg3Frame
 
 PHASE_STARTED = "started"
 PHASE_RESPONDED = "responded"
@@ -47,64 +54,33 @@ PHASE_FINISHED = "finished"
 PHASE_FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class MaskedValue:
-    """A group element XORed with v, as a fixed-width byte string.
+def xor_mask(value: int, v: int, params: GroupParams) -> int:
+    """The wire integer of a group element XORed with v.
 
-    The content is unconstrained (masked integers may exceed q); only the
-    width is pinned to q_byte_len. Hash inputs use the big-endian integer
-    reading of these bytes.
+    Equal to the bytewise XOR of both canonical fixed-width encodings. The
+    result is unconstrained (it may exceed q) but never wider than
+    q_byte_len bytes.
     """
-
-    data: bytes
-
-    @property
-    def as_int(self) -> int:
-        return int.from_bytes(self.data, "big")
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-
-@dataclass(frozen=True)
-class Msg1:
-    id_a: int
-    t_a_masked: MaskedValue
-
-
-@dataclass(frozen=True)
-class Msg2:
-    t_b_masked: MaskedValue
-    d_b: int
-
-
-@dataclass(frozen=True)
-class Msg3:
-    d_a: int
-
-
-def xor_mask(value: int, v: int, params: GroupParams) -> MaskedValue:
-    """Bytewise XOR of the canonical encodings of a group element and v."""
-    value_bytes = encode_residue(value, params)
-    v_bytes = encode_residue(v, params)
+    encode_residue(value, params)           # OutOfRange unless 0 <= value < q
+    encode_residue(v, params)
     if not params.contains(value) or not params.contains(v):
         raise UnmaskOutOfRange("mask operands must lie in Z_q^*")
-    return MaskedValue(bytes(a ^ b for a, b in zip(value_bytes, v_bytes)))
+    return value ^ v
 
 
-def xor_unmask(masked: MaskedValue, v: int, params: GroupParams) -> int:
+def xor_unmask(masked: int, v: int, params: GroupParams) -> int:
     """Strip the verifier mask, rejecting anything outside Z_q^*.
 
+    A masked wire integer wider than q_byte_len bytes is a malformed frame.
     An all-zero masked value is refused outright: it can only arise from
     masking v with itself, which honest senders avoid by resampling, so
     receiving one signals a malformed or reflected message.
     """
-    if len(masked) != params.q_byte_len:
-        raise UnmaskOutOfRange(
-            f"masked value has width {len(masked)}, expected {params.q_byte_len}")
-    if masked.as_int == 0:
+    if masked.bit_length() > 8 * params.q_byte_len:
+        raise MalformedFrame("masked value exceeds the group width")
+    if masked == 0:
         raise UnmaskOutOfRange("all-zero masked value")
-    value = masked.as_int ^ v
+    value = masked ^ v
     if not params.contains(value):
         raise UnmaskOutOfRange(f"unmasked value {value} not in Z_q^*")
     return value
@@ -117,7 +93,7 @@ class LkyClientState:
     hash_spec: HashSpec
     v: int
     x: int = field(repr=False)          # ephemeral; never serialized
-    t_a_masked: MaskedValue
+    t_a_masked: int
     tally: Tally
     flags: list = field(default_factory=list)   # always empty; read like proposed's
     phase: str = PHASE_STARTED
@@ -129,8 +105,8 @@ class LkyServerState:
     params: GroupParams
     hash_spec: HashSpec
     y: int = field(repr=False)          # ephemeral; never serialized
-    t_a_masked: MaskedValue
-    t_b_masked: MaskedValue
+    t_a_masked: int
+    t_b_masked: int
     r_b: int
     d_a_expected: int
     d_b: int
@@ -139,7 +115,7 @@ class LkyServerState:
 
 
 def lky_client_start(creds: Credentials, params: GroupParams, hash_spec: HashSpec,
-                     x: int) -> tuple[Msg1, LkyClientState]:
+                     x: int) -> tuple[Msg1Frame, LkyClientState]:
     """Step 1: mask the ephemeral public value under the verifier.
 
     Raises RetryNonce when g^x equals v: the mask would be all zeros, which
@@ -155,11 +131,12 @@ def lky_client_start(creds: Credentials, params: GroupParams, hash_spec: HashSpe
     t_a_masked = xor_mask(t_a, v, params)
     state = LkyClientState(creds=creds, params=params, hash_spec=hash_spec, v=v,
                            x=x, t_a_masked=t_a_masked, tally=tally)
-    return Msg1(id_a=creds.id_a, t_a_masked=t_a_masked), state
+    return Msg1Frame(q=params.q, g=params.g, id_a=creds.id_a, t_a=t_a_masked), state
 
 
-def lky_server_respond(msg1: Msg1, record: VerifierRecord, params: GroupParams,
-                       hash_spec: HashSpec, y: int) -> tuple[Msg2, LkyServerState]:
+def lky_server_respond(msg1: Msg1Frame, record: VerifierRecord, params: GroupParams,
+                       hash_spec: HashSpec, y: int,
+                       ) -> tuple[LkyMsg2Frame, LkyServerState]:
     """Step 2: answer with the masked v^y and the server confirmation d_B.
 
     The server's expected client confirmation is fixed here, before any
@@ -172,22 +149,22 @@ def lky_server_respond(msg1: Msg1, record: VerifierRecord, params: GroupParams,
         raise ValueError(f"y must lie in [1, {params.order - 1}]")
     tally = Tally()
     v = record.v
-    t_a = xor_unmask(msg1.t_a_masked, v, params)
+    t_a = xor_unmask(msg1.t_a, v, params)
     v_y = mod_exp(v, y, params, tally)
     if v_y == v:
         raise RetryNonce("v^y equals v; resample y")
     t_b_masked = xor_mask(v_y, v, params)
     r_b = mod_exp(t_a, y, params, tally)
-    d_a_expected = hash_spec.of_ints(
-        [msg1.id_a, t_b_masked.as_int, r_b], tally)
-    d_b = hash_spec.of_ints([record.id_b, msg1.t_a_masked.as_int, r_b], tally)
+    d_a_expected = hash_spec.of_ints([msg1.id_a, t_b_masked, r_b], tally)
+    d_b = hash_spec.of_ints([record.id_b, msg1.t_a, r_b], tally)
     state = LkyServerState(record=record, params=params, hash_spec=hash_spec, y=y,
-                           t_a_masked=msg1.t_a_masked, t_b_masked=t_b_masked,
+                           t_a_masked=msg1.t_a, t_b_masked=t_b_masked,
                            r_b=r_b, d_a_expected=d_a_expected, d_b=d_b, tally=tally)
-    return Msg2(t_b_masked=t_b_masked, d_b=d_b), state
+    return LkyMsg2Frame(t_b_masked=t_b_masked, d_b=d_b), state
 
 
-def lky_client_finish(msg2: Msg2, state: LkyClientState) -> tuple[Msg3, SessionKey]:
+def lky_client_finish(msg2: LkyMsg2Frame, state: LkyClientState,
+                      ) -> tuple[Msg3Frame, SessionKey]:
     """Steps 3 and 5: authenticate the server, emit d_A, derive the key.
 
     r is recovered as (v^y)^(x * h^-1) mod q, with the inverse taken mod
@@ -203,18 +180,18 @@ def lky_client_finish(msg2: Msg2, state: LkyClientState) -> tuple[Msg3, SessionK
     exponent = exponent_reduce(state.x * mod_inverse(h_exp, params.order), params)
     r_a = mod_exp(t_b, exponent, params, state.tally)
     d_b_expected = hash_spec.of_ints(
-        [creds.id_b, state.t_a_masked.as_int, r_a], state.tally)
+        [creds.id_b, state.t_a_masked, r_a], state.tally)
     if msg2.d_b != d_b_expected:
         state.phase = PHASE_FAILED
         raise AuthFail("server confirmation d_B does not verify")
-    d_a = hash_spec.of_ints([creds.id_a, msg2.t_b_masked.as_int, r_a], state.tally)
+    d_a = hash_spec.of_ints([creds.id_a, msg2.t_b_masked, r_a], state.tally)
     key = SessionKey.from_value(
         hash_spec.of_ints([r_a], state.tally) % params.q, params)
     state.phase = PHASE_FINISHED
-    return Msg3(d_a=d_a), key
+    return Msg3Frame(d_a=d_a), key
 
 
-def lky_server_finish(msg3: Msg3, state: LkyServerState) -> SessionKey:
+def lky_server_finish(msg3: Msg3Frame, state: LkyServerState) -> SessionKey:
     """Step 4: accept iff d_A matches the precomputed expectation."""
     if state.phase != PHASE_RESPONDED:
         raise AuthFail(f"server state is {state.phase}, expected {PHASE_RESPONDED}")

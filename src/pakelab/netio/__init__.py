@@ -1,24 +1,1 @@
 """Wire framing, verifier persistence, and the TCP service layer."""
-
-from .frames import (  # noqa: F401
-    ERR_AUTH_FAIL,
-    ERR_MALFORMED,
-    ERR_PARAM_MISMATCH,
-    ERR_THROTTLED,
-    ERR_UNKNOWN_IDENTITY,
-    ERR_VERSION_MISMATCH,
-    MAX_FRAME,
-    ErrorFrame,
-    LkyMsg2Frame,
-    Msg1Frame,
-    Msg2Frame,
-    Msg3Frame,
-    Msg4Frame,
-    OkFrame,
-    RegisterFrame,
-    decode_frame,
-    encode_frame,
-    frame_label,
-    read_frame,
-)
-from .store import VerifierStore  # noqa: F401

@@ -132,19 +132,19 @@ _TYPE_OF = {
 _CLASS_OF = {t: c for c, t in _TYPE_OF.items()}
 
 _LABELS = {
-    TYPE_REGISTER: "register",
-    TYPE_MSG1: "msg1",
-    TYPE_MSG2: "msg2",
-    TYPE_MSG3: "msg3",
-    TYPE_MSG4: "msg4",
-    TYPE_OK: "ok",
-    TYPE_ERROR: "error",
-    TYPE_LKY_MSG2: "lky-msg2",
+    RegisterFrame: "register",
+    Msg1Frame: "msg1",
+    Msg2Frame: "msg2",
+    Msg3Frame: "msg3",
+    Msg4Frame: "msg4",
+    OkFrame: "ok",
+    ErrorFrame: "error",
+    LkyMsg2Frame: "lky-msg2",
 }
 
 
 def frame_label(frame: Frame) -> str:
-    return _LABELS[_TYPE_OF[type(frame)]]
+    return _LABELS[type(frame)]
 
 
 def _field(data: bytes) -> bytes:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import random
+import signal
 import socket
 import socketserver
 import threading
@@ -200,13 +201,16 @@ class Service:
             self._thread.join(timeout=5)
 
     def serve_blocking(self):
-        host, port = self.address
-        log.info("listening on %s:%d", host, port)
+        """Serve in this thread, the main one, until SIGINT or SIGTERM."""
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
+            host, port = self.address
+            log.info("listening on %s:%d", host, port)
             self._server.serve_forever(POLL_INTERVAL)
         except KeyboardInterrupt:
             pass
         finally:
+            signal.signal(signal.SIGTERM, previous)
             self._server.server_close()
 
     def __enter__(self) -> "Service":

@@ -3,12 +3,13 @@
 A four-message revision of the LKY baseline: the client's ephemeral value
 travels unmasked, the server proves itself with a squared-exponent token
 checked through a bilinear map, and both confirmations bind the shared
-secret g^(x*y) directly:
+secret g^(x*y) directly. Each step takes and returns the wire frame
+(pakelab.netio.frames) itself:
 
-  A -> B : id_A, T_A = g^x mod q
-  B -> A : T_B = v^y mod q
-  A -> B : d_A = h(r) mod q          with r = T_B^(x * h^-1) = g^(x*y)
-  B -> A : E_B = v^(y^2) mod q       after checking d_A = F_A
+  MSG1  A -> B : id_A, T_A = g^x mod q    Msg1Frame
+  MSG2  B -> A : T_B = v^y mod q          Msg2Frame
+  MSG3  A -> B : d_A = h(r) mod q         Msg3Frame, r = T_B^(x * h^-1) = g^(x*y)
+  MSG4  B -> A : E_B = v^(y^2) mod q      Msg4Frame, after checking d_A = F_A
 
 The server accepts via F_A = h(T_A^y mod q) mod q, which equals h(g^(x*y))
 for any hash function. The client authenticates the server by checking
@@ -47,6 +48,7 @@ from .core import (
     toy_pairing,
 )
 from .errors import AuthFail, NotInGroup, UnknownIdentity
+from .netio.frames import Msg1Frame, Msg2Frame, Msg3Frame, Msg4Frame
 
 PHASE_STARTED = "started"
 PHASE_CONFIRMED = "confirmed"
@@ -56,27 +58,6 @@ PHASE_FAILED = "failed"
 
 FLAG_DEGENERATE_TB = "degenerate T_B"
 FLAG_UNAUTHENTICATED = "server unauthenticated"
-
-
-@dataclass(frozen=True)
-class Msg1:
-    id_a: int
-    t_a: int
-
-
-@dataclass(frozen=True)
-class Msg2:
-    t_b: int
-
-
-@dataclass(frozen=True)
-class Msg3:
-    d_a: int
-
-
-@dataclass(frozen=True)
-class Msg4:
-    e_b: int
 
 
 @dataclass
@@ -110,7 +91,7 @@ class PropServerState:
 
 
 def prop_client_start(creds: Credentials, params: GroupParams, hash_spec: HashSpec,
-                      x: int) -> tuple[Msg1, PropClientState]:
+                      x: int) -> tuple[Msg1Frame, PropClientState]:
     """Step 1: send T_A = g^x unmasked; cache the invertible password exponent.
 
     The client never needs the verifier v = g^h itself, only h, so it does
@@ -124,11 +105,12 @@ def prop_client_start(creds: Credentials, params: GroupParams, hash_spec: HashSp
     t_a = mod_exp(params.g, x, params, tally)
     state = PropClientState(creds=creds, params=params, hash_spec=hash_spec,
                             h_exp=h_exp, x=x, t_a=t_a, tally=tally)
-    return Msg1(id_a=creds.id_a, t_a=t_a), state
+    return Msg1Frame(q=params.q, g=params.g, id_a=creds.id_a, t_a=t_a), state
 
 
-def prop_server_respond(msg1: Msg1, record: VerifierRecord, params: GroupParams,
-                        hash_spec: HashSpec, y: int) -> tuple[Msg2, PropServerState]:
+def prop_server_respond(msg1: Msg1Frame, record: VerifierRecord,
+                        params: GroupParams, hash_spec: HashSpec, y: int,
+                        ) -> tuple[Msg2Frame, PropServerState]:
     """Step 2: answer with T_B = v^y.
 
     y is capped at q-2 so that T_B = 1 cannot arise honestly (v is always a
@@ -144,10 +126,10 @@ def prop_server_respond(msg1: Msg1, record: VerifierRecord, params: GroupParams,
     t_b = mod_exp(record.v, y, params, tally)
     state = PropServerState(record=record, params=params, hash_spec=hash_spec,
                             y=y, t_a=msg1.t_a, t_b=t_b, tally=tally)
-    return Msg2(t_b=t_b), state
+    return Msg2Frame(t_b=t_b), state
 
 
-def prop_client_confirm(msg2: Msg2, state: PropClientState) -> Msg3:
+def prop_client_confirm(msg2: Msg2Frame, state: PropClientState) -> Msg3Frame:
     """Step 3: recover r = T_B^(x * h^-1) = g^(x*y) and confirm with d_A = h(r) mod q.
 
     A received T_B of 1 collapses r to 1 for every x; the run proceeds but
@@ -166,10 +148,11 @@ def prop_client_confirm(msg2: Msg2, state: PropClientState) -> Msg3:
     state.r = mod_exp(msg2.t_b, exponent, params, state.tally)
     d_a = state.hash_spec.of_ints([state.r], state.tally) % params.q
     state.phase = PHASE_CONFIRMED
-    return Msg3(d_a=d_a)
+    return Msg3Frame(d_a=d_a)
 
 
-def prop_server_finish(msg3: Msg3, state: PropServerState) -> tuple[Msg4, SessionKey]:
+def prop_server_finish(msg3: Msg3Frame, state: PropServerState,
+                       ) -> tuple[Msg4Frame, SessionKey]:
     """Step 4: check d_A against F_A = h(T_A^y mod q) mod q, then release E_B.
 
     F_A equals the honest client's h(g^(x*y)) mod q for every hash mode.
@@ -191,10 +174,10 @@ def prop_server_finish(msg3: Msg3, state: PropServerState) -> tuple[Msg4, Sessio
         [state.record.id_a, state.record.id_b, shared], state.tally) % params.q
     state.key = SessionKey.from_value(key_value, params)
     state.phase = PHASE_FINISHED
-    return Msg4(e_b=state.e_b), state.key
+    return Msg4Frame(e_b=state.e_b), state.key
 
 
-def prop_client_finish(msg4: Msg4, state: PropClientState,
+def prop_client_finish(msg4: Msg4Frame, state: PropClientState,
                        pairing: Optional[DlogTable] = None,
                        skip_server_auth: bool = False) -> SessionKey:
     """Step 5: authenticate the server via e(E_B, T_A) = e(T_B, r), derive the key.

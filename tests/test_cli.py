@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import re
+import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -372,6 +374,28 @@ def test_serve_and_connect_via_cli(served_store, capsys):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+
+def test_serve_stops_on_sigterm_like_on_sigint(served_store):
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "pakelab.cli", "serve",
+         "--listen", "127.0.0.1:0", "--store", str(served_store),
+         "--hash", "toysum"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    try:
+        banner = proc.stdout.readline()
+        port = int(re.search(r"on 127\.0\.0\.1:(\d+)", banner).group(1))
+        # logged once the handler is in place, just before serving
+        assert "listening on" in proc.stdout.readline()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+        assert "Traceback" not in proc.stdout.read()
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=2).close()
 
 
 def test_connect_refused_port_exits_3():

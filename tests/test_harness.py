@@ -171,6 +171,50 @@ def test_golden_replay_exposes_intermediates():
                                   "r": 1, "d_b": 28, "d_a": 24, "key": 1}
 
 
+# every frame of a pinned session, as (direction, label, hex)
+WIRE_PINS = {
+    (SCHEME_PROPOSED, "toy"): [
+        ("A->B", "msg1", "504b010200010d000106000109000108"),
+        ("B->A", "msg2", "504b0103000109"),
+        ("A->B", "msg3", "504b0104000101"),
+        ("B->A", "msg4", "504b0105000109"),
+    ],
+    (SCHEME_LKY, "toy"): [
+        ("A->B", "msg1", "504b010200010d00010600010900010f"),
+        ("B->A", "lky-msg2", "504b010800010e00011c"),
+        ("A->B", "msg3", "504b0104000118"),
+    ],
+    (SCHEME_PROPOSED, "desk16"): [
+        ("A->B", "msg1", "504b01020002f2a7000107000203e90002ec3e"),
+        ("B->A", "msg2", "504b0103000286a9"),
+        ("A->B", "msg3", "504b01040002d5d2"),
+        ("B->A", "msg4", "504b010500028a00"),
+    ],
+    (SCHEME_LKY, "desk16"): [
+        ("A->B", "msg1", "504b01020002f2a7000107000203e90002d937"),
+        ("B->A", "lky-msg2", "504b01080002b3a0002019ba43988295347bc2a487523990"
+                             "7725f70be7706c99c1897a05c97e34732b2e"),
+        ("A->B", "msg3", "504b01040020764eb701f9a0fd89d79c6c52c081b7ca3e0e32c6"
+                         "85c49c68629cdec7c6be4fcb"),
+    ],
+}
+
+
+@pytest.mark.parametrize("scheme, group", sorted(WIRE_PINS))
+def test_session_frames_are_pinned_to_the_byte(scheme, group):
+    if group == "toy":
+        scenario = Scenario(scheme=scheme, x=3, y=4)
+    else:
+        scenario = Scenario(scheme=scheme, params=generate_params(16, seed=7),
+                            creds=Credentials(id_a=1001, id_b=2002,
+                                              password=31337),
+                            hash_spec=HashSpec(DIGEST256), x=1234, y=4321)
+    report = run_honest_session(scenario)
+    assert report.error is None and report.key_a == report.key_b
+    assert [(e.direction, e.label, e.hex)
+            for e in report.transcript] == WIRE_PINS[scheme, group]
+
+
 # -- efficiency table ----------------------------------------------------------------
 
 

@@ -16,15 +16,13 @@ from pakelab.core import (
 )
 from pakelab.errors import (
     AuthFail,
+    MalformedFrame,
     OutOfRange,
     RetryNonce,
     UnknownIdentity,
     UnmaskOutOfRange,
 )
 from pakelab.lky import (
-    MaskedValue,
-    Msg2,
-    Msg3,
     lky_client_finish,
     lky_client_start,
     lky_server_finish,
@@ -32,6 +30,7 @@ from pakelab.lky import (
     xor_mask,
     xor_unmask,
 )
+from pakelab.netio.frames import LkyMsg2Frame, Msg3Frame
 
 TOYSUM_SPEC = HashSpec(TOYSUM)
 MID_PARAMS = GroupParams(q=29, g=2)
@@ -60,8 +59,8 @@ def test_toy_handshake_values():
     msg1, msg2, msg3, key_a, key_b, client, server = run_handshake(
         TOY_PARAMS, TOY_CREDS, TOYSUM_SPEC, x=3, y=4)
     assert client.v == 7
-    assert msg1.t_a_masked.as_int == 15
-    assert msg2.t_b_masked.as_int == 14
+    assert msg1.t_a == 15
+    assert msg2.t_b_masked == 14
     assert server.r_b == 1
     assert msg2.d_b == 28
     assert msg3.d_a == 24
@@ -75,7 +74,7 @@ def test_toy_handshake_values():
        st.integers(min_value=1, max_value=28))
 def test_mask_round_trip(value, v):
     masked = xor_mask(value, v, MID_PARAMS)
-    assert len(masked) == MID_PARAMS.q_byte_len
+    assert masked < 256 ** MID_PARAMS.q_byte_len
     if value == v:
         # the zero mask is rejected on receipt by design
         with pytest.raises(UnmaskOutOfRange):
@@ -85,19 +84,20 @@ def test_mask_round_trip(value, v):
 
 
 def test_unmask_rejects_wrong_width():
-    with pytest.raises(UnmaskOutOfRange):
-        xor_unmask(MaskedValue(b"\x00\x01"), 7, TOY_PARAMS)
+    # wider than the group's q_byte_len bytes: a malformed frame
+    with pytest.raises(MalformedFrame, match="exceeds the group width"):
+        xor_unmask(256, 7, TOY_PARAMS)
 
 
 def test_unmask_rejects_all_zero():
     with pytest.raises(UnmaskOutOfRange):
-        xor_unmask(MaskedValue(b"\x00"), 7, TOY_PARAMS)
+        xor_unmask(0, 7, TOY_PARAMS)
 
 
 def test_unmask_rejects_values_outside_the_group():
     # 10 xor 7 = 13 = q, one past the last element
     with pytest.raises(UnmaskOutOfRange):
-        xor_unmask(MaskedValue(bytes([10])), 7, TOY_PARAMS)
+        xor_unmask(10, 7, TOY_PARAMS)
 
 
 def test_mask_rejects_non_elements():
@@ -145,8 +145,8 @@ def test_tampered_server_confirmation_is_rejected():
     msg1, client = lky_client_start(TOY_CREDS, TOY_PARAMS, TOYSUM_SPEC, x=3)
     msg2, _ = lky_server_respond(msg1, toy_record(), TOY_PARAMS, TOYSUM_SPEC, y=4)
     with pytest.raises(AuthFail):
-        lky_client_finish(Msg2(t_b_masked=msg2.t_b_masked, d_b=msg2.d_b + 1),
-                          client)
+        lky_client_finish(
+            LkyMsg2Frame(t_b_masked=msg2.t_b_masked, d_b=msg2.d_b + 1), client)
     assert client.phase == "failed"
 
 
@@ -156,7 +156,7 @@ def test_tampered_client_confirmation_is_rejected():
                                       TOYSUM_SPEC, y=4)
     msg3, _ = lky_client_finish(msg2, client)
     with pytest.raises(AuthFail):
-        lky_server_finish(Msg3(d_a=msg3.d_a + 1), server)
+        lky_server_finish(Msg3Frame(d_a=msg3.d_a + 1), server)
     assert server.phase == "failed"
 
 
@@ -216,6 +216,6 @@ def test_two_byte_group_handshake():
     creds = Credentials(id_a=1001, id_b=2002, password=31337)
     msg1, msg2, _, key_a, key_b, _, _ = run_handshake(
         params, creds, HashSpec(DIGEST256), x=100, y=200)
-    assert len(msg1.t_a_masked) == 2
-    assert len(msg2.t_b_masked) == 2
+    assert params.q_byte_len == 2
+    assert msg1.t_a < 256 ** 2 and msg2.t_b_masked < 256 ** 2
     assert key_a == key_b

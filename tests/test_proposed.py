@@ -1,5 +1,7 @@
 """Revised scheme: unmasked exchange, pairing-based server auth, 4th message."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,10 +22,6 @@ from pakelab.errors import AuthFail, GroupTooLarge, NotInGroup, UnknownIdentity
 from pakelab.proposed import (
     FLAG_DEGENERATE_TB,
     FLAG_UNAUTHENTICATED,
-    Msg1,
-    Msg2,
-    Msg3,
-    Msg4,
     prop_client_confirm,
     prop_client_finish,
     prop_client_start,
@@ -31,6 +29,7 @@ from pakelab.proposed import (
     prop_server_respond,
     uncorrected_server_auth_check,
 )
+from pakelab.netio.frames import Msg2Frame, Msg3Frame, Msg4Frame
 
 TOYSUM_SPEC = HashSpec(TOYSUM)
 MID_PARAMS = GroupParams(q=29, g=2)
@@ -98,7 +97,7 @@ def test_tampered_e_b_is_rejected_by_the_pairing_check():
     msg3 = prop_client_confirm(msg2, client)
     prop_server_finish(msg3, server)
     with pytest.raises(AuthFail) as exc:
-        prop_client_finish(Msg4(e_b=8), client)
+        prop_client_finish(Msg4Frame(e_b=8), client)
     assert "e(E_B, T_A)" in str(exc.value)
     assert client.phase == "failed"
 
@@ -153,15 +152,15 @@ def test_group_membership_is_enforced_at_every_hop():
     msg1, client = prop_client_start(TOY_CREDS, TOY_PARAMS, TOYSUM_SPEC, x=3)
     for bad in (0, 13):
         with pytest.raises(NotInGroup):
-            prop_server_respond(Msg1(id_a=msg1.id_a, t_a=bad), record,
+            prop_server_respond(replace(msg1, t_a=bad), record,
                                 TOY_PARAMS, TOYSUM_SPEC, y=4)
     with pytest.raises(NotInGroup):
-        prop_client_confirm(Msg2(t_b=13), client)
+        prop_client_confirm(Msg2Frame(t_b=13), client)
     msg2, server = prop_server_respond(msg1, record, TOY_PARAMS, TOYSUM_SPEC, y=4)
     msg3 = prop_client_confirm(msg2, client)
     prop_server_finish(msg3, server)
     with pytest.raises(NotInGroup):
-        prop_client_finish(Msg4(e_b=0), client)
+        prop_client_finish(Msg4Frame(e_b=0), client)
 
 
 def test_nonce_range_is_enforced():
@@ -176,7 +175,7 @@ def test_nonce_range_is_enforced():
 
 def test_degenerate_t_b_is_flagged_but_not_fatal():
     _, client = prop_client_start(TOY_CREDS, TOY_PARAMS, TOYSUM_SPEC, x=3)
-    msg3 = prop_client_confirm(Msg2(t_b=1), client)
+    msg3 = prop_client_confirm(Msg2Frame(t_b=1), client)
     assert FLAG_DEGENERATE_TB in client.flags
     assert client.r == 1
     assert msg3.d_a == 1 % 13
@@ -188,7 +187,7 @@ def test_wrong_client_confirmation_is_rejected():
     msg2, server = prop_server_respond(msg1, record, TOY_PARAMS, TOYSUM_SPEC, y=4)
     msg3 = prop_client_confirm(msg2, client)
     with pytest.raises(AuthFail):
-        prop_server_finish(Msg3(d_a=msg3.d_a + 1), server)
+        prop_server_finish(Msg3Frame(d_a=msg3.d_a + 1), server)
     # the expected value was fixed before the comparison
     assert server.f_a == 1
     assert server.phase == "failed"

@@ -349,6 +349,15 @@ def test_wrong_opening_frame_type(tmp_path):
     assert "expected MSG1 or REGISTER" in reply.detail
 
 
+def test_lky_msg1_wider_than_the_group_is_malformed(tmp_path):
+    too_wide = 256 ** TOY_PARAMS.q_byte_len
+    msg1 = Msg1Frame(q=13, g=6, id_a=9, t_a=too_wide)
+    with Service(toy_config(tmp_path, insecure_lky=True)) as service:
+        reply = raw_exchange(service.address, encode_frame(msg1))
+    assert reply == ErrorFrame(code=ERR_MALFORMED,
+                               detail="masked value exceeds the group width")
+
+
 def test_lky_refused_when_pinned_server_nonce_degenerates(tmp_path):
     with Service(toy_config(tmp_path, insecure_lky=True,
                           y_override=1)) as service:
