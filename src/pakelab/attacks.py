@@ -42,6 +42,7 @@ from .core import (
     hash_to_exponent,
     mod_exp,
     mod_inverse,
+    toy_pairing,
 )
 from .drivers import lky_server, proposed_server, run_in_memory, run_pair
 from .errors import GroupTooLarge, ScenarioError
@@ -195,11 +196,10 @@ def stolen_verifier_attack_proposed(v: int, ids: Tuple[int, int],
                      + ("match" if run.key_a == run.key_b else "differ"))
         if params.q <= DESK_SCALE_BOUND:
             server, r_attacker = run.server, run.client
-            table = DlogTable.for_params(params)
-            left = (table.dlog(server.e_b) * table.dlog(server.t_a)) % params.order
-            right = (table.dlog(server.t_b) * table.dlog(r_attacker)) % params.order
+            passes = (toy_pairing(server.e_b, server.t_a, params)
+                      == toy_pairing(server.t_b, r_attacker, params))
             notes.append("attacker-side server-auth check "
-                         + ("passes" if left == right else "fails"))
+                         + ("passes" if passes else "fails"))
     return AttackReport(scheme=SCHEME_PROPOSED,
                         attack=ATTACK_STOLEN_VERIFIER_PROPOSED,
                         succeeded=run.error is None, attacker_key=run.key_a,

@@ -31,6 +31,7 @@ import logging
 import os
 import random
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional
 
@@ -71,6 +72,7 @@ from .errors import (
     RetryNonce,
     ScenarioError,
     SearchExhausted,
+    StoreLocked,
     StoreParseError,
     UnknownIdentity,
     ValidationError,
@@ -87,13 +89,15 @@ from .harness import (
 )
 from .netio.frames import ERR_AUTH_FAIL, ERR_THROTTLED, ERR_UNKNOWN_IDENTITY
 from .netio.service import (
+    DEFAULT_MAX_FAIL,
     ClientOptions,
     ServeConfig,
     Service,
     client_connect,
     parse_address,
 )
-from .netio.store import VerifierStore
+from .netio.store import VerifierStore, lock_store
+from .proposed import FLAG_UNAUTHENTICATED
 
 log = logging.getLogger("pakelab.cli")
 
@@ -202,17 +206,18 @@ def cmd_register(args) -> int:
     v = derive_verifier(creds, params, _hash_spec(args))
     record = VerifierRecord(id_a=creds.id_a, id_b=creds.id_b, v=v)
     path = Path(args.store)
-    if path.exists():
-        store = VerifierStore.load(path, params, args.hash)
-    else:
-        store = VerifierStore(params, args.hash)
-    store.add(record, replace=args.replace)     # refuses a duplicate before any write
-    if store.version == 2:
-        # one appended row, as REGISTER writes it: a running `serve --enroll`
-        # may append to this file too, and a rewrite would drop its rows
-        store.append(path, record)
-    else:
-        store.save(path)
+    exists = path.exists()
+    # a store that a running `serve --enroll` holds is refused: a pair the
+    # server enrolls after this load would be overridden, and it would
+    # never see this row until a restart
+    with lock_store(path, exclusive=True) if exists else nullcontext():
+        store = (VerifierStore.load(path, params, args.hash) if exists
+                 else VerifierStore(params, args.hash))
+        store.add(record, replace=args.replace)     # refuses a duplicate before any write
+        if store.version == 2:
+            store.append(path, record)          # one row, as REGISTER writes it
+        else:
+            store.save(path)
     print(f"registered id_a={creds.id_a} id_b={creds.id_b} v={v:#x} "
           f"in {path} (q={params.q}, g={params.g})")
     _maybe_log(args, {"kind": "register", "id_a": str(creds.id_a),
@@ -274,6 +279,8 @@ def cmd_simulate(args) -> int:
                         seed=args.seed)
     report = run_honest_session(scenario)
     _maybe_log(args, report.to_json_obj())
+    # above the desk-scale bound the client skips the pairing check and flags it
+    skipped = report.key_a is not None and FLAG_UNAUTHENTICATED in report.flags
     if args.json:
         print(report.to_json_line())
     else:
@@ -282,16 +289,18 @@ def cmd_simulate(args) -> int:
         for entry in report.transcript:
             print(f"  {entry.direction}  {entry.label:<8} {entry.hex}")
         key = report.key_a.value if report.key_a else None
+        server_auth = ("ok" if report.auth_a_ok
+                       else "not checked (q above 2^20)" if skipped else "FAILED")
         print(f"auth: client->server "
               f"{'ok' if report.auth_b_ok else 'FAILED'}, server->client "
-              f"{'ok' if report.auth_a_ok else 'FAILED'}")
+              f"{server_auth}")
         print(f"key: {key if key is not None else '(none)'}")
         print(f"counters: {report.counters.as_dict()}")
         if report.flags:
             print(f"flags: {', '.join(report.flags)}")
         if report.error:
             print(f"error: {report.error}")
-    return 0 if (report.auth_a_ok and report.auth_b_ok) else 1
+    return 0 if report.auth_b_ok and (report.auth_a_ok or skipped) else 1
 
 
 def _simulate_golden(args) -> int:
@@ -308,17 +317,9 @@ def _simulate_golden(args) -> int:
     return 0 if all_ok else 2
 
 
-def cmd_attack(args) -> int:
-    handler = {
-        ATTACK_STOLEN_VERIFIER_LKY: _attack_stolen,
-        ATTACK_STOLEN_VERIFIER_PROPOSED: _attack_stolen,
-        ATTACK_MITM: _attack_mitm,
-        "census": _attack_census,
-    }[args.attack_name]
-    return handler(args)
-
-
 def _attack_stolen(args) -> int:
+    if args.trials < 1:
+        raise ScenarioError("trials must be >= 1")
     params = _params(args)
     creds = _credentials(args)
     hash_spec = _hash_spec(args)
@@ -434,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_serve)
     p_serve.add_argument("--listen", required=True, metavar="HOST:PORT")
     p_serve.add_argument("--store", required=True, metavar="FILE")
-    p_serve.add_argument("--max-fail", type=int, default=5,
+    p_serve.add_argument("--max-fail", type=int, default=DEFAULT_MAX_FAIL,
                          help="consecutive failures before throttling "
                               "(default: %(default)s)")
     p_serve.add_argument("--insecure-lky", action="store_true",
@@ -478,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                     password_help="victim password used only to enroll the verifier")
         p.add_argument("--trials", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(func=cmd_attack)
+        p.set_defaults(func=_attack_stolen)
     p_mitm = att_sub.add_parser(ATTACK_MITM, help="in-flight field substitution")
     _add_common(p_mitm, default_hash=TOYSUM, creds="toy")
     p_mitm.add_argument("--scheme", choices=[SCHEME_PROPOSED, SCHEME_LKY],
@@ -488,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mitm.add_argument("--value", type=int, required=True)
     p_mitm.add_argument("--x", type=int, default=3)
     p_mitm.add_argument("--y", type=int, default=4)
-    p_mitm.set_defaults(func=cmd_attack)
+    p_mitm.set_defaults(func=_attack_mitm)
     p_cen = att_sub.add_parser("census", help="offline dictionary consistency")
     _add_common(p_cen, default_hash=TOYSUM, creds="toy")
     p_cen.add_argument("--dictionary", "--dict", required=True,
@@ -498,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--x", type=int)
     p_cen.add_argument("--y", type=int)
     p_cen.add_argument("--seed", type=int)
-    p_cen.set_defaults(func=cmd_attack)
+    p_cen.set_defaults(func=_attack_census)
 
     p_bench = sub.add_parser("bench", help="cost table over seeded honest runs")
     _add_common(p_bench, log=False)
@@ -526,7 +527,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, ScenarioError, SearchExhausted, DuplicateEntry,
-            FileNotFoundError) as exc:
+            StoreLocked, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except PakeError as exc:

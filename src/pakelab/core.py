@@ -57,7 +57,6 @@ from .errors import (
     NotPrime,
     OutOfRange,
     SearchExhausted,
-    UnknownAlgorithm,
 )
 
 # q at or below this admits the exhaustive dlog table (and thus the toy pairing).
@@ -150,13 +149,12 @@ class HashSpec:
     """Selects how the protocol hash h is computed.
 
     TOYSUM sums its integer arguments without reduction; its runs stay
-    checkable on paper, and every golden vector uses it. DIGEST256 runs a
-    real 256-bit digest over a length-prefixed encoding of the arguments
-    for realistic runs.
+    checkable on paper, and every golden vector uses it. DIGEST256 runs
+    SHA-256 over a length-prefixed encoding of the arguments for realistic
+    runs.
     """
 
     mode: str = TOYSUM
-    algorithm: str = "sha256"
 
     def __post_init__(self):
         if self.mode not in (TOYSUM, DIGEST256):
@@ -168,7 +166,7 @@ class HashSpec:
             tally.hash_evals += 1
         if self.mode == TOYSUM:
             return toy_sum_hash(values)
-        return digest_hash([int_to_bytes(value) for value in values], self.algorithm)
+        return digest_hash([int_to_bytes(value) for value in values])
 
 
 def int_to_bytes(value: int) -> bytes:
@@ -361,18 +359,13 @@ def toy_sum_hash(inputs: Sequence[int]) -> int:
     return total
 
 
-def digest_hash(inputs: Sequence[bytes], algorithm: str = "sha256") -> int:
-    """256-bit digest over a length-prefixed field encoding, as an integer.
+def digest_hash(inputs: Sequence[bytes]) -> int:
+    """SHA-256 over a length-prefixed field encoding, as an integer.
 
     Each field is prefixed with its 2-byte big-endian length, so ("a","b")
     and ("ab","") hash differently. Result is the digest read big-endian.
     """
-    try:
-        digest = hashlib.new(algorithm)
-    except (ValueError, TypeError):
-        raise UnknownAlgorithm(f"unsupported digest {algorithm!r}")
-    if digest.digest_size != 32:
-        raise UnknownAlgorithm(f"{algorithm!r} is not a 256-bit digest")
+    digest = hashlib.sha256()
     for chunk in inputs:
         if len(chunk) > 0xFFFF:
             raise ValueError("hash input field exceeds 65535 bytes")

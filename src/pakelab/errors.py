@@ -24,10 +24,6 @@ class DegenerateGroup(PakeError):
     """Group too small to admit an invertible nonzero exponent."""
 
 
-class UnknownAlgorithm(PakeError):
-    """Digest algorithm identifier not supported by this build."""
-
-
 class SearchExhausted(PakeError):
     """Seeded parameter search ran out of budget before finding a prime."""
 
@@ -95,6 +91,10 @@ class StoreParseError(PakeError):
 
 class DuplicateEntry(PakeError):
     """Verifier store already holds an entry for this identity pair."""
+
+
+class StoreLocked(PakeError):
+    """Verifier store is held by a running `serve --enroll`."""
 
 
 class RemoteError(PakeError):

@@ -15,7 +15,9 @@ Two deliberately guarded modes:
     verifier in the clear. Faithful to the registration step under study,
     dangerous in any real deployment, so it is off by default and logs a
     warning per registration. Each one appends a row to the store file;
-    the file is compacted to v2 at start if it is not already (see store).
+    the file is compacted to v2 at start if it is not already (see store),
+    and then held under a shared lock until the service closes, so an
+    offline `pakelab register` refuses it.
   * insecure_lky (config.insecure_lky): serves the broken baseline scheme
     instead of the revised one, for attack demonstrations.
 
@@ -83,7 +85,7 @@ from .frames import (
     frame_label,
     read_frame,
 )
-from .store import VerifierStore
+from .store import VerifierStore, lock_store
 
 log = logging.getLogger("pakelab.netio")
 
@@ -175,12 +177,18 @@ class Service:
         if config.enroll and self.store.version != 2:
             # REGISTER appends rows, so the file must be v2 and name this group
             self.store.save(path)
+        # taken after the compaction, which renames a new file over the old
+        self._store_lock = lock_store(path) if config.enroll else None
         self._lock = threading.Lock()
         # log appends get their own lock: a session's line is written before
         # its final frame, so it must not wait behind a store write
         self._log_lock = threading.Lock()
         self._rng = random.Random(config.rng_seed)
-        self._server = _Server(config.listen, _Handler)
+        try:
+            self._server = _Server(config.listen, _Handler)
+        except BaseException:
+            self._release_store()
+            raise
         self._server.service = self
         self._thread: Optional[threading.Thread] = None
 
@@ -197,8 +205,14 @@ class Service:
     def stop(self):
         self._server.shutdown()
         self._server.server_close()
+        self._release_store()
         if self._thread is not None:
             self._thread.join(timeout=5)
+
+    def _release_store(self):
+        if self._store_lock is not None:
+            self._store_lock.close()
+            self._store_lock = None
 
     def serve_blocking(self):
         """Serve in this thread, the main one, until SIGINT or SIGTERM."""
@@ -212,6 +226,7 @@ class Service:
         finally:
             signal.signal(signal.SIGTERM, previous)
             self._server.server_close()
+            self._release_store()
 
     def __enter__(self) -> "Service":
         self.start()

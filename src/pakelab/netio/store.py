@@ -27,6 +27,12 @@ missing file at start, and `register` compacts a v1 file or creates a
 missing one. Once a file is v2, enrollments only append, so rows that a
 running server appends are never lost to a rewrite.
 
+lock_store() guards a file between processes with flock: `serve --enroll`
+holds a shared lock from after its start-up compaction until it closes,
+and `register` takes an exclusive one without waiting, so it refuses a
+store that a live enrolling server holds rather than override a pair
+the server enrolled after register loaded the file.
+
 Records are keyed by the (id_a, id_b) pair, so one client identity may
 hold verifiers with several servers; in memory they are indexed by id_a,
 which is all MSG1 names.
@@ -39,13 +45,14 @@ are rate-limit state, not credential state.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import re
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core import GroupParams, VerifierRecord
-from ..errors import DuplicateEntry, StoreParseError, UnknownIdentity
+from ..errors import DuplicateEntry, StoreLocked, StoreParseError, UnknownIdentity
 
 HEADER = "# pake-verifiers v1"
 _V2_HEADER = re.compile(r"# pake-verifiers v2 q=(\d+) g=(\d+) hash=(\S+)")
@@ -61,6 +68,26 @@ def _describe(params: GroupParams, hash_mode: str) -> str:
 
 def _row(id_a: int, id_b: int, v: int) -> str:
     return f"{id_a}\t{id_b}\t{v:x}\n"
+
+
+def lock_store(path: Union[str, Path], exclusive: bool = False) -> BinaryIO:
+    """Open path and hold a flock on it until the returned file is closed.
+
+    Shared waits for the lock; exclusive does not, and raises StoreLocked
+    when another process holds the file.
+    """
+    handle = open(path, "rb")
+    try:
+        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB if exclusive
+                    else fcntl.LOCK_SH)
+    except BlockingIOError:
+        handle.close()
+        raise StoreLocked(f"{path} is held by a running `serve --enroll`; "
+                          "enroll through it, or stop it first") from None
+    except BaseException:
+        handle.close()
+        raise
+    return handle
 
 
 class VerifierStore:

@@ -20,9 +20,10 @@ an identity for honest runs (both sides carry h*x*y^2 in the exponent).
 The check as it is sometimes stated, e(E_B, g) = e(T_B, r), is NOT an
 identity -- on the workbench's toy run it evaluates to 4 vs 0 -- so this
 module implements the minimal correction (g replaced by T_A) and keeps the
-uncorrected form available for the analysis harness. The map e exists here
-only as the desk-scale dlog-product oracle; large groups must either skip
-server authentication explicitly or fail with GroupTooLarge.
+uncorrected form available for the analysis harness. Every evaluation of e
+goes through core.toy_pairing, the desk-scale dlog-product oracle; large
+groups must either skip server authentication explicitly or fail with
+GroupTooLarge.
 
 Both parties finish with session key h(id_A, id_B, g^(x*y)) mod q. Group
 elements are reduced mod q before hashing, so transcripts are canonical.
@@ -35,7 +36,6 @@ from typing import Optional
 
 from .core import (
     Credentials,
-    DlogTable,
     GroupParams,
     HashSpec,
     SessionKey,
@@ -178,14 +178,13 @@ def prop_server_finish(msg3: Msg3Frame, state: PropServerState,
 
 
 def prop_client_finish(msg4: Msg4Frame, state: PropClientState,
-                       pairing: Optional[DlogTable] = None,
                        skip_server_auth: bool = False) -> SessionKey:
     """Step 5: authenticate the server via e(E_B, T_A) = e(T_B, r), derive the key.
 
-    The pairing runs on the desk-scale dlog oracle; pass a prebuilt table to
-    amortize construction, or set skip_server_auth for large groups (the
-    skip is recorded as a state flag). Raises GroupTooLarge when the oracle
-    is unavailable and the check was not explicitly disabled.
+    Both sides of the check are toy_pairing calls, so it runs only on a
+    desk-scale group; set skip_server_auth for large groups (the skip is
+    recorded as a state flag). Raises GroupTooLarge when the map is
+    unavailable and the check was not explicitly disabled.
     """
     if state.phase != PHASE_CONFIRMED:
         raise AuthFail(f"client state is {state.phase}, expected {PHASE_CONFIRMED}")
@@ -195,9 +194,8 @@ def prop_client_finish(msg4: Msg4Frame, state: PropClientState,
     if skip_server_auth:
         state.flags.append(FLAG_UNAUTHENTICATED)
     else:
-        table = pairing if pairing is not None else DlogTable.for_params(params)
-        left = (table.dlog(msg4.e_b) * table.dlog(state.t_a)) % params.order
-        right = (table.dlog(state.t_b) * table.dlog(state.r)) % params.order
+        left = toy_pairing(msg4.e_b, state.t_a, params)
+        right = toy_pairing(state.t_b, state.r, params)
         if left != right:
             state.phase = PHASE_FAILED
             raise AuthFail(

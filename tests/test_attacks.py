@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pakelab import attacks as attacks_module, proposed as proposed_module
 from pakelab.attacks import (
     ATTACK_MITM,
     PROPOSED_RESISTANCE_CLAIM,
@@ -15,6 +16,7 @@ from pakelab.attacks import (
 )
 from pakelab.core import (
     Credentials,
+    DlogTable,
     GroupParams,
     HashSpec,
     SCHEME_LKY,
@@ -28,7 +30,9 @@ from pakelab.core import (
     generate_params,
     hash_to_exponent,
     mod_inverse,
+    toy_pairing,
 )
+from pakelab.drivers import run_pair
 from pakelab.errors import GroupTooLarge, RetryNonce, ScenarioError
 from pakelab.harness import Scenario, run_honest_session
 from pakelab.transcript import Transcript
@@ -98,6 +102,31 @@ def test_stolen_verifier_beats_the_revision_on_pinned_nonces():
     assert PROPOSED_RESISTANCE_CLAIM in report.notes
     assert "measured:" in report.notes
     assert "attacker-side server-auth check passes" in report.notes
+
+
+def test_every_pairing_goes_through_toy_pairing(monkeypatch):
+    pairings, dlogs = [], []
+    real_dlog = DlogTable.dlog
+
+    def counted_pairing(x, y, params):
+        pairings.append((x, y))
+        return toy_pairing(x, y, params)
+
+    for module in (proposed_module, attacks_module):
+        monkeypatch.setattr(module, "toy_pairing", counted_pairing,
+                            raising=False)
+    monkeypatch.setattr(DlogTable, "dlog",
+                        lambda table, element: dlogs.append(element)
+                        or real_dlog(table, element))
+    run = run_pair(SCHEME_PROPOSED, TOY_CREDS, TOY_PARAMS, TOYSUM_SPEC, 3, 4)
+    assert run.error is None and run.client.flags == []
+    assert (len(pairings), len(dlogs)) == (2, 4)
+    pairings.clear()
+    report = stolen_verifier_attack_proposed(TOY_V, IDS, TOY_PARAMS,
+                                             TOYSUM_SPEC, x_attacker=5,
+                                             y_server=4)
+    assert report.succeeded
+    assert len(pairings) == 2
 
 
 def test_stolen_verifier_beats_the_revision_everywhere():

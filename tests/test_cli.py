@@ -12,10 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from pakelab import cli as cli_module
+from pakelab import cli as cli_module, proposed as proposed_module
 from pakelab.cli import load_params_file, main
-from pakelab.core import TOY_PARAMS, generate_params, validate_params
+from pakelab.core import (
+    TOY_PARAMS,
+    TOYSUM,
+    HashSpec,
+    generate_params,
+    validate_params,
+)
+from pakelab.errors import AuthFail
 from pakelab.netio import service as service_module
+from pakelab.netio.service import ServeConfig, Service
 from pakelab.netio.store import VerifierStore
 
 
@@ -88,6 +96,42 @@ def test_simulate_reports_failed_runs_with_exit_1(capsys):
     assert "retry nonce" in capsys.readouterr().out
 
 
+def test_simulate_above_the_desk_bound_reports_the_skipped_check(tmp_path,
+                                                                 capsys):
+    group = tmp_path / "group24.params"
+    assert run_cli("params", "gen", "--bits", "24", "--seed", "1",
+                   "--out", str(group)) == 0
+    args = ("simulate", "--params", str(group), "--hash", "digest256",
+            "--seed", "3")
+    capsys.readouterr()
+    assert run_cli(*args) == 0
+    out = capsys.readouterr().out
+    assert ("auth: client->server ok, server->client not checked "
+            "(q above 2^20)") in out
+    assert "flags: server unauthenticated" in out
+    assert run_cli(*args, "--json") == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["auth_a_ok"] is False and obj["auth_b_ok"] is True
+
+
+def test_simulate_above_the_desk_bound_still_fails_a_rejection(tmp_path, capsys,
+                                                              monkeypatch):
+    group = tmp_path / "group24.params"
+    assert run_cli("params", "gen", "--bits", "24", "--seed", "1",
+                   "--out", str(group)) == 0
+
+    def server_rejects(msg3, state):
+        raise AuthFail("client confirmation d_A does not match F_A")
+
+    monkeypatch.setattr(proposed_module, "prop_server_finish", server_rejects)
+    capsys.readouterr()
+    assert run_cli("simulate", "--params", str(group), "--hash", "digest256",
+                   "--seed", "3") == 1
+    out = capsys.readouterr().out
+    assert "auth: client->server FAILED, server->client FAILED" in out
+    assert "not checked" not in out
+
+
 def test_simulate_needs_nonces_or_seed():
     assert run_cli("simulate", "--scheme", "lky", "--x", "3") == 3
 
@@ -125,6 +169,16 @@ def test_attack_stolen_verifier_proposed_prints_claim_and_verdict(capsys):
     assert "20/20 impersonations accepted" in out
     assert "claimed: verifier theft alone" in out
     assert "measured verdict: claim does not hold on a 4-bit group" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("attack", ["stolen-verifier-lky",
+                                    "stolen-verifier-proposed"])
+def test_attack_sweeps_refuse_fewer_than_one_trial(attack, trials, capsys):
+    assert run_cli("attack", attack, f"--trials={trials}") == 3
+    out, err = capsys.readouterr()
+    assert err == "error: trials must be >= 1\n"
+    assert out == ""
 
 
 def test_stolen_verifier_verdict_names_the_group_it_ran_on(tmp_path, capsys):
@@ -214,6 +268,43 @@ def test_register_appends_to_a_v2_store(tmp_path, capsys, monkeypatch):
     assert VerifierStore.load(store_path).lookup(9, 12).v == 11
 
 
+def test_register_refuses_a_store_held_by_an_enrolling_server(tmp_path, capsys):
+    store_path = tmp_path / "verifiers.tsv"
+    args = ("register", "--store", str(store_path), "--hash", "toysum",
+            "--id-a", "9", "--id-b", "12", "--password", "10")
+    config = ServeConfig(params=TOY_PARAMS, store_path=store_path,
+                         hash_spec=HashSpec(TOYSUM), enroll=True)
+    with Service(config):
+        before = store_path.read_bytes()
+        assert run_cli(*args) == 3
+        assert "held by a running `serve --enroll`" in capsys.readouterr().err
+        assert store_path.read_bytes() == before
+    assert run_cli(*args) == 0
+    assert store_path.read_bytes() == before + b"9\t12\t7\n"
+
+
+def test_only_a_live_enrolling_server_holds_the_store(tmp_path, monkeypatch):
+    store_path = tmp_path / "verifiers.tsv"
+    args = ("register", "--store", str(store_path), "--hash", "toysum",
+            "--password", "10", "--id-b", "12")
+    assert run_cli(*args, "--id-a", "9") == 0
+    plain = ServeConfig(params=TOY_PARAMS, store_path=store_path,
+                        hash_spec=HashSpec(TOYSUM))
+    with Service(plain):
+        assert run_cli(*args, "--id-a", "20") == 0
+    # a service whose listener cannot bind lets go of the store it locked
+
+    def no_listener(*args):
+        raise OSError("address already in use")
+
+    monkeypatch.setattr(service_module, "_Server", no_listener)
+    with pytest.raises(OSError):
+        Service(ServeConfig(params=TOY_PARAMS, store_path=store_path,
+                            hash_spec=HashSpec(TOYSUM), enroll=True))
+    assert run_cli(*args, "--id-a", "30") == 0
+    assert len(VerifierStore.load(store_path)) == 3
+
+
 def test_serve_validates_the_group_once(tmp_path, monkeypatch):
     group = tmp_path / "group70.params"
     params = generate_params(70, 0)
@@ -222,8 +313,9 @@ def test_serve_validates_the_group_once(tmp_path, monkeypatch):
     for module in (cli_module, service_module):
         monkeypatch.setattr(module, "validate_params",
                             lambda p: checked.append(p) or validate_params(p))
-    monkeypatch.setattr(service_module.Service, "serve_blocking",
-                        lambda self: self._server.server_close())
+    # serve_blocking still runs, and its cleanup releases the store lock
+    monkeypatch.setattr(service_module._Server, "serve_forever",
+                        lambda self, poll_interval: None)
     assert run_cli("serve", "--listen", "127.0.0.1:0", "--enroll", "--params",
                    str(group), "--store", str(tmp_path / "verifiers.tsv")) == 0
     assert checked == [params]
@@ -277,6 +369,17 @@ def test_importing_the_cli_leaves_sympy_out():
                          env=dict(os.environ, PYTHONPATH=str(src)),
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("module", [
+    "core", "errors", "transcript", "lky", "proposed", "drivers", "harness",
+    "attacks", "cli", "netio.frames", "netio.store", "netio.service"])
+def test_each_module_imports_on_its_own(module):
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", f"import pakelab.{module}"],
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 def test_a_desk_scale_session_leaves_ctypes_out():

@@ -50,7 +50,6 @@ from pakelab.errors import (
     NotInGroup,
     NotPrime,
     OutOfRange,
-    UnknownAlgorithm,
 )
 
 MID_PARAMS = GroupParams(q=29, g=2)
@@ -319,13 +318,6 @@ def test_digest_hash_matches_direct_sha256():
 def test_digest_hash_separates_fields():
     assert digest_hash([b"ab", b""]) != digest_hash([b"a", b"b"])
     assert digest_hash([b"ab"]) != digest_hash([b"a", b"b"])
-
-
-def test_digest_hash_rejects_unusable_algorithms():
-    with pytest.raises(UnknownAlgorithm):
-        digest_hash([b"x"], "md5")      # real digest, wrong width
-    with pytest.raises(UnknownAlgorithm):
-        digest_hash([b"x"], "not-a-digest")
 
 
 def test_digest_hash_field_length_cap():
