@@ -66,6 +66,7 @@ from .errors import (
     AuthFail,
     CounterDrift,
     DuplicateEntry,
+    GroupTooLarge,
     MalformedFrame,
     PakeError,
     RemoteError,
@@ -526,8 +527,8 @@ def main(argv=None) -> int:
             CounterDrift) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, ScenarioError, SearchExhausted, DuplicateEntry,
-            StoreLocked, FileNotFoundError) as exc:
+    except (ValidationError, ScenarioError, SearchExhausted, GroupTooLarge,
+            DuplicateEntry, StoreLocked, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except PakeError as exc:

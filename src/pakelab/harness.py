@@ -67,18 +67,6 @@ class Scenario:
     y: Optional[int] = None
     seed: Optional[int] = None
 
-    def nonce_pairs(self):
-        """Yield (x, y) pairs: the explicit pair forever, or a seeded stream."""
-        if self.x is not None and self.y is not None:
-            while True:
-                yield self.x, self.y
-        elif self.seed is not None:
-            rng = random.Random(self.seed)
-            while True:
-                yield sample_nonce(self.params, rng), sample_nonce(self.params, rng)
-        else:
-            raise ScenarioError("scenario needs explicit nonces or a seed")
-
 
 def _transcript_json(transcript: Transcript) -> List[dict]:
     return [{"direction": e.direction, "label": e.label, "frame": e.hex}
@@ -152,10 +140,16 @@ def run_honest_session(scenario: Scenario) -> SessionReport:
         raise ScenarioError(f"unknown scheme {scenario.scheme!r}")
 
     explicit = scenario.x is not None and scenario.y is not None
+    if not explicit and scenario.seed is None:
+        raise ScenarioError("scenario needs explicit nonces or a seed")
+    rng = random.Random(scenario.seed)
     last_retry: Optional[RetryNonce] = None
-    for attempt, (x, y) in enumerate(scenario.nonce_pairs()):
-        if attempt >= MAX_NONCE_RESAMPLES:
-            break
+    for _ in range(MAX_NONCE_RESAMPLES):
+        if explicit:
+            x, y = scenario.x, scenario.y
+        else:
+            x = sample_nonce(scenario.params, rng)
+            y = sample_nonce(scenario.params, rng)
         try:
             return _run_session(scenario, x, y)
         except RetryNonce as exc:
@@ -255,8 +249,7 @@ class EfficiencyTable:
 
 
 def compare_efficiency(params: GroupParams, trials: int, seed: int,
-                       hash_spec: Optional[HashSpec] = None,
-                       creds: Credentials = TOY_CREDS) -> EfficiencyTable:
+                       hash_spec: Optional[HashSpec] = None) -> EfficiencyTable:
     """Measure per-session costs for both schemes over seeded honest runs.
 
     Deterministic counters must agree across every trial of a scheme
@@ -271,7 +264,7 @@ def compare_efficiency(params: GroupParams, trials: int, seed: int,
         samples: List[Counters] = []
         for trial in range(trials):
             report = run_honest_session(Scenario(
-                scheme=scheme, params=params, creds=creds, hash_spec=spec,
+                scheme=scheme, params=params, creds=TOY_CREDS, hash_spec=spec,
                 seed=seed + trial * 7919))
             if report.error is not None:
                 raise ScenarioError(

@@ -37,7 +37,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from ..core import (
     DIGEST256,
@@ -103,6 +103,9 @@ LISTEN_BACKLOG = 128
 # a hang-up, so a silent peer cannot pin its handler thread
 READ_TIMEOUT = 30.0
 
+# seconds the client waits to connect, and then on each read or write
+CLIENT_TIMEOUT = 10.0
+
 
 def parse_address(text: str) -> Tuple[str, int]:
     host, sep, port = text.rpartition(":")
@@ -134,7 +137,6 @@ class ClientOptions:
     x: Optional[int] = None
     seed: Optional[int] = None
     skip_server_auth: bool = False
-    timeout: float = 10.0
     log_path: Optional[Union[str, Path]] = None
 
 
@@ -161,7 +163,7 @@ class _SessionEnd(NamedTuple):
 
 
 class Service:
-    """A bound listener plus the shared store, counters, and log."""
+    """A bound listener plus the shared store, throttle counters, and log."""
 
     def __init__(self, config: ServeConfig):
         validate_params(config.params)
@@ -180,6 +182,8 @@ class Service:
         # taken after the compaction, which renames a new file over the old
         self._store_lock = lock_store(path) if config.enroll else None
         self._lock = threading.Lock()
+        # id_a -> consecutive failed logins, guarded by _lock
+        self._failures: Dict[int, int] = {}
         # log appends get their own lock: a session's line is written before
         # its final frame, so it must not wait behind a store write
         self._log_lock = threading.Lock()
@@ -203,11 +207,13 @@ class Service:
         self._thread.start()
 
     def stop(self):
-        self._server.shutdown()
+        """Close the listener and release the store; safe on a never-started service."""
+        if self._thread is not None:
+            # shutdown() waits for a serve_forever loop, so only one that ran
+            self._server.shutdown()
+            self._thread.join(timeout=5)
         self._server.server_close()
         self._release_store()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
 
     def _release_store(self):
         if self._store_lock is not None:
@@ -225,8 +231,7 @@ class Service:
             pass
         finally:
             signal.signal(signal.SIGTERM, previous)
-            self._server.server_close()
-            self._release_store()
+            self.stop()
 
     def __enter__(self) -> "Service":
         self.start()
@@ -310,7 +315,7 @@ class Service:
                               f"({cfg.params.q}, {cfg.params.g})")
             return None
         with self._lock:
-            failures = self.store.failure_count(msg1.id_a)
+            failures = self._failures.get(msg1.id_a, 0)
             records = self.store.records_for(msg1.id_a)
         if failures >= cfg.max_fail:
             self._reply_error(conn, ERR_THROTTLED,
@@ -377,13 +382,14 @@ class Service:
             final, key_b, state = done.value
         except AuthFail as exc:
             with self._lock:
-                count = self.store.note_failure(msg1.id_a)
+                count = self._failures.get(msg1.id_a, 0) + 1
+                self._failures[msg1.id_a] = count
             self._reply_error(conn, ERR_AUTH_FAIL,
                               f"{exc} (consecutive failures: {count})", transcript,
                               _SessionEnd(scheme, None, state.tally, str(exc)))
             return
         with self._lock:
-            self.store.clear_failures(msg1.id_a)
+            self._failures.pop(msg1.id_a, None)
         # a server that accepts with nothing left to send acknowledges with OK
         self._send(conn, final if final is not None else OkFrame(), transcript,
                    _SessionEnd(scheme, key_b, state.tally))
@@ -426,10 +432,9 @@ def _client_recv(rfile, transcript: Optional[Transcript] = None):
     return frame
 
 
-def client_register(address: Tuple[str, int], record: VerifierRecord,
-                    timeout: float = 10.0):
+def client_register(address: Tuple[str, int], record: VerifierRecord):
     """Enroll a verifier over TCP (demo of the in-the-clear registration step)."""
-    with socket.create_connection(address, timeout=timeout) as sock:
+    with socket.create_connection(address, timeout=CLIENT_TIMEOUT) as sock:
         rfile = sock.makefile("rb")
         sock.sendall(encode_frame(RegisterFrame(id_a=record.id_a,
                                                 id_b=record.id_b, v=record.v)))
@@ -461,7 +466,7 @@ def client_connect(address: Tuple[str, int], creds: Credentials,
     else:
         raise RetryNonce("could not pick a usable client nonce")
     transcript = Transcript()
-    with socket.create_connection(address, timeout=opts.timeout) as sock:
+    with socket.create_connection(address, timeout=CLIENT_TIMEOUT) as sock:
         rfile = sock.makefile("rb")
         try:
             while True:

@@ -37,10 +37,7 @@ Records are keyed by the (id_a, id_b) pair, so one client identity may
 hold verifiers with several servers; in memory they are indexed by id_a,
 which is all MSG1 names.
 Parsing is strict and every complaint carries a 1-based line number.
-
-Failure counters (for throttling repeat guessers) are kept per id_a and
-only in memory; restarting the service forgets them on purpose, since they
-are rate-limit state, not credential state.
+The store holds credentials only; the service keeps its throttle counters.
 """
 
 from __future__ import annotations
@@ -105,7 +102,6 @@ class VerifierStore:
         self.version: Optional[int] = None
         self._by_client: Dict[int, Dict[int, VerifierRecord]] = {}
         self._count = 0
-        self._failures: Dict[int, int] = {}
 
     def __len__(self) -> int:
         return self._count
@@ -141,18 +137,6 @@ class VerifierStore:
         if servers is None:
             return []
         return [servers[id_b] for id_b in sorted(servers)]
-
-    # throttling bookkeeping; deliberately not persisted
-
-    def note_failure(self, id_a: int) -> int:
-        self._failures[id_a] = self._failures.get(id_a, 0) + 1
-        return self._failures[id_a]
-
-    def failure_count(self, id_a: int) -> int:
-        return self._failures.get(id_a, 0)
-
-    def clear_failures(self, id_a: int):
-        self._failures.pop(id_a, None)
 
     def append(self, path: Union[str, Path], record: VerifierRecord):
         """Enroll record, replacing the pair's verifier, as one row appended to path.

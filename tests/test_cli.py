@@ -8,6 +8,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,10 @@ from pakelab.errors import AuthFail
 from pakelab.netio import service as service_module
 from pakelab.netio.service import ServeConfig, Service
 from pakelab.netio.store import VerifierStore
+
+# subprocesses find the package in src/ without an install, as pytest does
+SUBPROCESS_ENV = dict(os.environ,
+                      PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def run_cli(*argv):
@@ -214,6 +219,15 @@ def test_attack_census_dlog_method_agrees(capsys):
     assert "10: consistent (witness x'=3, y'=4)" in capsys.readouterr().out
 
 
+def test_attack_census_above_the_desk_bound_is_a_usage_error(tmp_path, capsys):
+    group = tmp_path / "group24.params"
+    params = generate_params(24, 1)
+    group.write_text(f"{params.q}\n{params.g}\n")
+    assert run_cli("attack", "census", "--params", str(group),
+                   "--dictionary", "10,11", "--seed", "3") == 3
+    assert "census needs q <= 1048576" in capsys.readouterr().err
+
+
 # -- register ---------------------------------------------------------------------
 
 
@@ -305,6 +319,18 @@ def test_only_a_live_enrolling_server_holds_the_store(tmp_path, monkeypatch):
     assert len(VerifierStore.load(store_path)) == 3
 
 
+def test_stopping_a_never_started_service_releases_the_store(tmp_path):
+    store_path = tmp_path / "verifiers.tsv"
+    service = Service(ServeConfig(params=TOY_PARAMS, store_path=store_path,
+                                  hash_spec=HashSpec(TOYSUM), enroll=True))
+    stopper = threading.Thread(target=service.stop, daemon=True)
+    stopper.start()
+    stopper.join(5)
+    assert not stopper.is_alive()
+    assert run_cli("register", "--store", str(store_path), "--hash", "toysum",
+                   "--id-a", "9", "--id-b", "12", "--password", "10") == 0
+
+
 def test_serve_validates_the_group_once(tmp_path, monkeypatch):
     group = tmp_path / "group70.params"
     params = generate_params(70, 0)
@@ -364,10 +390,9 @@ def test_serve_and_register_refuse_a_store_for_another_group(tmp_path, capsys,
 
 def test_importing_the_cli_leaves_sympy_out():
     code = "import sys, pakelab.cli; print('sympy' in sys.modules)"
-    src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)),
-                         text=True, check=True, timeout=60).stdout
+                         env=SUBPROCESS_ENV, text=True, check=True,
+                         timeout=60).stdout
     assert out.strip() == "False"
 
 
@@ -375,10 +400,9 @@ def test_importing_the_cli_leaves_sympy_out():
     "core", "errors", "transcript", "lky", "proposed", "drivers", "harness",
     "attacks", "cli", "netio.frames", "netio.store", "netio.service"])
 def test_each_module_imports_on_its_own(module):
-    src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run([sys.executable, "-c", f"import pakelab.{module}"],
-                            env=dict(os.environ, PYTHONPATH=str(src)),
-                            capture_output=True, text=True, timeout=60)
+                            env=SUBPROCESS_ENV, capture_output=True, text=True,
+                            timeout=60)
     assert result.returncode == 0, result.stderr
 
 
@@ -391,10 +415,9 @@ def test_a_desk_scale_session_leaves_ctypes_out():
             "        scheme, params=generate_params(20, 1), seed=3))\n"
             "    assert report.auth_a_ok and report.auth_b_ok\n"
             "print('ctypes' in sys.modules)")
-    src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)),
-                         text=True, check=True, timeout=60).stdout
+                         env=SUBPROCESS_ENV, text=True, check=True,
+                         timeout=60).stdout
     assert out.strip() == "False"
 
 
@@ -457,7 +480,8 @@ def test_serve_and_connect_via_cli(served_store, capsys):
         [sys.executable, "-u", "-m", "pakelab.cli", "serve",
          "--listen", "127.0.0.1:0", "--store", str(served_store),
          "--hash", "toysum", "--y-override", "4"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=SUBPROCESS_ENV)
     try:
         banner = proc.stdout.readline()
         match = re.search(r"serving proposed on 127\.0\.0\.1:(\d+)", banner)
@@ -484,7 +508,8 @@ def test_serve_stops_on_sigterm_like_on_sigint(served_store):
         [sys.executable, "-u", "-m", "pakelab.cli", "serve",
          "--listen", "127.0.0.1:0", "--store", str(served_store),
          "--hash", "toysum"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=SUBPROCESS_ENV)
     try:
         banner = proc.stdout.readline()
         port = int(re.search(r"on 127\.0\.0\.1:(\d+)", banner).group(1))

@@ -13,6 +13,7 @@ from pakelab.core import (
     GroupParams,
     HashSpec,
     SCHEME_LKY,
+    SCHEME_PROPOSED,
     TOY_CREDS,
     TOY_PARAMS,
     TOYSUM,
@@ -77,7 +78,7 @@ def toy_config(tmp_path, **overrides):
 
 
 def toy_options(**overrides):
-    defaults = dict(hash_spec=TOYSUM_SPEC, x=3, timeout=5.0)
+    defaults = dict(hash_spec=TOYSUM_SPEC, x=3)
     defaults.update(overrides)
     return ClientOptions(**defaults)
 
@@ -297,6 +298,40 @@ def test_success_resets_the_failure_counter(tmp_path):
         assert "consecutive failures: 1" in str(exc.value)
 
 
+def throttle_toy_identity(service):
+    """Fail id_a=9 three times (the max_fail these tests set) and check the lockout."""
+    for _ in range(3):
+        with pytest.raises(RemoteError):
+            client_connect(service.address, WRONG_CREDS, TOY_PARAMS,
+                           toy_options(x=5))
+    with pytest.raises(RemoteError) as exc:
+        client_connect(service.address, TOY_CREDS, TOY_PARAMS, toy_options())
+    assert exc.value.code == ERR_THROTTLED
+
+
+def test_throttling_one_identity_leaves_another_logging_in(tmp_path):
+    other = Credentials(id_a=10, id_b=12, password=3)
+    write_toy_store(tmp_path / "verifiers.tsv", extra=[VerifierRecord(
+        id_a=10, id_b=12, v=derive_verifier(other, TOY_PARAMS, TOYSUM_SPEC))])
+    with Service(toy_config(tmp_path, max_fail=3)) as service:
+        throttle_toy_identity(service)
+        key, _ = client_connect(service.address, other, TOY_PARAMS,
+                                toy_options())
+    expected = run_honest_session(Scenario(SCHEME_PROPOSED, creds=other,
+                                           hash_spec=TOYSUM_SPEC, x=3, y=4))
+    assert key == expected.key_a
+
+
+def test_a_restarted_service_forgets_the_throttle(tmp_path):
+    config = toy_config(tmp_path, max_fail=3)
+    with Service(config) as service:
+        throttle_toy_identity(service)
+    with Service(config) as service:
+        key, _ = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                                toy_options())
+    assert key.value == 9
+
+
 def test_unknown_identity(tmp_path):
     stranger = Credentials(id_a=99, id_b=12, password=10)
     with Service(toy_config(tmp_path)) as service:
@@ -493,7 +528,7 @@ def test_service_requires_a_store_unless_enrolling(tmp_path):
     service = Service(ServeConfig(params=TOY_PARAMS,
                                   store_path=tmp_path / "absent.tsv",
                                   enroll=True))
-    service._server.server_close()
+    service.stop()
     # enrollment from an empty store starts a v2 file for the group
     assert ((tmp_path / "absent.tsv").read_text()
             == "# pake-verifiers v2 q=13 g=6 hash=digest256\n")

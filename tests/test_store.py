@@ -61,25 +61,6 @@ def test_duplicate_pairs_are_refused_without_replace():
     assert store.lookup(9, 12).v == 3
 
 
-def test_failure_counters_are_per_client_identity():
-    store = sample_store()
-    assert store.failure_count(9) == 0
-    assert store.note_failure(9) == 1
-    assert store.note_failure(9) == 2
-    assert store.failure_count(9) == 2
-    assert store.failure_count(2 ** 80) == 0
-    store.clear_failures(9)
-    assert store.failure_count(9) == 0
-
-
-def test_failure_counters_do_not_persist(tmp_path):
-    path = tmp_path / "verifiers.tsv"
-    store = sample_store()
-    store.note_failure(9)
-    store.save(path)
-    assert VerifierStore.load(path).failure_count(9) == 0
-
-
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         VerifierStore.load(tmp_path / "absent.tsv")
