@@ -2,7 +2,7 @@
 
 Subcommands:
 
-  params gen | params check      make or vet a group-parameter file
+  params gen | params check      make or vet a group (a file, or a named group)
   register                       derive a verifier and add it to a store file
   serve                          run the TCP server (entity B)
   connect                        run one TCP session as entity A
@@ -52,6 +52,7 @@ from .core import (
     Credentials,
     GroupParams,
     HashSpec,
+    NAMED_GROUPS,
     ORDER_CHECK_BOUND,
     SCHEME_LKY,
     SCHEME_PROPOSED,
@@ -135,6 +136,9 @@ def _credentials(args) -> Credentials:
 
 
 def _read_params_file(path: str) -> GroupParams:
+    """The group of core.NAMED_GROUPS that path names, else the file's q, g."""
+    if path in NAMED_GROUPS:
+        return NAMED_GROUPS[path]
     lines = Path(path).read_text(encoding="utf-8").split()
     if len(lines) != 2 or not all(tok.isdigit() for tok in lines):
         raise MalformedFrame(
@@ -161,8 +165,9 @@ def _hash_spec(args) -> HashSpec:
 def _add_common(p, default_hash: str = DIGEST256, creds: Optional[str] = None,
                 log: bool = True, password_help: Optional[str] = None):
     """--params, --hash and --log, plus credentials: "required" or "toy" defaults."""
-    p.add_argument("--params", metavar="FILE",
-                   help="group-parameter file (two decimal lines: q, g); "
+    p.add_argument("--params", metavar="NAME|FILE",
+                   help=f"a named group ({'|'.join(NAMED_GROUPS)}) or a "
+                        "group-parameter file (two decimal lines: q, g); "
                         "default is the toy group q=13, g=6")
     p.add_argument("--hash", choices=[TOYSUM, DIGEST256], default=default_hash,
                    help="hash mode (default: %(default)s)")
@@ -195,8 +200,13 @@ def cmd_params_gen(args) -> int:
 
 def cmd_params_check(args) -> int:
     params = load_params_file(args.path)
-    certainty = ("order certified by factoring q-1" if params.q <= ORDER_CHECK_BOUND
-                 else "order certified by Pocklington's criterion on q = 2p+1")
+    named = [name for name, group in NAMED_GROUPS.items() if group == params]
+    if named:
+        certainty = f"named RFC 3526 group {named[0]}, certified by the test suite"
+    elif params.q <= ORDER_CHECK_BOUND:
+        certainty = "order certified by factoring q-1"
+    else:
+        certainty = "order certified by Pocklington's criterion on q = 2p+1"
     print(f"ok: q={params.q}, g={params.g} generates Z_q^* ({certainty})")
     return 0
 
@@ -421,8 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", metavar="FILE")
     p_gen.set_defaults(func=cmd_params_gen)
-    p_check = params_sub.add_parser("check", help="validate a params file")
-    p_check.add_argument("path", metavar="FILE")
+    p_check = params_sub.add_parser("check",
+                                    help="validate a params file or a named group")
+    p_check.add_argument("path", metavar="NAME|FILE",
+                         help=f"{'|'.join(NAMED_GROUPS)}, or a params file")
     p_check.set_defaults(func=cmd_params_check)
 
     p_reg = sub.add_parser("register", help="derive a verifier into a store file")

@@ -17,15 +17,15 @@ protocol sides apply it identically.
 Parameter validation and generation test primality (is_prime) and factor
 q-1 (prime_factors) here. Above 2^64 a group must be a safe prime
 q = 2p+1, and g^p = -1 with p prime is a Pocklington certificate that
-proves q prime and g of full order at once.
+proves q prime and g of full order at once. The RFC 3526 groups in
+NAMED_GROUPS are certified once, by the test suite, so validating one
+costs nothing.
 
-Large-number arithmetic runs on OpenSSL's libcrypto, through ctypes, when
-ctypes.util.find_library("crypto") finds it: exponentiation modulo an odd
-number above NATIVE_POWMOD_BOUND (mod_exp, and the exponentiations of
-validation), about ten times faster than pow at 2048 bits, and the strong
-Lucas test above NATIVE_LUCAS_BOUND, about four times faster than Python
-at 2048 bits. Below the bounds, and without the library, pow and Python
-arithmetic do the work. The library loads on the first such call, so
+Exponentiation modulo an odd number above NATIVE_POWMOD_BOUND (mod_exp,
+and the exponentiations of validation) runs on OpenSSL's libcrypto,
+through ctypes, when ctypes.util.find_library("crypto") finds it: about
+ten times faster than pow at 2048 bits. Below the bound, and without the
+library, pow does the work. The library loads on the first such call, so
 desk-scale groups never import ctypes.
 
 Two oracles are deliberately brute-force and only constructible for small
@@ -40,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import random
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import count
@@ -66,11 +65,9 @@ DESK_SCALE_BOUND = 2 ** 20
 # params must be safe primes (q = 2p+1), certified by g^p = -1 and p prime.
 ORDER_CHECK_BOUND = 2 ** 64
 
-# Above these, and when libcrypto is found, _powmod (odd moduli) and the
-# strong Lucas test run on it through ctypes; below, pow and Python
-# arithmetic are faster than a ctypes call per operation.
+# Above this, and when libcrypto is found, _powmod runs odd moduli on it
+# through ctypes; below, pow is faster than a ctypes call.
 NATIVE_POWMOD_BOUND = 2 ** 90
-NATIVE_LUCAS_BOUND = 2 ** 720
 
 TOYSUM = "toysum"
 DIGEST256 = "digest256"
@@ -221,51 +218,33 @@ def _powmod(base: int, exponent: int, modulus: int) -> int:
     if lib is None:
         return pow(base, exponent, modulus)
     import ctypes
-    with _bignums(lib, 4) as (ctx, (result, *operands)):
+    failed = MemoryError("libcrypto ran out of memory")
+    ctx = lib.BN_CTX_new()            # one per call, so threads share no state
+    if not ctx:
+        raise failed
+    lib.BN_CTX_start(ctx)
+    try:
+        result, *operands = bns = [lib.BN_CTX_get(ctx) for _ in range(4)]
+        if not bns[-1]:               # once BN_CTX_get fails, later calls fail too
+            raise failed
         for value, bn in zip((base, exponent, modulus), operands):
-            _set_bn(lib, bn, value)
+            data = value.to_bytes((value.bit_length() + 7) // 8, "big")
+            if not lib.BN_bin2bn(data, len(data), bn):
+                raise failed
         if not lib.BN_mod_exp_mont_consttime(result, *operands, ctx, None):
-            raise _native_failure()
+            raise failed
         width = (modulus.bit_length() + 7) // 8
         out = ctypes.create_string_buffer(width)
         lib.BN_bn2binpad(result, out, width)
         return int.from_bytes(out.raw, "big")
-
-
-@contextmanager
-def _bignums(lib, count: int):
-    """A new BN_CTX and count BIGNUMs from it, ended and freed on exit.
-
-    Each native computation makes its own, so threads share no state.
-    """
-    ctx = lib.BN_CTX_new()
-    if not ctx:
-        raise _native_failure()
-    lib.BN_CTX_start(ctx)
-    try:
-        bns = [lib.BN_CTX_get(ctx) for _ in range(count)]
-        if not bns[-1]:               # once BN_CTX_get fails, later calls fail too
-            raise _native_failure()
-        yield ctx, bns
     finally:
         lib.BN_CTX_end(ctx)
         lib.BN_CTX_free(ctx)
 
 
-def _set_bn(lib, bn, value: int) -> None:
-    """Store the nonnegative int value in the BIGNUM bn."""
-    data = value.to_bytes((value.bit_length() + 7) // 8, "big")
-    if not lib.BN_bin2bn(data, len(data), bn):
-        raise _native_failure()
-
-
-def _native_failure() -> MemoryError:
-    return MemoryError("libcrypto ran out of memory")
-
-
 @cache
 def _libcrypto():
-    """OpenSSL's libcrypto with every BIGNUM call made here, or None.
+    """OpenSSL's libcrypto with the BIGNUM calls _powmod makes, or None.
 
     Loaded on the first call, which comes from the first exponentiation
     above NATIVE_POWMOD_BOUND, so desk-scale runs never import ctypes. A
@@ -288,15 +267,7 @@ def _libcrypto():
                 ("BN_CTX_end", None, [bn]),
                 ("BN_bin2bn", bn, [ctypes.c_char_p, status, bn]),
                 ("BN_bn2binpad", status, [bn, ctypes.c_char_p, status]),
-                ("BN_is_zero", status, [bn]),
-                ("BN_mod_exp_mont_consttime", status, [bn] * 6),
-                ("BN_MONT_CTX_new", bn, []),
-                ("BN_MONT_CTX_set", status, [bn] * 3),
-                ("BN_MONT_CTX_free", None, [bn]),
-                ("BN_to_montgomery", status, [bn] * 4),
-                ("BN_mod_mul_montgomery", status, [bn] * 5),
-                ("BN_mod_add_quick", status, [bn] * 4),
-                ("BN_mod_sub_quick", status, [bn] * 4)):
+                ("BN_mod_exp_mont_consttime", status, [bn] * 6)):
             function = getattr(lib, name)
             function.restype, function.argtypes = restype, argtypes
     except (OSError, AttributeError):        # unloadable, or older than 1.1.0
@@ -387,9 +358,9 @@ def is_prime(n: int) -> bool:
     Trial division by the primes up to 47, then deterministic Miller-Rabin
     with bases 2..41 below MR_EXACT_BOUND; above it, strong BPSW: one
     base-2 Miller-Rabin round and a strong Lucas test with Selfridge's
-    parameters, which no known composite passes. The exponentiations run
-    in _powmod and the Lucas test's walk on libcrypto for large n (see
-    the module docstring); the verdicts are the same either way.
+    parameters, which no known composite passes. The Miller-Rabin
+    exponentiations run in _powmod, so on libcrypto for large n (see the
+    module docstring); the Lucas test runs in Python.
     """
     if n < 2:
         return False
@@ -438,12 +409,10 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
     Selfridge's parameters: the first D of 5, -7, 9, -11, ... with Jacobi
     symbol (D/n) = -1, P = 1 and Q = (1 - D)/4; a square has no such D.
-    The D search and the square test run here; the U/V/Q^k walk runs on
-    libcrypto's Montgomery arithmetic (_lucas_walk_native) for n above
-    NATIVE_LUCAS_BOUND when the library is found, and in Python
-    (_lucas_walk) otherwise. At 2048 bits that is 20-25 ms where Python
-    takes 90-110 ms (x86-64 Xeon, OpenSSL 3.0); the two cost the same near
-    720 bits, and below that Python is faster.
+    The D search and the square test run here, the U/V/Q^k walk in
+    _lucas_walk: about 0.08 s at 2048 bits (x86-64 Xeon, Python 3.11).
+    No session runs it: a named group skips validation, and any other
+    group is validated once, before it is used.
     """
     if isqrt(n) ** 2 == n:
         return False
@@ -455,11 +424,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             break
         if j == 0:
             return False            # |D| < n shares a factor with n
-    Q = (1 - D) // 4
-    lib = _libcrypto() if n > NATIVE_LUCAS_BOUND else None
-    if lib is None:
-        return _lucas_walk(n, D, Q)
-    return _lucas_walk_native(lib, n, D, Q)
+    return _lucas_walk(n, D, (1 - D) // 4)
 
 
 def _lucas_walk(n: int, D: int, Q: int) -> bool:
@@ -489,62 +454,6 @@ def _lucas_walk(n: int, D: int, Q: int) -> bool:
             return True
         Qk = Qk * Qk % n
     return False
-
-
-def _lucas_walk_native(lib, n: int, D: int, Q: int) -> bool:
-    """_lucas_walk on libcrypto's Montgomery arithmetic, in one context.
-
-    The verdict only asks which values are 0 mod n, so U and V may carry
-    a common factor c that is a unit mod n: each Montgomery product
-    multiplies it by R^-1, and leaving out the increment's halving doubles
-    it. qk holds c^2 R^-1 Q^k, which V's doubling subtracts twice; it is
-    squared on a doubling and multiplied by 4Q on an increment. That is 5
-    ctypes calls per bit of d, and 4 more on a 1 bit.
-    """
-    s = ((n + 1) & -(n + 1)).bit_length() - 1
-    failed = _native_failure()
-    mont = lib.BN_MONT_CTX_new()
-    if not mont:
-        raise failed
-    try:
-        with _bignums(lib, 7) as (ctx, (u, v, qk, t, d_factor, q4_factor,
-                                        modulus)):
-            _set_bn(lib, modulus, n)
-            if not lib.BN_MONT_CTX_set(mont, modulus, ctx):
-                raise failed
-            # c = R: U_1 = V_1 = 1 and the constants in Montgomery form
-            for bn, value in ((u, 1), (v, 1), (qk, Q % n), (d_factor, D % n),
-                              (q4_factor, 4 * Q % n)):
-                _set_bn(lib, bn, value)
-                if not lib.BN_to_montgomery(bn, bn, mont, ctx):
-                    raise failed
-            mul, add, sub = (lib.BN_mod_mul_montgomery, lib.BN_mod_add_quick,
-                             lib.BN_mod_sub_quick)
-            for bit in bin((n + 1) >> s)[3:]:
-                if not (mul(t, u, v, mont, ctx) and mul(v, v, v, mont, ctx)
-                        and sub(v, v, qk, modulus) and sub(v, v, qk, modulus)
-                        and mul(qk, qk, qk, mont, ctx)):
-                    raise failed
-                u, t = t, u
-                if bit == "1":
-                    if not (mul(t, d_factor, u, mont, ctx) and add(t, t, v, modulus)
-                            and add(u, u, v, modulus)
-                            and mul(qk, qk, q4_factor, mont, ctx)):
-                        raise failed
-                    v, t = t, v
-            if lib.BN_is_zero(u) or lib.BN_is_zero(v):
-                return True
-            for _ in range(s - 1):
-                if not (mul(v, v, v, mont, ctx) and sub(v, v, qk, modulus)
-                        and sub(v, v, qk, modulus)):
-                    raise failed
-                if lib.BN_is_zero(v):
-                    return True
-                if not mul(qk, qk, qk, mont, ctx):
-                    raise failed
-            return False
-    finally:
-        lib.BN_MONT_CTX_free(mont)
 
 
 def prime_factors(n: int) -> List[int]:
@@ -616,7 +525,12 @@ def validate_params(params: GroupParams) -> None:
     hold, the full sequence runs (is q prime, is p prime, g^2 != 1 and
     g^p != 1) and says which check failed; the groups it accepts are
     exactly those the certificate accepts.
+
+    A group in NAMED_GROUPS returns at once: the test suite runs the
+    certificate on each entry, so this accepts exactly what it would.
     """
+    if params in NAMED_GROUPS.values():
+        return
     q, g = params.q, params.g
     if not 1 < g < q:
         raise OutOfRange(f"generator {g} outside (1, {q})")
@@ -780,3 +694,38 @@ class SessionKey:
 # The toy parameter set used by every golden vector: q = 13, g = 6.
 TOY_PARAMS = GroupParams(q=13, g=6)
 TOY_CREDS = Credentials(id_a=9, id_b=12, password=10)
+
+# The RFC 3526 MODP groups, each prime with its smallest full-order base:
+# the RFC's g = 2 is a quadratic residue mod each of them. The test suite
+# derives each prime from the RFC's formula and certifies each entry.
+NAMED_GROUPS = {
+    "modp1536": GroupParams(g=31, q=int(
+        "ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74"
+        "020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f1437"
+        "4fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7ed"
+        "ee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf05"
+        "98da48361c55d39a69163fa8fd24cf5f83655d23dca3ad961c62f356208552bb"
+        "9ed529077096966d670c354e4abc9804f1746c08ca237327ffffffffffffffff", 16)),
+    "modp2048": GroupParams(g=11, q=int(
+        "ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74"
+        "020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f1437"
+        "4fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7ed"
+        "ee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf05"
+        "98da48361c55d39a69163fa8fd24cf5f83655d23dca3ad961c62f356208552bb"
+        "9ed529077096966d670c354e4abc9804f1746c08ca18217c32905e462e36ce3b"
+        "e39e772c180e86039b2783a2ec07a28fb5c55df06f4c52c9de2bcbf695581718"
+        "3995497cea956ae515d2261898fa051015728e5a8aacaa68ffffffffffffffff", 16)),
+    "modp3072": GroupParams(g=5, q=int(
+        "ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74"
+        "020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f1437"
+        "4fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7ed"
+        "ee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf05"
+        "98da48361c55d39a69163fa8fd24cf5f83655d23dca3ad961c62f356208552bb"
+        "9ed529077096966d670c354e4abc9804f1746c08ca18217c32905e462e36ce3b"
+        "e39e772c180e86039b2783a2ec07a28fb5c55df06f4c52c9de2bcbf695581718"
+        "3995497cea956ae515d2261898fa051015728e5a8aaac42dad33170d04507a33"
+        "a85521abdf1cba64ecfb850458dbef0a8aea71575d060c7db3970f85a6e1e4c7"
+        "abf5ae8cdb0933d71e8c94e04a25619dcee3d2261ad2ee6bf12ffa06d98a0864"
+        "d87602733ec86a64521f2b18177b200cbbe117577a615d6c770988c0bad946e2"
+        "08e24fa074e5ab3143db5bfce0fd108e4b82d120a93ad2caffffffffffffffff", 16)),
+}

@@ -16,6 +16,7 @@ import pytest
 from pakelab import cli as cli_module, proposed as proposed_module
 from pakelab.cli import load_params_file, main
 from pakelab.core import (
+    NAMED_GROUPS,
     TOY_PARAMS,
     TOYSUM,
     HashSpec,
@@ -64,6 +65,16 @@ def test_params_check_names_the_pocklington_certificate(tmp_path, capsys):
     assert run_cli("params", "check", str(group)) == 0
     out = capsys.readouterr().out
     assert "Pocklington" in out and "safe-prime check" not in out
+
+
+def test_params_takes_a_named_group(capsys):
+    assert run_cli("params", "check", "modp2048") == 0
+    out = capsys.readouterr().out
+    assert f"q={NAMED_GROUPS['modp2048'].q}, g=11 generates Z_q^*" in out
+    assert "named RFC 3526 group modp2048" in out and "Pocklington" not in out
+    assert run_cli("simulate", "--params", "modp2048", "--hash", "digest256",
+                   "--seed", "1") == 0
+    assert "server->client not checked" in capsys.readouterr().out
 
 
 def test_params_check_rejects_bad_files(tmp_path, capsys):

@@ -6,6 +6,7 @@ from math import gcd
 import random
 import threading
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from pakelab.core import (
     GroupParams,
     HashSpec,
     MR_EXACT_BOUND,
+    NAMED_GROUPS,
     ORDER_CHECK_BOUND,
     SessionKey,
     Tally,
@@ -173,20 +175,7 @@ def test_mod_exp_matches_pow_on_a_safe_prime_group():
     assert (tally.modexp, tally.modexp_registration) == (1, 1)
 
 
-# The RFC 3526 3072-bit MODP prime; 5 is its smallest full-order base.
-MODP3072_Q = int(
-    "ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74"
-    "020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f1437"
-    "4fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7ed"
-    "ee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf05"
-    "98da48361c55d39a69163fa8fd24cf5f83655d23dca3ad961c62f356208552bb"
-    "9ed529077096966d670c354e4abc9804f1746c08ca18217c32905e462e36ce3b"
-    "e39e772c180e86039b2783a2ec07a28fb5c55df06f4c52c9de2bcbf695581718"
-    "3995497cea956ae515d2261898fa051015728e5a8aaac42dad33170d04507a33"
-    "a85521abdf1cba64ecfb850458dbef0a8aea71575d060c7db3970f85a6e1e4c7"
-    "abf5ae8cdb0933d71e8c94e04a25619dcee3d2261ad2ee6bf12ffa06d98a0864"
-    "d87602733ec86a64521f2b18177b200cbbe117577a615d6c770988c0bad946e2"
-    "08e24fa074e5ab3143db5bfce0fd108e4b82d120a93ad2caffffffffffffffff", 16)
+MODP3072_Q = NAMED_GROUPS["modp3072"].q
 
 
 def _powmod_cases():
@@ -450,18 +439,7 @@ SAFE_PRIMES = [
     0xfd836e775ecfa8c3c82c640fa128932c05e1dd32e63928a43233d275a22eaf47,
 ]
 
-# The RFC 3526 2048-bit MODP prime; perfbench/groups.py derives it and pins
-# the SHA-256 of its 256-byte big-endian encoding to the same digest.
-MODP2048_Q = int(
-    "ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74"
-    "020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f1437"
-    "4fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7ed"
-    "ee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf05"
-    "98da48361c55d39a69163fa8fd24cf5f83655d23dca3ad961c62f356208552bb"
-    "9ed529077096966d670c354e4abc9804f1746c08ca18217c32905e462e36ce3b"
-    "e39e772c180e86039b2783a2ec07a28fb5c55df06f4c52c9de2bcbf695581718"
-    "3995497cea956ae515d2261898fa051015728e5a8aacaa68ffffffffffffffff", 16)
-MODP2048_SHA256 = "d66436f79bbd6b2e38c0ffbd079be904d2641415e2e67140e09448be9a60890e"
+MODP2048_Q = NAMED_GROUPS["modp2048"].q
 
 
 def _validation_corpus():
@@ -496,8 +474,6 @@ def test_validate_params_matches_the_reference_sequence():
 
 
 def test_validate_params_on_the_rfc3526_2048_bit_prime():
-    encoded = MODP2048_Q.to_bytes(256, "big")
-    assert hashlib.sha256(encoded).hexdigest() == MODP2048_SHA256
     q = MODP2048_Q
     expected = {2: (NotGenerator, f"2 is not a generator mod safe prime {q}"),
                 11: "accepted",
@@ -505,6 +481,46 @@ def test_validate_params_on_the_rfc3526_2048_bit_prime():
     for g, outcome in expected.items():
         assert _outcome(validate_params, q, g) == outcome
         assert _outcome(_reference_validate_params, q, g) == outcome
+
+
+# k in the RFC's formula for each named group, and the SHA-256 of the
+# prime's big-endian encoding (perfbench/groups.py pins the same modp2048)
+RFC3526 = {
+    "modp1536": (741804,
+                 "64fcc83ec403930bf18393dbc883ccaa1fbb08ac876f77f7aa99748ca945019b"),
+    "modp2048": (124476,
+                 "d66436f79bbd6b2e38c0ffbd079be904d2641415e2e67140e09448be9a60890e"),
+    "modp3072": (1690314,
+                 "48cf8b092fbce4359d9871abf74f98e25b6163379eaa15cd9087e800c6d1c55c"),
+}
+
+
+def test_the_named_groups_are_the_rfc3526_primes():
+    assert list(NAMED_GROUPS) == list(RFC3526)
+    for name, (k, digest) in RFC3526.items():
+        n, q = int(name.removeprefix("modp")), NAMED_GROUPS[name].q
+        with mpmath.workprec(n + 64):
+            pi_term = int(mpmath.floor(mpmath.ldexp(mpmath.pi, n - 130)))
+        assert q == 2 ** n - 2 ** (n - 64) - 1 + 2 ** 64 * (pi_term + k), name
+        assert hashlib.sha256(q.to_bytes(n // 8, "big")).hexdigest() == digest, name
+
+
+def test_the_named_groups_pass_the_full_check_and_skip_it(monkeypatch):
+    calls = []
+    lucas = core._strong_lucas_probable_prime
+    monkeypatch.setattr(core, "_strong_lucas_probable_prime",
+                        lambda n: calls.append(n) or lucas(n))
+    for name, params in NAMED_GROUPS.items():
+        validate_params(params)
+        assert calls == [], name
+        with pytest.MonkeyPatch.context() as bypass:
+            bypass.setattr(core, "NAMED_GROUPS", {})
+            validate_params(params)             # the Pocklington certificate
+        assert calls == [params.q // 2], name
+        calls.clear()
+        # g is the smallest full-order base: every smaller one is a square
+        assert all(mod_exp(g, params.q // 2, params) == 1
+                   for g in range(2, params.g)), name
 
 
 def test_a_large_safe_prime_group_takes_one_strong_lucas_test(monkeypatch):
@@ -619,70 +635,11 @@ def test_is_prime_refuses_known_pseudoprimes(n):
     assert not is_prime(n) and not sympy.isprime(n)
 
 
-# -- the strong Lucas walk on libcrypto -------------------------------------------------
+# -- the strong Lucas test ------------------------------------------------------------
 
 # the strong Lucas pseudoprimes below 10^5 (OEIS A217255)
 STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
                              40309, 58519, 75077, 97439]
-
-
-def _needs_libcrypto():
-    import ctypes.util
-    if ctypes.util.find_library("crypto") is None:
-        pytest.skip("no libcrypto on this host")
-    assert core._libcrypto() is not None
-
-
-def _lucas_corpus():
-    """Primes, products of two primes and odd composites without a factor up
-    to 47, from just above NATIVE_LUCAS_BOUND to 3072 bits."""
-    rng = random.Random(3072)
-
-    def prime(bits):
-        return sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
-
-    p384, p512, p736 = prime(384), prime(512), prime(736)
-    primes = [p736, MODP2048_Q, MODP2048_Q // 2, MODP3072_Q // 2]
-    products = [p384 * prime(384), p512 * prime(512), p512 * p736,
-                p512 * (MODP2048_Q // 2), p736 * MODP2048_Q]
-    odd = []
-    for bits in (721, 800, 1024, 1536, 3072):
-        n = 2
-        while math.gcd(n, math.prod(core._SMALL_PRIMES)) != 1:
-            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
-        odd.append(n)
-    corpus = primes + products + odd
-    assert min(corpus) > core.NATIVE_LUCAS_BOUND and max(corpus).bit_length() == 3072
-    return corpus, [n in primes for n in corpus]
-
-
-def test_the_native_lucas_walk_gives_the_python_verdicts(monkeypatch):
-    _needs_libcrypto()
-    corpus, is_a_prime = _lucas_corpus()
-    native = [core._strong_lucas_probable_prime(n) for n in corpus]
-    assert native == is_a_prime
-    monkeypatch.setattr(core, "_libcrypto", lambda: None)
-    assert [core._strong_lucas_probable_prime(n) for n in corpus] == native
-
-
-def _selfridge(n):
-    """(n, D, Q) as _strong_lucas_probable_prime hands them to the walk."""
-    seen = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(core, "_lucas_walk", lambda *args: seen.append(args))
-        core._strong_lucas_probable_prime(n)
-    (args,) = seen
-    return args
-
-
-def test_the_native_lucas_walk_called_directly_matches_on_small_numbers():
-    _needs_libcrypto()
-    lib = core._libcrypto()
-    small = STRONG_LUCAS_PSEUDOPRIMES + [53, 1009, 65537, 1009 * 1013, 99991 * 99989]
-    for n in small:
-        args = _selfridge(n)
-        assert core._lucas_walk_native(lib, *args) == core._lucas_walk(*args), n
-    assert all(core._lucas_walk(*_selfridge(n)) for n in STRONG_LUCAS_PSEUDOPRIMES)
 
 
 def test_the_strong_lucas_test_stays_in_python_at_or_below_the_bound(monkeypatch):
@@ -692,36 +649,12 @@ def test_the_strong_lucas_test_stays_in_python_at_or_below_the_bound(monkeypatch
         assert core._strong_lucas_probable_prime(n) == (n != MR_EXACT_BOUND)
 
 
-def test_the_strong_lucas_test_runs_on_libcrypto_at_2048_bits(monkeypatch):
-    _needs_libcrypto()
-    # a fallback to the Python walk would now fail, so the gain cannot be
-    # lost silently
-    monkeypatch.setattr(core, "_lucas_walk",
-                        lambda *args: pytest.fail("Python walk called"))
+def test_the_strong_lucas_test_runs_in_python_at_2048_bits(monkeypatch):
+    monkeypatch.setattr(core, "_libcrypto",
+                        lambda: pytest.fail("libcrypto consulted"))
     p = MODP2048_Q // 2
     assert core._strong_lucas_probable_prime(p)
     assert not core._strong_lucas_probable_prime(p + 2)
-    validate_params(GroupParams(q=MODP2048_Q, g=11))
-
-
-def test_the_native_lucas_walk_from_four_threads_at_once():
-    _needs_libcrypto()
-    p = MODP2048_Q // 2
-    work = [p, MODP2048_Q, p + 2, MODP2048_Q + 4]     # p + 2 and q + 4 are composite
-    expected = [True, True, False, False]
-    results = {}
-
-    def run(k):
-        order = work[k:] + work[:k]            # each thread in its own order
-        results[k] = [core._strong_lucas_probable_prime(n) for n in order]
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-    assert results == {k: expected[k:] + expected[:k] for k in range(4)}
 
 
 def test_a_library_without_one_of_the_calls_counts_as_not_found(monkeypatch):
@@ -733,7 +666,7 @@ def test_a_library_without_one_of_the_calls_counts_as_not_found(monkeypatch):
             pass
 
         def __getattr__(self, name):
-            if name == "BN_mod_mul_montgomery":
+            if name == "BN_mod_exp_mont_consttime":
                 raise AttributeError(name)
             return lambda *args: None
 
