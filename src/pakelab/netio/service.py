@@ -24,11 +24,17 @@ Two deliberately guarded modes:
 Per-identity consecutive-failure counters throttle online guessing: once a
 client identity crosses config.max_fail, further attempts get ERROR 0x06
 until a success clears the counter (counters are in-memory only).
+
+Each connection in flight has its own daemon handler thread. A finished
+connection's thread waits for the next one instead of exiting, a new thread
+starts only when none is idle, and a thread left idle for READ_TIMEOUT
+seconds exits, as do the idle threads when the service stops.
 """
 
 from __future__ import annotations
 
 import logging
+import queue
 import random
 import signal
 import socket
@@ -100,7 +106,8 @@ POLL_INTERVAL = 0.05
 LISTEN_BACKLOG = 128
 
 # seconds a connection may sit in one read or write before it is dropped as
-# a hang-up, so a silent peer cannot pin its handler thread
+# a hang-up, so a silent peer cannot pin its handler thread; also how long an
+# idle handler thread waits for a connection before it exits
 READ_TIMEOUT = 30.0
 
 # seconds the client waits to connect, and then on each read or write
@@ -147,10 +154,46 @@ class _Handler(socketserver.StreamRequestHandler):
         self.server.service._handle_connection(self)
 
 
-class _Server(socketserver.ThreadingTCPServer):
+class _Server(socketserver.TCPServer):
+    """Runs each accepted connection on an idle handler thread, or a new one."""
+
     allow_reuse_address = True
-    daemon_threads = True
     request_queue_size = LISTEN_BACKLOG
+
+    def __init__(self, address, handler):
+        self._requests = queue.SimpleQueue()    # (request, address); None: exit
+        self._idle = threading.Semaphore(0)     # idle threads not yet claimed
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        self._requests.put((request, client_address))
+        if not self._idle.acquire(blocking=False):
+            threading.Thread(target=self._work, name="pakelab-handler",
+                             daemon=True).start()
+
+    def _work(self):
+        while True:
+            try:
+                item = self._requests.get(timeout=READ_TIMEOUT)
+            except queue.Empty:
+                if self._idle.acquire(blocking=False):
+                    return                  # one idle thread fewer
+                continue                    # all are claimed: work is queued
+            if item is None:
+                self._requests.put(None)    # pass the exit on to the next one
+                return
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            self._idle.release()
+
+    def server_close(self):
+        super().server_close()
+        self._requests.put(None)
 
 
 class _SessionEnd(NamedTuple):
@@ -176,6 +219,10 @@ class Service:
             self.store = VerifierStore(config.params, mode)     # may start empty
         else:
             raise FileNotFoundError(f"verifier store not found: {path}")
+        if config.log_path is not None:
+            # lines are appended just before a session's final frame, so an
+            # unwritable log must stop the service here, not drop sessions
+            open(config.log_path, "a", encoding="utf-8").close()
         if config.enroll and self.store.version != 2:
             # REGISTER appends rows, so the file must be v2 and name this group
             self.store.save(path)

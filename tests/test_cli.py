@@ -552,6 +552,18 @@ def test_serve_refuses_a_port_out_of_range_before_binding(tmp_path, capsys,
     assert "port 99999 is out of range" in capsys.readouterr().err
 
 
+def test_serve_refuses_a_log_it_cannot_open_before_binding(tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(service_module, "_Server",
+                        lambda *args: pytest.fail("a listener was bound"))
+    log_path = tmp_path / "missing" / "server.jsonl"
+    assert run_cli("serve", "--listen", "127.0.0.1:0", "--enroll",
+                   "--store", str(tmp_path / "verifiers.tsv"),
+                   "--log", str(log_path)) == 3
+    assert str(log_path) in capsys.readouterr().err
+    assert not (tmp_path / "verifiers.tsv").exists()
+
+
 def test_connect_refuses_a_port_out_of_range_before_dialing(capsys, monkeypatch):
     monkeypatch.setattr(service_module.socket, "create_connection",
                         lambda *args, **kwargs: pytest.fail("a port was dialed"))

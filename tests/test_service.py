@@ -2,8 +2,11 @@
 
 import json
 import logging
+import queue
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
@@ -521,6 +524,23 @@ def test_service_refuses_a_store_for_another_group_before_binding(tmp_path,
     assert path.read_bytes() == before
 
 
+def test_service_refuses_a_log_it_cannot_open_before_binding(tmp_path,
+                                                            monkeypatch):
+    log_path = tmp_path / "missing" / "server.jsonl"
+    with monkeypatch.context() as patch:
+        patch.setattr(service_module, "_Server",
+                      lambda *args: pytest.fail("a listener was bound"))
+        with pytest.raises(FileNotFoundError) as exc:
+            Service(toy_config(tmp_path, enroll=True, log_path=log_path))
+    assert str(log_path) in str(exc.value)
+    # the store was not compacted to v2
+    assert (tmp_path / "verifiers.tsv").read_text().startswith(
+        "# pake-verifiers v1")
+    # a log that can be opened is created at start, before any session
+    with Service(toy_config(tmp_path, log_path=tmp_path / "server.jsonl")):
+        assert (tmp_path / "server.jsonl").read_text() == ""
+
+
 def test_service_requires_a_store_unless_enrolling(tmp_path):
     with pytest.raises(FileNotFoundError):
         Service(ServeConfig(params=TOY_PARAMS,
@@ -578,6 +598,164 @@ def test_silent_peers_are_dropped_at_the_read_deadline(tmp_path, monkeypatch,
     assert len(hang_ups) == 3
     assert all(r.levelno == logging.INFO and r.exc_info is None
                for r in caplog.records)
+
+
+# -- handler threads -------------------------------------------------------------
+
+
+def record_handler_threads(monkeypatch, fail_first=False):
+    """Patch Service._handle_connection to note the thread each connection runs on."""
+    seen = []
+    original = Service._handle_connection
+
+    def handle(service, conn):
+        seen.append(threading.current_thread())
+        if fail_first and len(seen) == 1:
+            raise RuntimeError("handler failed")
+        return original(service, conn)
+
+    monkeypatch.setattr(Service, "_handle_connection", handle)
+    return seen
+
+
+def toy_login(service):
+    key, _ = client_connect(service.address, TOY_CREDS, TOY_PARAMS, toy_options())
+    assert key.value == 9
+    # the handler closes the connection after its final frame; give it the
+    # moment it needs to become idle before the next connection arrives
+    time.sleep(0.05)
+
+
+def wait_until_dead(threads, seconds):
+    deadline = time.monotonic() + seconds
+    while any(t.is_alive() for t in threads) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return not any(t.is_alive() for t in threads)
+
+
+def test_sequential_logins_reuse_one_handler_thread(tmp_path, monkeypatch):
+    seen = record_handler_threads(monkeypatch)
+    with Service(toy_config(tmp_path)) as service:
+        for _ in range(20):
+            toy_login(service)
+    assert len(seen) == 20
+    assert len(set(seen)) == 1
+    assert seen[0].name == "pakelab-handler" and seen[0].daemon
+
+
+def test_a_handler_that_raises_drops_its_client_and_keeps_its_thread(tmp_path,
+                                                                     monkeypatch):
+    seen = record_handler_threads(monkeypatch, fail_first=True)
+    with Service(toy_config(tmp_path)) as service:
+        with socket.create_connection(service.address, timeout=5.0) as sock:
+            assert sock.recv(1) == b""          # EOF, and no ERROR frame
+        time.sleep(0.05)
+        toy_login(service)
+    assert len(seen) == 2 and seen[0] is seen[1]
+
+
+def test_an_idle_handler_thread_exits_after_the_read_timeout(tmp_path,
+                                                             monkeypatch):
+    monkeypatch.setattr(service_module, "READ_TIMEOUT", 0.2)
+    seen = record_handler_threads(monkeypatch)
+    with Service(toy_config(tmp_path)) as service:
+        toy_login(service)
+        assert wait_until_dead(seen, 5.0)
+        toy_login(service)
+    assert len(seen) == 2 and seen[0] is not seen[1]
+
+
+def test_a_thread_handed_a_connection_as_its_wait_times_out_serves_it(tmp_path,
+                                                                       monkeypatch):
+    seen = record_handler_threads(monkeypatch)
+    waiting, claimed, time_out = (threading.Event() for _ in range(3))
+    with Service(toy_config(tmp_path)) as service:
+        server = service._server
+        requests, idle = server._requests, server._idle
+
+        class GatedRequests:
+            put = requests.put
+            gets = 0
+
+            def get(self, timeout):
+                self.gets += 1
+                if self.gets == 2:              # the thread's first idle wait
+                    waiting.set()
+                    time_out.wait(5)
+                    raise queue.Empty
+                return requests.get(timeout=timeout)
+
+        class WatchedIdle:
+            release = idle.release
+
+            def acquire(self, blocking=True):
+                got = idle.acquire(blocking=blocking)
+                if got and threading.current_thread().name == "pakelab-serve":
+                    claimed.set()               # the idle thread was handed work
+                return got
+
+        server._requests, server._idle = GatedRequests(), WatchedIdle()
+        toy_login(service)
+        assert waiting.wait(5)
+        second = threading.Thread(target=toy_login, args=(service,))
+        second.start()
+        assert claimed.wait(5)
+        time_out.set()                          # its wait ends with no work seen
+        second.join(timeout=5)
+        assert not second.is_alive()
+    assert len(seen) == 2 and seen[0] is seen[1]
+
+
+def test_handler_threads_retiring_under_load_strand_no_connection(tmp_path,
+                                                                   monkeypatch):
+    # idle threads time out every few ms while clients keep connecting, so
+    # retiring races with handing a connection to an idle thread
+    monkeypatch.setattr(service_module, "READ_TIMEOUT", 0.005)
+    seen = record_handler_threads(monkeypatch)
+    errors = []
+
+    def logins(service):
+        for i in range(10):
+            try:
+                key, _ = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                                        toy_options())
+                assert key.value == 9
+            except Exception as exc:       # a stranded connection times out
+                errors.append(exc)
+            time.sleep(0.002 * (i % 3))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with Service(toy_config(tmp_path)) as service:
+            clients = [threading.Thread(target=logins, args=(service,))
+                       for _ in range(6)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in clients)
+            # with every thread retired, a thread that left without giving
+            # up its idle slot would take this login and never serve it
+            assert wait_until_dead(seen, 5.0)
+            toy_login(service)
+    finally:
+        sys.setswitchinterval(switch)
+    assert errors == []
+    assert len(seen) == 61
+
+
+def test_stopping_the_service_ends_its_idle_handler_threads(tmp_path,
+                                                            monkeypatch):
+    seen = record_handler_threads(monkeypatch)
+    before = set(threading.enumerate())
+    with Service(toy_config(tmp_path)) as service:
+        for _ in range(3):
+            toy_login(service)
+    assert len(seen) == 3
+    assert wait_until_dead(seen, 1.0)
+    assert not [t for t in threading.enumerate()
+                if t.name == "pakelab-handler" and t not in before]
 
 
 # -- one message sequence, in memory and over TCP ------------------------------
