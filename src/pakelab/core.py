@@ -14,19 +14,18 @@ then bumps the result until it is nonzero and coprime to q-1, so that its
 inverse mod q-1 always exists. That adjustment is deterministic and both
 protocol sides apply it identically.
 
-Parameter validation and generation test primality (is_prime) and factor
-q-1 (prime_factors) here. Above 2^64 a group must be a safe prime
-q = 2p+1, and g^p = -1 with p prime is a Pocklington certificate that
-proves q prime and g of full order at once. The RFC 3526 groups in
-NAMED_GROUPS are certified once, by the test suite, so validating one
-costs nothing.
+There are two kinds of group. A custom group has q <= ORDER_CHECK_BOUND
+(2^64): parameter validation and generation test primality (is_prime,
+exact there) and factor q-1 (prime_factors) to certify the generator's
+order. Above 2^64 only the RFC 3526 groups in NAMED_GROUPS are accepted;
+the test suite certifies them once, so validating one costs nothing.
 
-Exponentiation modulo an odd number above NATIVE_POWMOD_BOUND (mod_exp,
-and the exponentiations of validation) runs on OpenSSL's libcrypto,
-through ctypes, when ctypes.util.find_library("crypto") finds it: about
-ten times faster than pow at 2048 bits. Below the bound, and without the
-library, pow does the work. The library loads on the first such call, so
-desk-scale groups never import ctypes.
+Exponentiation modulo an odd number above NATIVE_POWMOD_BOUND (mod_exp on
+the named groups) runs on OpenSSL's libcrypto, through ctypes, when
+ctypes.util.find_library("crypto") finds it: about ten times faster than
+pow at 2048 bits. Below the bound, and without the library, pow does the
+work. The library loads on the first such call, so desk-scale groups never
+import ctypes.
 
 Two oracles are deliberately brute-force and only constructible for small
 groups (q <= DESK_SCALE_BOUND): an exhaustive discrete-log table, and a toy
@@ -43,7 +42,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import count
-from math import gcd, isqrt
+from math import gcd
 from typing import List, Optional, Sequence
 
 from .errors import (
@@ -61,8 +60,8 @@ from .errors import (
 # q at or below this admits the exhaustive dlog table (and thus the toy pairing).
 DESK_SCALE_BOUND = 2 ** 20
 
-# Below this, generator order is certified by fully factoring q-1; above it,
-# params must be safe primes (q = 2p+1), certified by g^p = -1 and p prime.
+# Custom groups stop here: up to it, generator order is certified by fully
+# factoring q-1; above it, only NAMED_GROUPS are accepted.
 ORDER_CHECK_BOUND = 2 ** 64
 
 # Above this, and when libcrypto is found, _powmod runs odd moduli on it
@@ -347,21 +346,17 @@ def digest_hash(inputs: Sequence[bytes]) -> int:
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-# Miller-Rabin over the 13 prime bases 2..41 is exact below this bound
-# (OEIS A014233); above it is_prime runs the strong BPSW test.
-MR_EXACT_BOUND = 3317044064679887385961981
-
 
 def is_prime(n: int) -> bool:
-    """Primality of n by sympy.isprime's algorithm, without its tables.
+    """Primality of n <= ORDER_CHECK_BOUND; ValueError above it.
 
-    Trial division by the primes up to 47, then deterministic Miller-Rabin
-    with bases 2..41 below MR_EXACT_BOUND; above it, strong BPSW: one
-    base-2 Miller-Rabin round and a strong Lucas test with Selfridge's
-    parameters, which no known composite passes. The Miller-Rabin
-    exponentiations run in _powmod, so on libcrypto for large n (see the
-    module docstring); the Lucas test runs in Python.
+    Trial division by the primes up to 47, then Miller-Rabin with the 13
+    prime bases 2..41, which no composite below 3.3 * 10^24 passes (OEIS
+    A014233), so every answer in the domain is proven.
     """
+    if n > ORDER_CHECK_BOUND:
+        raise ValueError(
+            f"is_prime is exact only up to 2^64; n has {n.bit_length()} bits")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -369,16 +364,14 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 53 * 53:                 # a composite this small has a factor up to 47
         return True
-    if n < MR_EXACT_BOUND:
-        return all(_strong_probable_prime(n, base) for base in _SMALL_PRIMES[:13])
-    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+    return all(_strong_probable_prime(n, base) for base in _SMALL_PRIMES[:13])
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
     """One Miller-Rabin round, for odd n > base."""
     m = n - 1
     s = (m & -m).bit_length() - 1
-    x = _powmod(base, m >> s, n)
+    x = pow(base, m >> s, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
@@ -388,76 +381,8 @@ def _strong_probable_prime(n: int, base: int) -> bool:
     return False
 
 
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    result = 1
-    while a:
-        while not a & 1:
-            a >>= 1
-            if (n & 7) in (3, 5):
-                result = -result
-        a, n = n, a
-        if (a & 3) == 3 and (n & 3) == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _strong_lucas_probable_prime(n: int) -> bool:
-    """Strong Lucas test for odd n > 47.
-
-    Selfridge's parameters: the first D of 5, -7, 9, -11, ... with Jacobi
-    symbol (D/n) = -1, P = 1 and Q = (1 - D)/4; a square has no such D.
-    The D search and the square test run here, the U/V/Q^k walk in
-    _lucas_walk: about 0.08 s at 2048 bits (x86-64 Xeon, Python 3.11).
-    No session runs it: a named group skips validation, and any other
-    group is validated once, before it is used.
-    """
-    if isqrt(n) ** 2 == n:
-        return False
-    for D in count(5, 2):
-        if D & 2:
-            D = -D
-        j = _jacobi(D, n)
-        if j == -1:
-            break
-        if j == 0:
-            return False            # |D| < n shares a factor with n
-    return _lucas_walk(n, D, (1 - D) // 4)
-
-
-def _lucas_walk(n: int, D: int, Q: int) -> bool:
-    """The strong Lucas verdict for odd n, given Selfridge's D and Q.
-
-    With n+1 = d * 2^s, d odd: U_d = 0 or V_(d*2^r) = 0 mod n for some
-    0 <= r < s. U and V are walked over the bits of d with the doubling
-    and increment formulas; the increment halves mod n by adding n to an
-    odd value and shifting.
-    """
-    s = ((n + 1) & -(n + 1)).bit_length() - 1
-    U, V, Qk = 1, 1, Q % n
-    for bit in bin((n + 1) >> s)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V = U + V, D * U + V
-            if U & 1:
-                U += n
-            if V & 1:
-                V += n
-            U, V, Qk = U >> 1, V >> 1, Qk * Q % n
-    if U % n == 0 or V % n == 0:
-        return True
-    for _ in range(s - 1):
-        V = (V * V - 2 * Qk) % n
-        if V == 0:
-            return True
-        Qk = Qk * Qk % n
-    return False
-
-
 def prime_factors(n: int) -> List[int]:
-    """The distinct primes dividing n >= 1, ascending.
+    """The distinct primes dividing 1 <= n <= ORDER_CHECK_BOUND, ascending.
 
     Trial division by the primes up to 47, then Pollard's rho on what is
     left until every part passes is_prime.
@@ -515,98 +440,59 @@ def _pollard_rho(n: int) -> int:
 def validate_params(params: GroupParams) -> None:
     """Check that q is prime and g generates all of Z_q^*.
 
-    Below ORDER_CHECK_BOUND the order check is exact: q-1 is fully factored
-    and g^((q-1)/p) != 1 is verified for every prime factor p. Above the
-    bound, q must be a safe prime 2p+1. There, g^p = -1 mod q, g^2 != 1
-    mod q and p prime are a Pocklington certificate (Brillhart, Lehmer and
-    Selfridge 1975): every prime factor of q is 1 mod p, hence above sqrt(q),
-    so q is prime, and g has order 2p = q-1. That costs one primality test,
-    of p, where testing q and p costs two. When the certificate does not
-    hold, the full sequence runs (is q prime, is p prime, g^2 != 1 and
-    g^p != 1) and says which check failed; the groups it accepts are
-    exactly those the certificate accepts.
-
-    A group in NAMED_GROUPS returns at once: the test suite runs the
-    certificate on each entry, so this accepts exactly what it would.
+    A group in NAMED_GROUPS returns at once: the test suite certifies each
+    entry. Any other group is a custom group and must have q <=
+    ORDER_CHECK_BOUND, or GroupTooLarge is raised. There the check is
+    exact: q passes is_prime, q-1 is fully factored and g^((q-1)/p) != 1
+    is verified for every prime factor p.
     """
     if params in NAMED_GROUPS.values():
         return
     q, g = params.q, params.g
+    if q > ORDER_CHECK_BOUND:
+        raise _custom_group_too_large(q.bit_length())
     if not 1 < g < q:
         raise OutOfRange(f"generator {g} outside (1, {q})")
-    if q > ORDER_CHECK_BOUND and q & 1:
-        p = q >> 1
-        if _powmod(g, p, q) == q - 1 and gcd(g * g - 1, q) == 1 and is_prime(p):
-            return
     if q < 3 or not is_prime(q):
         raise NotPrime(f"{q} is not prime")
     order = q - 1
-    if q <= ORDER_CHECK_BOUND:
-        for p in prime_factors(order):
-            if pow(g, order // p, q) == 1:
-                raise NotGenerator(f"{g} has order dividing {order // p} mod {q}")
-    else:
-        p = order // 2
-        if not is_prime(p):
-            raise NotPrime(f"{q} is not a safe prime; cannot certify generator order")
-        if pow(g, 2, q) == 1 or _powmod(g, p, q) == 1:
-            raise NotGenerator(f"{g} is not a generator mod safe prime {q}")
+    for p in prime_factors(order):
+        if pow(g, order // p, q) == 1:
+            raise NotGenerator(f"{g} has order dividing {order // p} mod {q}")
+
+
+def _custom_group_too_large(bits: int) -> GroupTooLarge:
+    return GroupTooLarge(
+        f"a custom group stops at 2^64, and this one has {bits} bits; above "
+        f"2^64 use a named group ({'|'.join(NAMED_GROUPS)})")
 
 
 def generate_params(bit_length: int, seed: int) -> GroupParams:
-    """Deterministically search for valid group parameters of the given size.
+    """Deterministically search for a custom group of 4..64 bits.
 
-    For 4..64 bits the prime is arbitrary and g is the smallest primitive
-    root (order certified by factoring q-1). Above 64 bits the search is for
-    safe primes q = 2p+1 with g the smallest base passing the safe-prime
-    generator check; both q and p must pass trial division and a base-2
-    Miller-Rabin round before either gets a full primality test. That
-    drops only composites, so the result is the same as testing q, then p.
-
-    The search gives up after a budget of candidates. Safe primes thin out
-    as 1/bits^2, so above 64 bits the budget is 3 * bits^2, at least 20000:
-    6 to 12 times the mean number of draws measured from 96 to 256 bits.
+    The prime is arbitrary and g is its smallest primitive root (order
+    certified by factoring q-1). A larger bit_length raises GroupTooLarge.
     """
     if bit_length < 4:
         raise ValueError("bit_length must be at least 4")
+    if bit_length > 64:
+        raise _custom_group_too_large(bit_length)
     rng = random.Random(seed)
-    budget = 200000 if bit_length <= 64 else max(20000, 3 * bit_length ** 2)
-    for _ in range(budget):
+    for _ in range(200000):
         candidate = rng.getrandbits(bit_length) | (1 << (bit_length - 1)) | 1
-        if bit_length > 64:
-            p = candidate >> 1
-            if not (_sieve_and_base_2(candidate) and _sieve_and_base_2(p)
-                    and is_prime(candidate) and is_prime(p)):
-                continue
-        elif not is_prime(candidate):
-            continue
-        g = _find_generator(candidate, bit_length <= 64)
-        if g is not None:
-            params = GroupParams(q=candidate, g=g)
+        if is_prime(candidate):
+            params = GroupParams(q=candidate, g=_find_generator(candidate))
             validate_params(params)
             return params
     raise SearchExhausted(f"no prime found for bit_length={bit_length} seed={seed}")
 
 
-def _sieve_and_base_2(n: int) -> bool:
-    """The cheap part of is_prime for n > 53^2: no prime factor up to 47,
-    and n a strong probable prime to base 2."""
-    return all(n % p for p in _SMALL_PRIMES) and _strong_probable_prime(n, 2)
-
-
-def _find_generator(q: int, exact: bool) -> Optional[int]:
+def _find_generator(q: int) -> int:
+    """The smallest primitive root of the prime q."""
     order = q - 1
-    if exact:
-        factors = prime_factors(order)
-        for g in range(2, q):
-            if all(pow(g, order // p, q) != 1 for p in factors):
-                return g
-    else:
-        p = order // 2
-        for g in range(2, min(q, 1000)):
-            if pow(g, 2, q) != 1 and _powmod(g, p, q) != 1:
-                return g
-    return None
+    factors = prime_factors(order)
+    return next(g for g in range(2, q)
+                if all(pow(g, order // p, q) != 1 for p in factors))
 
 
 def derive_verifier(creds: Credentials, params: GroupParams, hash_spec: HashSpec,

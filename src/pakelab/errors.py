@@ -45,7 +45,8 @@ class OutOfRange(ValidationError):
 
 
 class GroupTooLarge(PakeError):
-    """Operation needs the brute-force dlog table, but q exceeds the desk-scale bound."""
+    """q exceeds a bound the operation needs: the desk-scale bound of the
+    brute-force dlog table, or 2^64 for a group not in NAMED_GROUPS."""
 
 
 class NotInGroup(PakeError):

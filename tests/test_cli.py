@@ -58,13 +58,18 @@ def test_params_gen_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_params_check_names_the_pocklington_certificate(tmp_path, capsys):
+def test_custom_groups_stop_at_64_bits(tmp_path, capsys):
+    assert run_cli("params", "gen", "--bits", "64", "--seed", "0") == 0
+    assert capsys.readouterr().out == "9625328367889806653\n2\n"
     group = tmp_path / "group70.params"
-    params = generate_params(70, 0)
-    group.write_text(f"{params.q}\n{params.g}\n")
-    assert run_cli("params", "check", str(group)) == 0
-    out = capsys.readouterr().out
-    assert "Pocklington" in out and "safe-prime check" not in out
+    group.write_text("952030781924686401347\n2\n")      # a 70-bit safe prime
+    for argv in (("params", "gen", "--bits", "65", "--seed", "0"),
+                 ("params", "check", str(group)),
+                 ("simulate", "--params", str(group))):
+        assert run_cli(*argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert "use a named group (modp1536|modp2048|modp3072)" in err, argv
+        assert out == "", argv
 
 
 def test_params_takes_a_named_group(capsys):
@@ -198,14 +203,14 @@ def test_attack_sweeps_refuse_fewer_than_one_trial(attack, trials, capsys):
 
 
 def test_stolen_verifier_verdict_names_the_group_it_ran_on(tmp_path, capsys):
-    params = generate_params(70, 0)
-    group = tmp_path / "group70.params"
+    params = generate_params(24, 1)
+    group = tmp_path / "group24.params"
     group.write_text(f"{params.q}\n{params.g}\n")
     assert run_cli("attack", "stolen-verifier-proposed", "--params", str(group),
                    "--trials", "3", "--seed", "1") == 0
     out = capsys.readouterr().out
     assert "3/3 impersonations accepted" in out
-    assert "measured verdict: claim does not hold on a 70-bit group" in out
+    assert "measured verdict: claim does not hold on a 24-bit group" in out
 
 
 def test_attack_mitm(capsys):
@@ -343,8 +348,8 @@ def test_stopping_a_never_started_service_releases_the_store(tmp_path):
 
 
 def test_serve_validates_the_group_once(tmp_path, monkeypatch):
-    group = tmp_path / "group70.params"
-    params = generate_params(70, 0)
+    group = tmp_path / "group24.params"
+    params = generate_params(24, 1)
     group.write_text(f"{params.q}\n{params.g}\n")
     checked = []
     for module in (cli_module, service_module):
@@ -537,10 +542,11 @@ def test_serve_stops_on_sigterm_like_on_sigint(served_store):
         socket.create_connection(("127.0.0.1", port), timeout=2).close()
 
 
-def test_connect_refused_port_exits_3():
+def test_connect_refused_port_exits_3(capsys):
     # nothing listens on a fresh ephemeral port that was never opened
     assert run_cli("connect", "--addr", "127.0.0.1:1", "--hash", "toysum",
                    "--id-a", "9", "--id-b", "12", "--password", "10") == 3
+    assert capsys.readouterr().err.startswith("error: connection failed: ")
 
 
 def test_serve_refuses_a_port_out_of_range_before_binding(tmp_path, capsys,
@@ -556,11 +562,13 @@ def test_serve_refuses_a_log_it_cannot_open_before_binding(tmp_path, capsys,
                                                           monkeypatch):
     monkeypatch.setattr(service_module, "_Server",
                         lambda *args: pytest.fail("a listener was bound"))
-    log_path = tmp_path / "missing" / "server.jsonl"
-    assert run_cli("serve", "--listen", "127.0.0.1:0", "--enroll",
-                   "--store", str(tmp_path / "verifiers.tsv"),
-                   "--log", str(log_path)) == 3
-    assert str(log_path) in capsys.readouterr().err
+    for log_path in (tmp_path / "missing" / "server.jsonl", tmp_path):
+        assert run_cli("serve", "--listen", "127.0.0.1:0", "--enroll",
+                       "--store", str(tmp_path / "verifiers.tsv"),
+                       "--log", str(log_path)) == 3
+        err = capsys.readouterr().err
+        assert str(log_path) in err and "connection failed" not in err
+    assert "Is a directory" in err
     assert not (tmp_path / "verifiers.tsv").exists()
 
 

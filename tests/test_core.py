@@ -4,6 +4,7 @@ import hashlib
 import math
 from math import gcd
 import random
+import re
 import threading
 
 import mpmath
@@ -22,7 +23,6 @@ from pakelab.core import (
     DlogTable,
     GroupParams,
     HashSpec,
-    MR_EXACT_BOUND,
     NAMED_GROUPS,
     ORDER_CHECK_BOUND,
     SessionKey,
@@ -154,7 +154,7 @@ def test_mod_exp_tallies_into_the_right_bucket():
 
 
 def test_mod_exp_matches_pow_on_a_safe_prime_group():
-    params = generate_params(80, seed=1)
+    params = GroupParams(q=SAFE_PRIME_80, g=2)
     assert params.q.bit_length() == 80
     rng = random.Random(80)
     exponents = [0, 1, params.q - 2] + [rng.randrange(params.q ** 2)
@@ -175,13 +175,30 @@ def test_mod_exp_matches_pow_on_a_safe_prime_group():
     assert (tally.modexp, tally.modexp_registration) == (1, 1)
 
 
+# safe primes q = 2p+1 of 65 to 256 bits, from sympy.nextprime on seeded starts
+SAFE_PRIMES = [
+    0x1a39378e03cfd577b,
+    0x83e7165ff90149c62b,
+    0xf3f49b851ff214b5da227,
+    0xe72525a45c4ab5996348cdfa3,
+    0xebad6be31cf54dd33e332a0933ba55af,
+    0xbb049a79af4f4799187abe2d2527bd1f9116537b,
+    0x96263ae78bd031f58086797afb57d2538946697f8d9b143b,
+    0xc988931038b275ea29549ce33a78fbd8014c3f267ad8a3c6e1d7a58f,
+    0xfd836e775ecfa8c3c82c640fa128932c05e1dd32e63928a43233d275a22eaf47,
+]
+
+# an 80-bit safe prime of which 2 generates the whole group
+SAFE_PRIME_80 = 947852829033638865475379
+
+MODP2048_Q = NAMED_GROUPS["modp2048"].q
 MODP3072_Q = NAMED_GROUPS["modp3072"].q
 
 
 def _powmod_cases():
     """(base, exponent, modulus) with moduli of 65 to 3072 bits."""
     rng = random.Random(4096)
-    groups = [(SAFE_PRIMES[0], 2), (generate_params(80, seed=1).q, 2),
+    groups = [(SAFE_PRIMES[0], 2), (SAFE_PRIME_80, 2),
               (SAFE_PRIMES[4], 2), (sympy.nextprime(2 ** 511 + 12345), 3),
               (MODP2048_Q, 11), (MODP3072_Q, 5)]
     cases = []
@@ -379,43 +396,18 @@ def test_validate_params_rejects_composite_and_non_generators():
         validate_params(GroupParams(q=13, g=3))    # order 3
 
 
-def test_validate_params_large_groups_need_safe_primes():
-    # smallest prime above 2^65 whose (q-1)/2 is composite
-    q = sympy.nextprime(2 ** 65)
-    while sympy.isprime((q - 1) // 2):
-        q = sympy.nextprime(q)
-    with pytest.raises(NotPrime):
-        validate_params(GroupParams(q=q, g=2))
+TOO_LARGE = re.escape("use a named group (modp1536|modp2048|modp3072)")
 
 
-def test_validate_params_accepts_a_safe_prime():
-    p = sympy.nextprime(2 ** 65)
-    while not sympy.isprime(2 * p + 1):
-        p = sympy.nextprime(p)
-    q = 2 * p + 1
-    g = next(g for g in range(2, 100)
-             if pow(g, 2, q) != 1 and pow(g, p, q) != 1)
-    validate_params(GroupParams(q=q, g=g))
-
-
-def _reference_validate_params(params):
-    """validate_params as it checked groups before the Pocklington certificate."""
-    q, g = params.q, params.g
-    if not 1 < g < q:
-        raise OutOfRange(f"generator {g} outside (1, {q})")
-    if q < 3 or not is_prime(q):
-        raise NotPrime(f"{q} is not prime")
-    order = q - 1
-    if q <= ORDER_CHECK_BOUND:
-        for p in prime_factors(order):
-            if pow(g, order // p, q) == 1:
-                raise NotGenerator(f"{g} has order dividing {order // p} mod {q}")
-    else:
-        p = order // 2
-        if not is_prime(p):
-            raise NotPrime(f"{q} is not a safe prime; cannot certify generator order")
-        if pow(g, 2, q) == 1 or pow(g, p, q) == 1:
-            raise NotGenerator(f"{g} is not a generator mod safe prime {q}")
+def test_validate_params_refuses_custom_groups_above_2_64():
+    q = ORDER_CHECK_BOUND - 59                  # the largest prime below 2^64
+    assert _outcome(validate_params, q, 2) == "accepted"
+    assert _outcome(validate_params, q, q - 1) == (
+        NotGenerator, f"{q - 1} has order dividing {(q - 1) // 2} mod {q}")
+    for q in (ORDER_CHECK_BOUND + 1, ORDER_CHECK_BOUND + 3):
+        for g in (2, 3, q - 1, q):
+            with pytest.raises(GroupTooLarge, match=TOO_LARGE):
+                validate_params(GroupParams(q=q, g=g))
 
 
 def _outcome(check, q, g):
@@ -426,61 +418,13 @@ def _outcome(check, q, g):
     return "accepted"
 
 
-# safe primes q = 2p+1 of 65 to 256 bits, from sympy.nextprime on seeded starts
-SAFE_PRIMES = [
-    0x1a39378e03cfd577b,
-    0x83e7165ff90149c62b,
-    0xf3f49b851ff214b5da227,
-    0xe72525a45c4ab5996348cdfa3,
-    0xebad6be31cf54dd33e332a0933ba55af,
-    0xbb049a79af4f4799187abe2d2527bd1f9116537b,
-    0x96263ae78bd031f58086797afb57d2538946697f8d9b143b,
-    0xc988931038b275ea29549ce33a78fbd8014c3f267ad8a3c6e1d7a58f,
-    0xfd836e775ecfa8c3c82c640fa128932c05e1dd32e63928a43233d275a22eaf47,
-]
-
-MODP2048_Q = NAMED_GROUPS["modp2048"].q
-
-
-def _validation_corpus():
-    """(q, g) pairs around the safe-prime path, valid and invalid."""
-    cases = []
-    for q in SAFE_PRIMES:
-        assert sympy.isprime(q) and sympy.isprime(q // 2)
-        cases += [(q, g) for g in [*range(1, 40), q - 2, q - 1, q]]
-        cases += [(q + 1, g) for g in range(2, 6)]                 # even q
-    for bits in (65, 72, 84, 100, 128, 160, 192, 224, 256):
-        q = sympy.nextprime(2 ** (bits - 1) + 12345)
-        while sympy.isprime(q // 2):                               # p composite
-            q = sympy.nextprime(q)
-        cases += [(q, g) for g in [*range(2, 12), q - 1]]
-        p = sympy.nextprime(2 ** (bits - 2) + 777)
-        while sympy.isprime(2 * p + 1):                            # q = 2p+1 composite
-            p = sympy.nextprime(p)
-        cases += [(2 * p + 1, g) for g in [*range(2, 12), 2 * p, 2 * p - 1]]
-    for q in (ORDER_CHECK_BOUND - 59, ORDER_CHECK_BOUND + 1, ORDER_CHECK_BOUND + 3):
-        cases += [(q, g) for g in (2, 3, 5, q - 1)]
-    return cases
-
-
-def test_validate_params_matches_the_reference_sequence():
-    corpus = _validation_corpus()
-    outcomes = [_outcome(validate_params, q, g) for q, g in corpus]
-    assert outcomes == [_outcome(_reference_validate_params, q, g) for q, g in corpus]
-    # every branch is exercised
-    assert outcomes.count("accepted") >= 9
-    kinds = {outcome[0] for outcome in outcomes if outcome != "accepted"}
-    assert kinds == {OutOfRange, NotPrime, NotGenerator}
-
-
 def test_validate_params_on_the_rfc3526_2048_bit_prime():
     q = MODP2048_Q
-    expected = {2: (NotGenerator, f"2 is not a generator mod safe prime {q}"),
-                11: "accepted",
-                q - 1: (NotGenerator, f"{q - 1} is not a generator mod safe prime {q}")}
+    refusal = (GroupTooLarge, "a custom group stops at 2^64, and this one has "
+               "2048 bits; above 2^64 use a named group (modp1536|modp2048|modp3072)")
+    expected = {2: refusal, 11: "accepted", q - 1: refusal}
     for g, outcome in expected.items():
         assert _outcome(validate_params, q, g) == outcome
-        assert _outcome(_reference_validate_params, q, g) == outcome
 
 
 # k in the RFC's formula for each named group, and the SHA-256 of the
@@ -506,48 +450,21 @@ def test_the_named_groups_are_the_rfc3526_primes():
 
 
 def test_the_named_groups_pass_the_full_check_and_skip_it(monkeypatch):
-    calls = []
-    lucas = core._strong_lucas_probable_prime
-    monkeypatch.setattr(core, "_strong_lucas_probable_prime",
-                        lambda n: calls.append(n) or lucas(n))
+    monkeypatch.setattr(core, "is_prime", lambda n: pytest.fail("is_prime called"))
     for name, params in NAMED_GROUPS.items():
         validate_params(params)
-        assert calls == [], name
         with pytest.MonkeyPatch.context() as bypass:
             bypass.setattr(core, "NAMED_GROUPS", {})
-            validate_params(params)             # the Pocklington certificate
-        assert calls == [params.q // 2], name
-        calls.clear()
+            with pytest.raises(GroupTooLarge):
+                validate_params(params)
+        # Pocklington's criterion with q - 1 = 2p: p prime, g^p = -1 and
+        # gcd(g^2 - 1, q) = 1 prove q prime and g of order 2p = q - 1
+        p = params.q // 2
+        assert params.q == 2 * p + 1 and sympy.isprime(p), name
+        assert mod_exp(params.g, p, params) == params.q - 1, name
+        assert gcd(params.g ** 2 - 1, params.q) == 1, name
         # g is the smallest full-order base: every smaller one is a square
-        assert all(mod_exp(g, params.q // 2, params) == 1
-                   for g in range(2, params.g)), name
-
-
-def test_a_large_safe_prime_group_takes_one_strong_lucas_test(monkeypatch):
-    q = SAFE_PRIMES[4]                          # 128 bits, so p > MR_EXACT_BOUND
-    assert q // 2 > MR_EXACT_BOUND
-    params = GroupParams(q=q, g=next(g for g in range(2, 40)
-                                     if pow(g, q // 2, q) == q - 1))
-    calls = []
-    lucas = core._strong_lucas_probable_prime
-    monkeypatch.setattr(core, "_strong_lucas_probable_prime",
-                        lambda n: calls.append(n) or lucas(n))
-    validate_params(params)
-    assert calls == [q // 2]
-    calls.clear()
-    _reference_validate_params(params)
-    assert calls == [q, q // 2]
-
-
-def test_generate_params_sieves_q_and_p_before_any_strong_lucas_test(monkeypatch):
-    calls = []
-    lucas = core._strong_lucas_probable_prime
-    monkeypatch.setattr(core, "_strong_lucas_probable_prime",
-                        lambda n: calls.append(n) or lucas(n))
-    q = generate_params(128, 0).q
-    # q and p once in the search, p again in validate_params; testing every
-    # candidate q before looking at p made 282 calls
-    assert calls == [q, q // 2, q // 2]
+        assert all(mod_exp(g, p, params) == 1 for g in range(2, params.g)), name
 
 
 @pytest.mark.parametrize("bits", [8, 10, 12, 16])
@@ -564,6 +481,11 @@ def test_generate_params_rejects_tiny_sizes():
         generate_params(3, seed=0)
 
 
+def test_generate_params_refuses_more_than_64_bits():
+    with pytest.raises(GroupTooLarge, match=TOO_LARGE):
+        generate_params(65, seed=0)
+
+
 # generate_params(bits, seed) -> (q, g) as the sympy-based search found them
 PINNED_PARAMS = {
     (16, 0): (60331, 12), (16, 1): (49871, 17), (16, 2): (56431, 3),
@@ -573,13 +495,6 @@ PINNED_PARAMS = {
     (48, 2): (150794612988881, 3),
     (64, 0): (9625328367889806653, 2), (64, 1): (17324573639174612641, 17),
     (64, 2): (15750464385269855119, 3),
-    (70, 0): (952030781924686401347, 2), (70, 1): (1094254571871969431999, 11),
-    (70, 2): (606248458674287615027, 2),
-    (96, 0): (72115765215199156333460896499, 2),
-    (96, 1): (74855837812239469103854051103, 5),
-    (96, 2): (56420442055648645786686964379, 2),
-    (128, 0): (263422996056446349745752076335805244567, 5),
-    (128, 1): (197082816705788428017759540199210530659, 2),
 }
 
 
@@ -587,15 +502,6 @@ PINNED_PARAMS = {
 def test_generate_params_is_unchanged(bits, seed):
     params = generate_params(bits, seed)
     assert (params.q, params.g) == PINNED_PARAMS[bits, seed]
-
-
-@pytest.mark.parametrize("bits", [160, 256])
-def test_generate_params_reaches_160_and_256_bits(bits):
-    # seed 0 draws 23,440 candidates at 160 bits and 38,143 at 256 bits,
-    # past the fixed budget of 20000 that once held above 64 bits
-    params = generate_params(bits, 0)
-    assert params.q.bit_length() == bits
-    assert sympy.isprime(params.q) and sympy.isprime(params.q // 2)
 
 
 # -- primality and factoring ----------------------------------------------------------
@@ -612,49 +518,34 @@ def test_prime_factors_match_sympy_below_200000():
         prime_factors(0)
 
 
-def test_is_prime_matches_sympy_on_random_64_to_512_bit_values():
+def test_is_prime_matches_sympy_on_random_values_up_to_64_bits():
     rng = random.Random(2024)
     for _ in range(400):
-        n = rng.getrandbits(rng.randrange(64, 513))
+        n = rng.getrandbits(rng.randrange(18, 65))
         assert is_prime(n) == sympy.isprime(n), n
     for _ in range(40):
-        bits = rng.randrange(64, 513)
-        p = sympy.randprime(2 ** (bits - 1), 2 ** bits)
-        assert is_prime(p)
+        p = sympy.randprime(2 ** 17, 2 ** 32)
+        assert is_prime(p) and is_prime(sympy.randprime(2 ** 32, 2 ** 64))
         assert not is_prime(p * sympy.randprime(2 ** 20, 2 ** 21))
         assert not is_prime(p * p)
+    assert is_prime(ORDER_CHECK_BOUND - 59)
+    with pytest.raises(ValueError):
+        is_prime(ORDER_CHECK_BOUND + 1)
 
 
 @pytest.mark.parametrize("n", [
-    MR_EXACT_BOUND,                 # strong pseudoprime to every base 2..41
+    3317044064679887385961981,      # strong pseudoprime to every base 2..41
     318665857834031151167461,       # strong pseudoprime to every base 2..37
     3825123056546413051,            # strong pseudoprime to bases 2..23
     5459, 5777, 10877, 16109, 18971,    # strong Lucas pseudoprimes
 ])
 def test_is_prime_refuses_known_pseudoprimes(n):
-    assert not is_prime(n) and not sympy.isprime(n)
-
-
-# -- the strong Lucas test ------------------------------------------------------------
-
-# the strong Lucas pseudoprimes below 10^5 (OEIS A217255)
-STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
-                             40309, 58519, 75077, 97439]
-
-
-def test_the_strong_lucas_test_stays_in_python_at_or_below_the_bound(monkeypatch):
-    monkeypatch.setattr(core, "_libcrypto",
-                        lambda: pytest.fail("libcrypto consulted"))
-    for n in STRONG_LUCAS_PSEUDOPRIMES + [SAFE_PRIMES[-1], MR_EXACT_BOUND]:
-        assert core._strong_lucas_probable_prime(n) == (n != MR_EXACT_BOUND)
-
-
-def test_the_strong_lucas_test_runs_in_python_at_2048_bits(monkeypatch):
-    monkeypatch.setattr(core, "_libcrypto",
-                        lambda: pytest.fail("libcrypto consulted"))
-    p = MODP2048_Q // 2
-    assert core._strong_lucas_probable_prime(p)
-    assert not core._strong_lucas_probable_prime(p + 2)
+    assert not sympy.isprime(n)
+    if n > ORDER_CHECK_BOUND:           # no answer at all above 2^64
+        with pytest.raises(ValueError):
+            is_prime(n)
+    else:
+        assert not is_prime(n)
 
 
 def test_a_library_without_one_of_the_calls_counts_as_not_found(monkeypatch):
@@ -675,19 +566,22 @@ def test_a_library_without_one_of_the_calls_counts_as_not_found(monkeypatch):
     assert core._libcrypto.__wrapped__() is None
 
 
-def test_prime_factors_match_sympy_on_random_64_to_512_bit_values():
+def test_prime_factors_match_sympy_on_random_values_up_to_64_bits():
     rng = random.Random(7)
     for _ in range(10):
-        # small primes with repeats, then a large prime cofactor: every
-        # factor is in Pollard rho's reach, whatever the total size
-        bits = rng.randrange(64, 513)
+        # small primes with repeats, then a prime cofactor of at least 5 bits:
+        # the small ones stop short of bits // 2 + 16 bits in all
+        bits = rng.randrange(40, 65)
         primes = []
         while sum(p.bit_length() for p in primes) < bits // 2:
-            primes.append(sympy.randprime(2, 2 ** rng.randrange(2, 25)))
+            primes.append(sympy.randprime(2, 2 ** rng.randrange(2, 17)))
         rest = bits - sum(p.bit_length() for p in primes)
         primes.append(sympy.randprime(2 ** (rest - 1), 2 ** rest))
         n = math.prod(primes)
         assert prime_factors(n) == sorted(set(primes)) == sorted(sympy.factorint(n))
+        # two 32-bit primes, the hardest split Pollard's rho meets here
+        primes = [sympy.randprime(2 ** 31, 2 ** 32) for _ in range(2)]
+        assert prime_factors(math.prod(primes)) == sorted(set(primes))
 
 
 # -- verifier derivation -----------------------------------------------------------
