@@ -14,7 +14,8 @@ Four experiments, all deterministic given their injected nonces:
   * dictionary_census: information-theoretic offline-guess measurement. A
     candidate password is "consistent" with a wiretapped transcript iff
     some nonce pair (x', y') explains every observed value under that
-    password's verifier. Exhaustive by construction; desk scale only.
+    password's verifier. The dlog table settles each candidate exactly;
+    desk scale only.
   * mitm_tamper_experiment: replay an honest session with one in-flight
     field substitution and report who, if anyone, accepted.
 
@@ -88,7 +89,6 @@ class DictionaryCensus:
     dictionary: List[int]
     consistent: List[int]
     enumeration_bound: int
-    method: str
     witnesses: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     rejections: Dict[int, str] = field(default_factory=dict)
 
@@ -207,25 +207,31 @@ def stolen_verifier_attack_proposed(v: int, ids: Tuple[int, int],
                         notes="; ".join(notes))
 
 
+# each tamperable field: the frame that carries it and its name there
+_TAMPER_FIELDS = {
+    SCHEME_PROPOSED: {"t_a": (Msg1Frame, "t_a"), "t_b": (Msg2Frame, "t_b"),
+                      "d_a": (Msg3Frame, "d_a"), "e_b": (Msg4Frame, "e_b")},
+    SCHEME_LKY: {"t_a_masked": (Msg1Frame, "t_a"),
+                 "t_b_masked": (LkyMsg2Frame, "t_b_masked"),
+                 "d_b": (LkyMsg2Frame, "d_b"), "d_a": (Msg3Frame, "d_a")},
+}
+
+
 def _census_observations(transcript: Transcript, params: GroupParams):
-    """Pull (id_a, T_A, T_B, d_A, E_B) out of a wiretapped session."""
-    seen = {}
-    for entry in transcript:
-        frame = decode_frame(entry.data)
-        if isinstance(frame, Msg1Frame):
-            if (frame.q, frame.g) != (params.q, params.g):
-                raise ScenarioError(
-                    f"transcript params ({frame.q}, {frame.g}) do not match "
-                    f"({params.q}, {params.g})")
-            seen["id_a"] = frame.id_a
-            seen["t_a"] = frame.t_a
-        elif isinstance(frame, Msg2Frame):
-            seen["t_b"] = frame.t_b
-        elif isinstance(frame, Msg3Frame):
-            seen["d_a"] = frame.d_a
-        elif isinstance(frame, Msg4Frame):
-            seen["e_b"] = frame.e_b
-    missing = {"id_a", "t_a", "t_b", "d_a", "e_b"} - set(seen)
+    """Pull id_a and the revised scheme's four fields out of a wiretapped session."""
+    frames = {type(frame): frame
+              for frame in (decode_frame(entry.data) for entry in transcript)}
+    msg1 = frames.get(Msg1Frame)
+    if msg1 is not None and (msg1.q, msg1.g) != (params.q, params.g):
+        raise ScenarioError(
+            f"transcript params ({msg1.q}, {msg1.g}) do not match "
+            f"({params.q}, {params.g})")
+    fields = _TAMPER_FIELDS[SCHEME_PROPOSED]
+    seen = {name: getattr(frames[carrier], attr)
+            for name, (carrier, attr) in fields.items() if carrier in frames}
+    if msg1 is not None:
+        seen["id_a"] = msg1.id_a
+    missing = {"id_a", *fields} - set(seen)
     if missing:
         raise ScenarioError(
             f"transcript is not a completed session; missing {sorted(missing)}")
@@ -233,8 +239,8 @@ def _census_observations(transcript: Transcript, params: GroupParams):
 
 
 def dictionary_census(transcript: Transcript, dictionary: List[int],
-                      params: GroupParams, hash_spec: HashSpec, id_b: int,
-                      method: str = "enumerate") -> DictionaryCensus:
+                      params: GroupParams, hash_spec: HashSpec,
+                      id_b: int) -> DictionaryCensus:
     """Mark each candidate password consistent or not with a wiretap.
 
     A candidate P' is consistent iff some (x', y') in [1, q-2]^2 satisfies,
@@ -244,11 +250,10 @@ def dictionary_census(transcript: Transcript, dictionary: List[int],
         h(T_A^y') mod q = d_A,  h(T_B^(x' * h'^-1)) mod q = d_A,
         v'^(y'^2 mod (q-1)) = E_B
 
-    method "enumerate" walks the whole space (skipping x' columns whose
-    g^x' misses T_A, which discards no witness); method "dlog" resolves
-    x' and y' directly from the dlog table, an algebraically equivalent
-    route kept as a cross-check. id_b is supplied by the caller because
-    the wire only ever carries id_a.
+    g and v' both generate the group, so the first two equations fix x'
+    and y'; the dlog table reads them off, and the candidate stands or
+    falls with that one pair, at four exponentiations. id_b is supplied by
+    the caller because the wire only ever carries id_a.
 
     This measures information leakage with unlimited computation, not the
     cost of extracting it.
@@ -258,12 +263,10 @@ def dictionary_census(transcript: Transcript, dictionary: List[int],
     if params.q > DESK_SCALE_BOUND:
         raise GroupTooLarge(
             f"census needs q <= {DESK_SCALE_BOUND}, got {params.q}")
-    if method not in ("enumerate", "dlog"):
-        raise ValueError(f"unknown census method {method!r}")
     census = DictionaryCensus(dictionary=list(dictionary), consistent=[],
-                              enumeration_bound=bound, method=method)
+                              enumeration_bound=bound)
     for password in dictionary:
-        witness, why = _census_one(obs, password, params, hash_spec, id_b, method)
+        witness, why = _census_one(obs, password, params, hash_spec, id_b)
         if witness is not None:
             census.consistent.append(password)
             census.witnesses[password] = witness
@@ -273,33 +276,13 @@ def dictionary_census(transcript: Transcript, dictionary: List[int],
 
 
 def _census_one(obs, password: int, params: GroupParams, hash_spec: HashSpec,
-                id_b: int, method: str):
+                id_b: int):
     q, order = params.q, params.order
     h_exp = hash_to_exponent(
         hash_spec.of_ints([obs["id_a"], id_b, password]), params)
     v_cand = mod_exp(params.g, h_exp, params)
     h_inv = mod_inverse(h_exp, order)
     t_a, t_b, d_a, e_b = obs["t_a"], obs["t_b"], obs["d_a"], obs["e_b"]
-
-    def pair_ok(x_c: int, y_c: int) -> bool:
-        if hash_spec.of_ints([mod_exp(t_a, y_c, params)]) % q != d_a:
-            return False
-        client_r = mod_exp(t_b, exponent_reduce(x_c * h_inv, params), params)
-        if hash_spec.of_ints([client_r]) % q != d_a:
-            return False
-        return mod_exp(v_cand, exponent_reduce(y_c * y_c, params), params) == e_b
-
-    if method == "enumerate":
-        for x_c in range(1, q - 1):
-            if mod_exp(params.g, x_c, params) != t_a:
-                continue
-            for y_c in range(1, q - 1):
-                if mod_exp(v_cand, y_c, params) != t_b:
-                    continue
-                if pair_ok(x_c, y_c):
-                    return (x_c, y_c), ""
-        return None, "no (x', y') satisfies all transcript equations"
-
     table = DlogTable.for_params(params)
     x_c = table.dlog(t_a)
     if not 1 <= x_c <= q - 2:
@@ -307,19 +290,12 @@ def _census_one(obs, password: int, params: GroupParams, hash_spec: HashSpec,
     y_c = (table.dlog(t_b) * h_inv) % order
     if not 1 <= y_c <= q - 2:
         return None, "T_B has no admissible nonce under this password"
-    if pair_ok(x_c, y_c):
-        return (x_c, y_c), ""
-    return None, "unique nonce pair fails the confirmation equations"
-
-
-# each tamperable field: the frame that carries it and its name there
-_TAMPER_FIELDS = {
-    SCHEME_PROPOSED: {"t_a": (Msg1Frame, "t_a"), "t_b": (Msg2Frame, "t_b"),
-                      "d_a": (Msg3Frame, "d_a"), "e_b": (Msg4Frame, "e_b")},
-    SCHEME_LKY: {"t_a_masked": (Msg1Frame, "t_a"),
-                 "t_b_masked": (LkyMsg2Frame, "t_b_masked"),
-                 "d_b": (LkyMsg2Frame, "d_b"), "d_a": (Msg3Frame, "d_a")},
-}
+    client_r = mod_exp(t_b, exponent_reduce(x_c * h_inv, params), params)
+    if (hash_spec.of_ints([mod_exp(t_a, y_c, params)]) % q != d_a
+            or hash_spec.of_ints([client_r]) % q != d_a
+            or mod_exp(v_cand, exponent_reduce(y_c * y_c, params), params) != e_b):
+        return None, "unique nonce pair fails the confirmation equations"
+    return (x_c, y_c), ""
 
 
 def mitm_tamper_experiment(scheme: str, tamper: TamperSpec, params: GroupParams,

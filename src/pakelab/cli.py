@@ -251,8 +251,7 @@ def cmd_serve(args) -> int:
     )
     service = Service(config)
     host, port = service.address
-    scheme = SCHEME_LKY if args.insecure_lky else SCHEME_PROPOSED
-    print(f"serving {scheme} on {host}:{port} "
+    print(f"serving {service.scheme} on {host}:{port} "
           f"(q={config.params.q}, g={config.params.g}, hash={args.hash})")
     if args.enroll:
         print("warning: enrollment mode accepts verifiers in the clear",
@@ -265,9 +264,7 @@ def cmd_connect(args) -> int:
     params = _params(args)
     creds = _credentials(args)
     options = ClientOptions(hash_spec=_hash_spec(args), scheme=args.scheme,
-                            x=args.x, seed=args.seed,
-                            skip_server_auth=args.skip_server_auth,
-                            log_path=_log_path(args))
+                            x=args.x, seed=args.seed, log_path=_log_path(args))
     key, report = client_connect(parse_address(args.addr), creds, params,
                                  options)
     print(f"session key: {key.value:x}")
@@ -383,10 +380,9 @@ def _attack_census(args) -> int:
     dictionary = [parse_identity(tok.strip(), "candidate", args)
                   for tok in args.dictionary.split(",") if tok.strip()]
     census = dictionary_census(wiretap.transcript, dictionary, params,
-                               hash_spec, id_b=creds.id_b, method=args.method)
+                               hash_spec, id_b=creds.id_b)
     print(f"census over {len(dictionary)} candidates "
-          f"(search space {census.enumeration_bound} nonce pairs, "
-          f"method {census.method}):")
+          f"(search space {census.enumeration_bound} nonce pairs):")
     for candidate in dictionary:
         if candidate in census.consistent:
             x_w, y_w = census.witnesses[candidate]
@@ -395,8 +391,7 @@ def _attack_census(args) -> int:
             print(f"  {candidate}: ruled out ({census.rejections[candidate]})")
     _maybe_log(args, {"kind": "census",
                       "dictionary": [str(c) for c in dictionary],
-                      "consistent": [str(c) for c in census.consistent],
-                      "method": census.method})
+                      "consistent": [str(c) for c in census.consistent]})
     return 0
 
 
@@ -464,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=SCHEME_PROPOSED)
     p_conn.add_argument("--x", type=int, help="explicit client nonce")
     p_conn.add_argument("--seed", type=int, help="client nonce RNG seed")
-    p_conn.add_argument("--skip-server-auth", action="store_true")
     p_conn.set_defaults(func=cmd_connect)
 
     p_sim = sub.add_parser("simulate", help="in-memory honest run")
@@ -505,8 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cen, default_hash=TOYSUM, creds="toy")
     p_cen.add_argument("--dictionary", "--dict", required=True,
                        help="comma-separated candidate passwords")
-    p_cen.add_argument("--method", choices=["enumerate", "dlog"],
-                       default="enumerate")
     p_cen.add_argument("--x", type=int)
     p_cen.add_argument("--y", type=int)
     p_cen.add_argument("--seed", type=int)

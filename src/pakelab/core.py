@@ -20,11 +20,11 @@ exact there) and factor q-1 (prime_factors) to certify the generator's
 order. Above 2^64 only the RFC 3526 groups in NAMED_GROUPS are accepted;
 the test suite certifies them once, so validating one costs nothing.
 
-Exponentiation modulo an odd number above NATIVE_POWMOD_BOUND (mod_exp on
+Exponentiation modulo an odd number above ORDER_CHECK_BOUND (mod_exp on
 the named groups) runs on OpenSSL's libcrypto, through ctypes, when
 ctypes.util.find_library("crypto") finds it: about ten times faster than
-pow at 2048 bits. Below the bound, and without the library, pow does the
-work. The library loads on the first such call, so desk-scale groups never
+pow at 2048 bits. On custom groups, and without the library, pow does the
+work. The library loads on the first such call, so custom groups never
 import ctypes.
 
 Two oracles are deliberately brute-force and only constructible for small
@@ -61,12 +61,9 @@ from .errors import (
 DESK_SCALE_BOUND = 2 ** 20
 
 # Custom groups stop here: up to it, generator order is certified by fully
-# factoring q-1; above it, only NAMED_GROUPS are accepted.
+# factoring q-1; above it, only NAMED_GROUPS are accepted, and _powmod runs
+# them on libcrypto.
 ORDER_CHECK_BOUND = 2 ** 64
-
-# Above this, and when libcrypto is found, _powmod runs odd moduli on it
-# through ctypes; below, pow is faster than a ctypes call.
-NATIVE_POWMOD_BOUND = 2 ** 90
 
 TOYSUM = "toysum"
 DIGEST256 = "digest256"
@@ -183,9 +180,9 @@ def mod_exp(base: int, exponent: int, params: GroupParams,
             tally: Optional[Tally] = None, registration: bool = False) -> int:
     """base^exponent mod q, for base in Z_q^* and exponent >= 0.
 
-    The arithmetic is _powmod: the built-in three-argument pow up to
-    NATIVE_POWMOD_BOUND, libcrypto's constant-time Montgomery exponentiation
-    above it when the library is found. This wrapper exists for its range
+    The arithmetic is _powmod: the built-in three-argument pow on custom
+    groups, libcrypto's constant-time Montgomery exponentiation on the
+    named ones when the library is found. This wrapper exists for its range
     checks and to increment the caller's tally (per-session or
     registration bucket) when one is supplied, which is how the efficiency
     accounting is measured rather than asserted. Every protocol
@@ -206,14 +203,14 @@ def mod_exp(base: int, exponent: int, params: GroupParams,
 def _powmod(base: int, exponent: int, modulus: int) -> int:
     """base^exponent mod modulus, for base >= 0, exponent >= 0, modulus > 1.
 
-    An odd modulus above NATIVE_POWMOD_BOUND goes to libcrypto's
-    BN_mod_exp_mont_consttime, through ctypes: at 2048 bits 3.7 ms where
-    pow takes 40 ms (x86-64 Xeon, OpenSSL 3.0). Below the bound the ctypes
-    call costs more than it saves, so these, even moduli, and every call
-    on a host where find_library("crypto") finds nothing run the built-in
-    pow. The ctypes call releases the GIL while libcrypto works.
+    An odd modulus above ORDER_CHECK_BOUND (a named group) goes to
+    libcrypto's BN_mod_exp_mont_consttime, through ctypes: at 2048 bits
+    3.7 ms where pow takes 40 ms (x86-64 Xeon, OpenSSL 3.0). Custom groups,
+    where a ctypes call costs more than it saves, even moduli, and every
+    call on a host where find_library("crypto") finds nothing run the
+    built-in pow. The ctypes call releases the GIL while libcrypto works.
     """
-    lib = _libcrypto() if modulus > NATIVE_POWMOD_BOUND and modulus & 1 else None
+    lib = _libcrypto() if modulus > ORDER_CHECK_BOUND and modulus & 1 else None
     if lib is None:
         return pow(base, exponent, modulus)
     import ctypes
@@ -246,7 +243,7 @@ def _libcrypto():
     """OpenSSL's libcrypto with the BIGNUM calls _powmod makes, or None.
 
     Loaded on the first call, which comes from the first exponentiation
-    above NATIVE_POWMOD_BOUND, so desk-scale runs never import ctypes. A
+    above ORDER_CHECK_BOUND, so runs on custom groups never import ctypes. A
     library without one of the calls (all are in OpenSSL 1.1.0 and later)
     counts as not found.
     """

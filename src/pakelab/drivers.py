@@ -72,15 +72,15 @@ def lky_server(msg1: Msg1Frame, record: VerifierRecord, params: GroupParams,
 
 
 def proposed_client(creds: Credentials, params: GroupParams, hash_spec: HashSpec,
-                    x: int, skip_server_auth: bool = False):
-    """The revised client; above the desk-scale bound it always skips server auth."""
+                    x: int):
+    """The revised client; it checks the server exactly where q <= DESK_SCALE_BOUND."""
     msg1, state = proposed.prop_client_start(creds, params, hash_spec, x)
     reply = yield msg1, state
     msg3 = proposed.prop_client_confirm(expect(reply, Msg2Frame), state)
     reply = yield msg3, state
     key = proposed.prop_client_finish(
         expect(reply, Msg4Frame), state,
-        skip_server_auth=skip_server_auth or params.q > DESK_SCALE_BOUND)
+        skip_server_auth=params.q > DESK_SCALE_BOUND)
     return None, key, state
 
 

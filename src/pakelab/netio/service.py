@@ -5,8 +5,9 @@ then MSG4 (or OK for the baseline scheme) out on acceptance. Both ends run
 the scheme's drivers (pakelab.drivers); the server loop and the client loop
 here only move frames and map what the drivers raise to ERROR frames or
 exceptions. Every refusal is an ERROR frame with a stable code; malformed
-input can never bring the listener down, and a peer that stays silent for
-READ_TIMEOUT seconds is dropped as a hang-up. Group parameters ride in MSG1
+input can never bring the listener down, and a connection still reading
+READ_TIMEOUT seconds after it was accepted is dropped as a hang-up, however
+slowly its peer trickles bytes. Group parameters ride in MSG1
 and are compared against the server's configuration, never negotiated.
 
 Two deliberately guarded modes:
@@ -33,6 +34,7 @@ seconds exits, as do the idle threads when the service stops.
 
 from __future__ import annotations
 
+import io
 import logging
 import queue
 import random
@@ -40,8 +42,8 @@ import signal
 import socket
 import socketserver
 import threading
+import time
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
@@ -67,7 +69,7 @@ from ..errors import (
     UnmaskOutOfRange,
     VersionMismatch,
 )
-from ..drivers import SERVERS, expect, lky_client, proposed_client
+from ..drivers import CLIENTS, SERVERS, expect
 from ..harness import (
     MAX_NONCE_RESAMPLES,
     SessionReport,
@@ -105,9 +107,9 @@ POLL_INTERVAL = 0.05
 # only after the kernel's 1 s retransmit timeout
 LISTEN_BACKLOG = 128
 
-# seconds a connection may sit in one read or write before it is dropped as
-# a hang-up, so a silent peer cannot pin its handler thread; also how long an
-# idle handler thread waits for a connection before it exits
+# seconds after which a connection's reads fail and it is dropped as a
+# hang-up, so neither a silent nor a trickling peer can pin its handler
+# thread; also how long an idle handler thread waits for a connection
 READ_TIMEOUT = 30.0
 
 # seconds the client waits to connect, and then on each read or write
@@ -143,12 +145,35 @@ class ClientOptions:
     scheme: str = SCHEME_PROPOSED
     x: Optional[int] = None
     seed: Optional[int] = None
-    skip_server_auth: bool = False
     log_path: Optional[Union[str, Path]] = None
+
+
+class _DeadlineReader(io.RawIOBase):
+    """A socket's read side whose every read ends by one monotonic deadline."""
+
+    def __init__(self, sock: socket.socket, deadline: float):
+        self._sock, self._deadline = sock, deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        remaining = self._deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("connection deadline passed")
+        self._sock.settimeout(remaining)
+        return self._sock.recv_into(buffer)
 
 
 class _Handler(socketserver.StreamRequestHandler):
     timeout = READ_TIMEOUT
+
+    def setup(self):
+        super().setup()
+        # one deadline for the whole connection, not one per read
+        self.rfile.close()
+        self.rfile = io.BufferedReader(_DeadlineReader(
+            self.connection, time.monotonic() + self.timeout))
 
     def handle(self):
         self.server.service._handle_connection(self)
@@ -211,6 +236,7 @@ class Service:
     def __init__(self, config: ServeConfig):
         validate_params(config.params)
         self.config = config
+        self.scheme = SCHEME_LKY if config.insecure_lky else SCHEME_PROPOSED
         path = Path(config.store_path)
         mode = config.hash_spec.mode
         if path.exists():
@@ -394,8 +420,7 @@ class Service:
         Frames the driver rejects as malformed, or that fail to parse, end
         in _handle_connection with their ERROR frame.
         """
-        cfg = self.config
-        scheme = SCHEME_LKY if cfg.insecure_lky else SCHEME_PROPOSED
+        cfg, scheme = self.config, self.scheme
         transcript = Transcript()
         transcript.record(DIR_AB, "msg1", raw)
         record = self._preflight(conn, msg1)
@@ -494,16 +519,13 @@ def client_connect(address: Tuple[str, int], creds: Credentials,
                    ) -> Tuple[SessionKey, SessionReport]:
     """Run one session as entity A against a listening server."""
     opts = options if options is not None else ClientOptions()
-    if opts.scheme == SCHEME_PROPOSED:
-        start = partial(proposed_client, skip_server_auth=opts.skip_server_auth)
-    elif opts.scheme == SCHEME_LKY:
-        start = lky_client
-    else:
+    if opts.scheme not in CLIENTS:
         raise ValueError(f"unknown scheme {opts.scheme!r}")
     rng = random.Random(opts.seed)
     for _ in range(MAX_NONCE_RESAMPLES):
-        client = start(creds, params, opts.hash_spec,
-                       opts.x if opts.x is not None else sample_nonce(params, rng))
+        client = CLIENTS[opts.scheme](
+            creds, params, opts.hash_spec,
+            opts.x if opts.x is not None else sample_nonce(params, rng))
         try:
             frame, state = next(client)
             break

@@ -183,17 +183,6 @@ def test_census_separates_the_password_from_a_wrong_guess():
     assert census.enumeration_bound == 11 * 11
 
 
-def test_census_methods_agree():
-    tap = wiretap(x=5, y=7)
-    dictionary = list(range(0, 20))
-    by_enum = dictionary_census(tap, dictionary, TOY_PARAMS, TOYSUM_SPEC,
-                                id_b=12, method="enumerate")
-    by_dlog = dictionary_census(tap, dictionary, TOY_PARAMS, TOYSUM_SPEC,
-                                id_b=12, method="dlog")
-    assert by_enum.consistent == by_dlog.consistent
-    assert by_enum.witnesses == by_dlog.witnesses
-
-
 def test_census_against_an_independent_oracle():
     """Recompute consistency with plain pow(), no package helpers."""
     tap = wiretap()
@@ -256,9 +245,39 @@ def test_census_rejects_bad_inputs():
     with pytest.raises(ScenarioError):
         dictionary_census(wiretap(), [10], GroupParams(q=29, g=2),
                           TOYSUM_SPEC, id_b=12)
-    with pytest.raises(ValueError):
-        dictionary_census(wiretap(), [10], TOY_PARAMS, TOYSUM_SPEC, id_b=12,
-                          method="divination")
+
+
+def test_census_costs_at_most_four_modexps_per_candidate(monkeypatch):
+    """A search over the nonce space would cost up to q per candidate."""
+    params = generate_params(20, seed=1)
+    hash_spec = HashSpec(DIGEST256)
+    report = run_honest_session(Scenario(
+        scheme=SCHEME_PROPOSED, params=params, creds=TOY_CREDS,
+        hash_spec=hash_spec, x=1234, y=4321))
+    assert report.error is None
+    builds, calls = [], []
+    original_init, original_mod_exp = DlogTable.__init__, attacks_module.mod_exp
+
+    def counting_init(table, params):
+        builds.append(params)
+        original_init(table, params)
+
+    def counting_mod_exp(*args, **kwargs):
+        calls.append(args)
+        return original_mod_exp(*args, **kwargs)
+
+    monkeypatch.setattr(DlogTable, "_cache", {})
+    monkeypatch.setattr(DlogTable, "__init__", counting_init)
+    monkeypatch.setattr(attacks_module, "mod_exp", counting_mod_exp)
+    witnesses = {}
+    for candidate in range(4, 16):
+        calls.clear()
+        census = dictionary_census(report.transcript, [candidate], params,
+                                   hash_spec, id_b=TOY_CREDS.id_b)
+        assert 1 <= len(calls) <= 4, candidate
+        witnesses.update(census.witnesses)
+    assert witnesses == {TOY_CREDS.password: (1234, 4321)}
+    assert builds == [params]
 
 
 # -- in-flight tampering ------------------------------------------------------------

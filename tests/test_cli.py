@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, identity mapping, logs."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -28,9 +29,10 @@ from pakelab.netio import service as service_module
 from pakelab.netio.service import ServeConfig, Service
 from pakelab.netio.store import VerifierStore
 
+ROOT = Path(__file__).resolve().parent.parent
+
 # subprocesses find the package in src/ without an install, as pytest does
-SUBPROCESS_ENV = dict(os.environ,
-                      PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def run_cli(*argv):
@@ -229,10 +231,17 @@ def test_attack_census(capsys):
     assert "11: ruled out" in out
 
 
-def test_attack_census_dlog_method_agrees(capsys):
-    assert run_cli("attack", "census", "--dict", "10,11", "--method", "dlog",
-                   "--x", "3", "--y", "4") == 0
-    assert "10: consistent (witness x'=3, y'=4)" in capsys.readouterr().out
+@pytest.mark.parametrize("argv", [
+    ("connect", "--addr", "127.0.0.1:1", "--id-a", "9", "--id-b", "12",
+     "--password", "10", "--skip-server-auth"),
+    ("attack", "census", "--dict", "10,11", "--method", "dlog"),
+])
+def test_flags_the_program_decides_itself_are_usage_errors(argv, capsys):
+    # the server check follows q, and the census has one algorithm
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_attack_census_above_the_desk_bound_is_a_usage_error(tmp_path, capsys):
@@ -601,3 +610,21 @@ def test_serve_and_register_reject_a_verifier_outside_the_group(tmp_path, capsys
     assert run_cli("register", "--store", str(bad), "--hash", "toysum",
                    "--id-a", "20", "--id-b", "12", "--password", "3") == 2
     assert bad.read_text() == "# pake-verifiers v1\n9\t12\t1d\n"
+
+
+# -- the README names only flags that exist -------------------------------------------
+
+
+def test_every_flag_the_readme_names_belongs_to_a_subcommand():
+    named = {flag
+             for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+             if "pip install" not in line
+             for flag in re.findall(r"--[a-z][a-z0-9-]*", line)}
+    known, parsers = set(), [cli_module.build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            known.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert "--params" in named
+    assert named <= known, sorted(named - known)

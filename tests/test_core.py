@@ -231,9 +231,8 @@ def test_powmod_without_libcrypto_gives_the_same_results(powmod_cases, monkeypat
 def test_powmod_keeps_pow_at_or_below_the_bound_and_for_even_moduli(monkeypatch):
     monkeypatch.setattr(core, "_libcrypto",
                         lambda: pytest.fail("libcrypto consulted"))
-    assert SAFE_PRIMES[1].bit_length() == 72
-    for modulus in (13, 665179, ORDER_CHECK_BOUND - 59, ORDER_CHECK_BOUND + 2,
-                    SAFE_PRIMES[1], MODP2048_Q + 1):
+    for modulus in (13, 665179, ORDER_CHECK_BOUND - 59, ORDER_CHECK_BOUND,
+                    ORDER_CHECK_BOUND + 2, MODP2048_Q + 1):
         for base, exponent in ((1, 0), (3, modulus - 2), (modulus - 1, 2 ** 100 + 1)):
             assert core._powmod(base, exponent, modulus) == pow(base, exponent, modulus)
 
@@ -248,8 +247,10 @@ def test_powmod_runs_on_libcrypto_when_the_library_is_found(monkeypatch):
                         raising=False)
     params = GroupParams(q=MODP2048_Q, g=11)
     assert mod_exp(11, MODP2048_Q - 2, params) == pow(11, MODP2048_Q - 2, MODP2048_Q)
-    assert SAFE_PRIMES[3] > core.NATIVE_POWMOD_BOUND
-    assert core._powmod(2, SAFE_PRIMES[3] - 1, SAFE_PRIMES[3]) == 1
+    # the smallest odd moduli above the custom-group bound go there too
+    assert SAFE_PRIMES[0].bit_length() == 65
+    for modulus in (SAFE_PRIMES[0], ORDER_CHECK_BOUND + 1):
+        assert core._powmod(3, modulus - 1, modulus) == pow(3, modulus - 1, modulus)
 
 
 def test_powmod_from_four_threads_at_once():

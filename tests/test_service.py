@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from pakelab.cli import main as cli_main
 from pakelab.core import (
     DIGEST256,
     Credentials,
@@ -22,6 +23,7 @@ from pakelab.core import (
     TOYSUM,
     VerifierRecord,
     derive_verifier,
+    generate_params,
 )
 from pakelab.errors import (
     MalformedFrame,
@@ -177,13 +179,32 @@ def test_parallel_sessions(tmp_path):
     assert keys == [9, 9, 9, 9]
 
 
-def test_client_can_skip_server_auth(tmp_path):
-    with Service(toy_config(tmp_path)) as service:
-        key, report = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
-                                     toy_options(skip_server_auth=True))
-    assert key.value == 9
-    assert not report.auth_a_ok
+def test_a_login_above_the_desk_bound_leaves_the_server_unchecked(tmp_path,
+                                                                  capsys):
+    params = generate_params(24, 3)
+    store_path = tmp_path / "verifiers.tsv"
+    store = VerifierStore()
+    store.add(VerifierRecord(id_a=9, id_b=12, v=derive_verifier(
+        TOY_CREDS, params, TOYSUM_SPEC)))
+    store.save(store_path)
+    group = tmp_path / "group24.params"
+    group.write_text(f"{params.q}\n{params.g}\n")
+    config = ServeConfig(params=params, store_path=store_path,
+                         hash_spec=TOYSUM_SPEC, y_override=4321)
+    with Service(config) as service:
+        key, report = client_connect(service.address, TOY_CREDS, params,
+                                     toy_options())
+        host, port = service.address
+        capsys.readouterr()
+        assert cli_main(["connect", "--addr", f"{host}:{port}",
+                         "--params", str(group), "--hash", "toysum",
+                         "--id-a", "9", "--id-b", "12", "--password", "10",
+                         "--x", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert not report.auth_a_ok and report.auth_b_ok
     assert "server unauthenticated" in report.flags
+    assert f"session key: {key.value:x}" in out
+    assert "warning: server was not authenticated" in err
 
 
 # -- the session's log line precedes its final frame --------------------------
@@ -598,6 +619,47 @@ def test_silent_peers_are_dropped_at_the_read_deadline(tmp_path, monkeypatch,
     assert len(hang_ups) == 3
     assert all(r.levelno == logging.INFO and r.exc_info is None
                for r in caplog.records)
+
+
+def test_a_trickling_peer_is_cut_off_at_the_connection_deadline(tmp_path,
+                                                                monkeypatch,
+                                                                caplog):
+    # each byte arrives well inside the deadline, so only a deadline on the
+    # whole connection, not on each read, ends these
+    monkeypatch.setattr(service_module._Handler, "timeout", 0.3)
+    caplog.set_level(logging.INFO, logger="pakelab.netio")
+    ends = []
+
+    def trickle(address):
+        with socket.create_connection(address, timeout=5.0) as sock:
+            start = time.monotonic()
+            sock.sendall(b"\x50\x4b\x01\x02\xff\xff")   # MSG1, 65535-byte field
+            sock.settimeout(0.1)
+            while time.monotonic() - start < 3.0:
+                try:
+                    sock.sendall(b"\x07")
+                    data = sock.recv(64)        # waits 0.1 s for the server
+                except socket.timeout:
+                    continue
+                except ConnectionError:
+                    data = b""
+                ends.append((time.monotonic() - start, data))
+                return
+
+    with Service(toy_config(tmp_path)) as service:
+        peers = [threading.Thread(target=trickle, args=(service.address,))
+                 for _ in range(3)]
+        for peer in peers:
+            peer.start()
+        for peer in peers:
+            peer.join(timeout=10)
+        key, _ = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                                toy_options())
+        assert key.value == 9
+    assert len(ends) == 3
+    assert all(0.2 < seconds < 1.0 and data == b"" for seconds, data in ends), ends
+    hang_ups = [r for r in caplog.records if "hung up" in r.getMessage()]
+    assert len(hang_ups) == 3
 
 
 # -- handler threads -------------------------------------------------------------
