@@ -19,6 +19,10 @@ There are two kinds of group. A custom group has q <= ORDER_CHECK_BOUND
 exact there) and factor q-1 (prime_factors) to certify the generator's
 order. Above 2^64 only the RFC 3526 groups in NAMED_GROUPS are accepted;
 the test suite certifies them once, so validating one costs nothing.
+sample_nonce draws a session nonce from [1, q-2] on a custom group and
+from [1, 2^NAMED_NONCE_BITS) on a named one, as NIST SP 800-56A Rev. 3
+section 5.6.1.1.4 and RFC 7919 section 5.2 allow for a safe-prime group:
+2s bits at security strength s.
 
 Exponentiation modulo an odd number above ORDER_CHECK_BOUND (mod_exp on
 the named groups) runs on OpenSSL's libcrypto, through ctypes, when
@@ -64,6 +68,10 @@ DESK_SCALE_BOUND = 2 ** 20
 # factoring q-1; above it, only NAMED_GROUPS are accepted, and _powmod runs
 # them on libcrypto.
 ORDER_CHECK_BOUND = 2 ** 64
+
+# Bit length of a sampled nonce on a named group: at least twice the
+# security strength of each (112 bits for modp2048, 128 for modp3072).
+NAMED_NONCE_BITS = 256
 
 TOYSUM = "toysum"
 DIGEST256 = "digest256"
@@ -204,11 +212,12 @@ def _powmod(base: int, exponent: int, modulus: int) -> int:
     """base^exponent mod modulus, for base >= 0, exponent >= 0, modulus > 1.
 
     An odd modulus above ORDER_CHECK_BOUND (a named group) goes to
-    libcrypto's BN_mod_exp_mont_consttime, through ctypes: at 2048 bits
-    3.7 ms where pow takes 40 ms (x86-64 Xeon, OpenSSL 3.0). Custom groups,
-    where a ctypes call costs more than it saves, even moduli, and every
-    call on a host where find_library("crypto") finds nothing run the
-    built-in pow. The ctypes call releases the GIL while libcrypto works.
+    libcrypto's BN_mod_exp_mont_consttime, through ctypes: at 2048 bits,
+    with a full-length exponent, 3.1 ms where pow takes 27 ms (x86-64,
+    OpenSSL 3.0). Custom groups, where a ctypes call costs more than it
+    saves, even moduli, and every call on a host where
+    find_library("crypto") finds nothing run the built-in pow. The ctypes
+    call releases the GIL while libcrypto works.
     """
     lib = _libcrypto() if modulus > ORDER_CHECK_BOUND and modulus & 1 else None
     if lib is None:
@@ -558,7 +567,17 @@ def toy_pairing(x: int, y: int, params: GroupParams) -> int:
 
 
 def sample_nonce(params: GroupParams, rng: random.Random) -> int:
-    """Uniform ephemeral exponent in [1, q-2] from the caller's RNG."""
+    """Uniform ephemeral exponent from the caller's RNG.
+
+    In [1, q-2] on a custom group. On a named group (q above
+    ORDER_CHECK_BOUND) in [1, 2^NAMED_NONCE_BITS): a safe-prime group's
+    private exponent needs only twice the group's security strength in
+    bits (NIST SP 800-56A Rev. 3 section 5.6.1.1.4, RFC 7919 section 5.2),
+    and at 2048 bits an exponentiation by one costs about a sixth of a
+    full-length one.
+    """
+    if params.q > ORDER_CHECK_BOUND:
+        return rng.randrange(1, 1 << NAMED_NONCE_BITS)
     return rng.randrange(1, params.order)
 
 

@@ -186,7 +186,9 @@ class _Server(socketserver.TCPServer):
     request_queue_size = LISTEN_BACKLOG
 
     def __init__(self, address, handler):
-        self._requests = queue.SimpleQueue()    # (request, address); None: exit
+        # (request, address); None: exit. Not a SimpleQueue: on CPython 3.11
+        # its timed get can block for good when several threads wait on it
+        self._requests = queue.Queue()
         self._idle = threading.Semaphore(0)     # idle threads not yet claimed
         super().__init__(address, handler)
 
@@ -506,8 +508,8 @@ def _client_recv(rfile, transcript: Optional[Transcript] = None):
 
 def client_register(address: Tuple[str, int], record: VerifierRecord):
     """Enroll a verifier over TCP (demo of the in-the-clear registration step)."""
-    with socket.create_connection(address, timeout=CLIENT_TIMEOUT) as sock:
-        rfile = sock.makefile("rb")
+    with (socket.create_connection(address, timeout=CLIENT_TIMEOUT) as sock,
+          sock.makefile("rb") as rfile):
         sock.sendall(encode_frame(RegisterFrame(id_a=record.id_a,
                                                 id_b=record.id_b, v=record.v)))
         expect(_client_recv(rfile), OkFrame)
@@ -535,8 +537,8 @@ def client_connect(address: Tuple[str, int], creds: Credentials,
     else:
         raise RetryNonce("could not pick a usable client nonce")
     transcript = Transcript()
-    with socket.create_connection(address, timeout=CLIENT_TIMEOUT) as sock:
-        rfile = sock.makefile("rb")
+    with (socket.create_connection(address, timeout=CLIENT_TIMEOUT) as sock,
+          sock.makefile("rb") as rfile):
         try:
             while True:
                 _client_send(sock, frame, transcript)

@@ -3,6 +3,7 @@ couple of slightly larger desk-scale groups for property tests."""
 
 import pytest
 
+from pakelab import core
 from pakelab.core import (
     Credentials,
     GroupParams,
@@ -49,6 +50,20 @@ def toysum():
 @pytest.fixture
 def digest256():
     return HashSpec(DIGEST256)
+
+
+@pytest.fixture
+def exponent_bits(monkeypatch):
+    """The bit length of every exponent mod_exp is called with, in call order."""
+    bits = []
+    powmod = core._powmod
+
+    def recording_powmod(base, exponent, modulus):
+        bits.append(exponent.bit_length())
+        return powmod(base, exponent, modulus)
+
+    monkeypatch.setattr(core, "_powmod", recording_powmod)
+    return bits
 
 
 @pytest.fixture(scope="session", autouse=True)

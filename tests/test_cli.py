@@ -82,6 +82,12 @@ def test_params_takes_a_named_group(capsys):
     assert run_cli("simulate", "--params", "modp2048", "--hash", "digest256",
                    "--seed", "1") == 0
     assert "server->client not checked" in capsys.readouterr().out
+    # an explicit nonce may still take the whole range [1, q-2]
+    top = str(NAMED_GROUPS["modp2048"].q - 2)
+    for scheme in ("proposed", "lky"):
+        assert run_cli("simulate", "--params", "modp2048", "--hash", "digest256",
+                       "--scheme", scheme, "--x", top, "--y", top) == 0
+        assert "auth: client->server ok" in capsys.readouterr().out
 
 
 def test_params_check_rejects_bad_files(tmp_path, capsys):

@@ -24,6 +24,7 @@ from pakelab.core import (
     GroupParams,
     HashSpec,
     NAMED_GROUPS,
+    NAMED_NONCE_BITS,
     ORDER_CHECK_BOUND,
     SessionKey,
     Tally,
@@ -660,6 +661,17 @@ def test_toy_pairing_of_generator_with_itself():
 def test_sample_nonce_stays_in_range(params, seed):
     x = sample_nonce(params, random.Random(seed))
     assert 1 <= x <= params.order - 1
+    # the draw on a custom group is randrange(1, q-1), so seeded transcripts hold
+    assert x == random.Random(seed).randrange(1, params.order)
+
+
+@pytest.mark.parametrize("name", list(NAMED_GROUPS))
+def test_sample_nonce_on_a_named_group_has_at_most_256_bits(name):
+    params = NAMED_GROUPS[name]
+    nonces = [sample_nonce(params, random.Random(seed)) for seed in range(200)]
+    assert NAMED_NONCE_BITS == 256      # at least twice modp3072's 128-bit strength
+    assert all(1 <= x < 2 ** NAMED_NONCE_BITS for x in nonces)
+    assert max(nonces).bit_length() == NAMED_NONCE_BITS   # the whole range is drawn
 
 
 def test_session_key_encodes_canonically():

@@ -15,6 +15,8 @@ from pakelab.core import (
     TOY_PARAMS,
     TOYSUM,
     DIGEST256,
+    NAMED_GROUPS,
+    NAMED_NONCE_BITS,
     derive_verifier,
     generate_params,
 )
@@ -118,6 +120,31 @@ def test_large_group_session_flags_the_skipped_check():
     assert not report.auth_a_ok           # pairing check was out of reach
     assert report.auth_b_ok
     assert "server unauthenticated" in report.flags
+
+
+@pytest.mark.parametrize("scheme, client, server, registration", [
+    (SCHEME_LKY, 2, 2, 1), (SCHEME_PROPOSED, 2, 3, 0)])
+def test_seeded_named_group_sessions_use_short_nonces(exponent_bits, scheme,
+                                                      client, server,
+                                                      registration):
+    report = run_honest_session(Scenario(
+        scheme=scheme, params=NAMED_GROUPS["modp2048"],
+        creds=Credentials(id_a=9, id_b=12, password=10),
+        hash_spec=HashSpec(DIGEST256), seed=7))
+    assert report.error is None
+    assert report.key_a == report.key_b
+    counters = report.counters
+    assert (counters.modexp_client, counters.modexp_server,
+            counters.modexp_registration) == (client, server, registration)
+    # one more builds the server's stored verifier, outside both tallies
+    assert len(exponent_bits) == client + server + registration + 1
+    # only the client's T_B^(x * h^-1 mod q-1) keeps a full-length exponent;
+    # proposed's v^(y^2) has twice a nonce's bits, every other one at most 256
+    *short, full = sorted(exponent_bits)
+    assert full > 2000
+    assert sum(bits > NAMED_NONCE_BITS for bits in short) == (
+        scheme == SCHEME_PROPOSED)
+    assert max(short) <= 2 * NAMED_NONCE_BITS
 
 
 # -- reports and logs -------------------------------------------------------------

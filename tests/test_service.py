@@ -1,5 +1,6 @@
 """TCP service: loopback sessions, error codes, throttling, enrollment, logs."""
 
+import gc
 import json
 import logging
 import queue
@@ -7,6 +8,7 @@ import socket
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -16,6 +18,8 @@ from pakelab.core import (
     Credentials,
     GroupParams,
     HashSpec,
+    NAMED_GROUPS,
+    NAMED_NONCE_BITS,
     SCHEME_LKY,
     SCHEME_PROPOSED,
     TOY_CREDS,
@@ -205,6 +209,28 @@ def test_a_login_above_the_desk_bound_leaves_the_server_unchecked(tmp_path,
     assert "server unauthenticated" in report.flags
     assert f"session key: {key.value:x}" in out
     assert "warning: server was not authenticated" in err
+
+
+def test_a_seeded_login_on_a_named_group_uses_short_nonces(tmp_path,
+                                                          exponent_bits):
+    params, spec = NAMED_GROUPS["modp2048"], HashSpec(DIGEST256)
+    creds = Credentials(id_a=9, id_b=12, password=10)
+    store_path = tmp_path / "verifiers.tsv"
+    store = VerifierStore()
+    store.add(VerifierRecord(id_a=9, id_b=12,
+                             v=derive_verifier(creds, params, spec)))
+    store.save(store_path)
+    exponent_bits.clear()
+    config = ServeConfig(params=params, store_path=store_path, hash_spec=spec,
+                         rng_seed=3)
+    with Service(config) as service:
+        key, report = client_connect(service.address, creds, params,
+                                     ClientOptions(hash_spec=spec, seed=4))
+    assert 0 < key.value < params.q and report.auth_b_ok
+    # g^x, v^y, T_A^y and v^(y^2) are short; only T_B^(x * h^-1 mod q-1) is not
+    *short, full = sorted(exponent_bits)
+    assert len(short) == 4 and full > 2000
+    assert max(short) <= 2 * NAMED_NONCE_BITS
 
 
 # -- the session's log line precedes its final frame --------------------------
@@ -476,6 +502,41 @@ def test_enrollment_rejects_non_group_verifiers(tmp_path):
             RegisterFrame(id_a=20, id_b=12, v=13)))
     assert isinstance(reply, ErrorFrame)
     assert reply.code == ERR_PARAM_MISMATCH
+
+
+def call_keeping_its_error(call):
+    """The code of the RemoteError call raises, else None.
+
+    The error stays in a reference cycle with this frame, as one a caller
+    keeps does, so only a garbage-collection pass frees what it holds.
+    """
+    try:
+        call()
+    except RemoteError as exc:
+        error = exc
+        return error.code
+    return None
+
+
+def test_client_calls_leave_no_socket_to_the_garbage_collector(tmp_path):
+    stranger = Credentials(id_a=99, id_b=12, password=10)
+    with Service(toy_config(tmp_path, enroll=True)) as service:
+        calls = [
+            (lambda: client_connect(service.address, stranger, TOY_PARAMS,
+                                    toy_options()), ERR_UNKNOWN_IDENTITY),
+            (lambda: client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                                    toy_options()), None),
+            (lambda: client_register(service.address,
+                                     VerifierRecord(id_a=20, id_b=12, v=7)),
+             None),
+        ]
+        for call, code in calls:
+            assert call_keeping_its_error(call) == code
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                gc.collect()
+            assert not [w for w in caught
+                        if issubclass(w.category, ResourceWarning)]
 
 
 V2_TOY_HEADER = b"# pake-verifiers v2 q=13 g=6 hash=toysum\n"
