@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -54,7 +54,9 @@ class Counters:
     hash_evals: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
+        # a shallow copy: every field is an int, and the instance dict holds
+        # them in field order
+        return dict(vars(self))
 
 
 @dataclass

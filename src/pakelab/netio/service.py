@@ -26,6 +26,10 @@ Per-identity consecutive-failure counters throttle online guessing: once a
 client identity crosses config.max_fail, further attempts get ERROR 0x06
 until a success clears the counter (counters are in-memory only).
 
+With config.log_path set, the service opens its JSONL log once and holds it
+until stop(), so a log renamed or rotated while it runs keeps receiving
+lines until the service restarts.
+
 Each connection in flight has its own daemon handler thread. A finished
 connection's thread waits for the next one instead of exiting, a new thread
 starts only when none is idle, and a thread left idle for READ_TIMEOUT
@@ -35,6 +39,7 @@ seconds exits, as do the idle threads when the service stops.
 from __future__ import annotations
 
 import io
+import json
 import logging
 import queue
 import random
@@ -247,26 +252,29 @@ class Service:
             self.store = VerifierStore(config.params, mode)     # may start empty
         else:
             raise FileNotFoundError(f"verifier store not found: {path}")
-        if config.log_path is not None:
-            # lines are appended just before a session's final frame, so an
-            # unwritable log must stop the service here, not drop sessions
-            open(config.log_path, "a", encoding="utf-8").close()
-        if config.enroll and self.store.version != 2:
-            # REGISTER appends rows, so the file must be v2 and name this group
-            self.store.save(path)
-        # taken after the compaction, which renames a new file over the old
-        self._store_lock = lock_store(path) if config.enroll else None
+        # held open until stop(); lines are written just before a session's
+        # final frame, so an unwritable log must stop the service here, not
+        # drop sessions
+        self._log_file = (None if config.log_path is None
+                          else open(config.log_path, "a", encoding="utf-8"))
+        self._store_lock = None
         self._lock = threading.Lock()
         # id_a -> consecutive failed logins, guarded by _lock
         self._failures: Dict[int, int] = {}
-        # log appends get their own lock: a session's line is written before
+        # log writes get their own lock: a session's line is written before
         # its final frame, so it must not wait behind a store write
         self._log_lock = threading.Lock()
         self._rng = random.Random(config.rng_seed)
         try:
+            if config.enroll and self.store.version != 2:
+                # REGISTER appends rows, so the file must be v2 and name this group
+                self.store.save(path)
+            # taken after the compaction, which renames a new file over the old
+            self._store_lock = lock_store(path) if config.enroll else None
             self._server = _Server(config.listen, _Handler)
         except BaseException:
             self._release_store()
+            self._close_log()
             raise
         self._server.service = self
         self._thread: Optional[threading.Thread] = None
@@ -282,18 +290,25 @@ class Service:
         self._thread.start()
 
     def stop(self):
-        """Close the listener and release the store; safe on a never-started service."""
+        """Close the listener, store and log; safe on a never-started service."""
         if self._thread is not None:
             # shutdown() waits for a serve_forever loop, so only one that ran
             self._server.shutdown()
             self._thread.join(timeout=5)
         self._server.server_close()
         self._release_store()
+        self._close_log()
 
     def _release_store(self):
         if self._store_lock is not None:
             self._store_lock.close()
             self._store_lock = None
+
+    def _close_log(self):
+        with self._log_lock:
+            if self._log_file is not None:
+                self._log_file.close()
+                self._log_file = None
 
     def serve_blocking(self):
         """Serve in this thread, the main one, until SIGINT or SIGTERM."""
@@ -479,8 +494,13 @@ class Service:
     def _log_line(self, obj: dict):
         if self.config.log_path is None:
             return
+        line = json.dumps(obj, sort_keys=True) + "\n"
         with self._log_lock:
-            append_log_line(self.config.log_path, obj)
+            if self._log_file is not None:
+                self._log_file.write(line)
+                self._log_file.flush()
+            else:       # stop() closed the log under a session still in flight
+                append_log_line(self.config.log_path, obj)
 
 
 # -- client side ---------------------------------------------------------------
@@ -523,16 +543,17 @@ def client_connect(address: Tuple[str, int], creds: Credentials,
     opts = options if options is not None else ClientOptions()
     if opts.scheme not in CLIENTS:
         raise ValueError(f"unknown scheme {opts.scheme!r}")
-    rng = random.Random(opts.seed)
+    # a pinned x needs no nonce stream
+    rng = None if opts.x is not None else random.Random(opts.seed)
     for _ in range(MAX_NONCE_RESAMPLES):
         client = CLIENTS[opts.scheme](
             creds, params, opts.hash_spec,
-            opts.x if opts.x is not None else sample_nonce(params, rng))
+            opts.x if rng is None else sample_nonce(params, rng))
         try:
             frame, state = next(client)
             break
         except RetryNonce:
-            if opts.x is not None:
+            if rng is None:
                 raise
     else:
         raise RetryNonce("could not pick a usable client nonce")

@@ -532,6 +532,7 @@ def test_serve_and_connect_via_cli(served_store, capsys):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 def test_serve_stops_on_sigterm_like_on_sigint(served_store):

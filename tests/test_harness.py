@@ -1,5 +1,6 @@
 """Scenario driver, counters, session logs, golden vectors, cost table."""
 
+import dataclasses
 import json
 import random
 
@@ -171,6 +172,15 @@ def test_attack_report_serializes():
     assert obj["succeeded"] is True
     assert obj["attacker_key"] == obj["victim_key"] == "3"
     assert obj["counters"]["messages"] == len(obj["transcript"])
+
+
+def test_counters_as_dict_is_asdict_as_a_fresh_copy():
+    counters = Counters(*range(1, 8))
+    as_dict = counters.as_dict()
+    assert list(as_dict.items()) == list(dataclasses.asdict(counters).items())
+    as_dict["messages"] = 99
+    assert counters.messages == 4
+    assert counters.as_dict() is not counters.as_dict()
 
 
 def test_append_log_line(tmp_path):

@@ -264,6 +264,161 @@ def test_session_is_logged_before_the_client_returns(tmp_path, scheme, creds,
                 "ok" if scheme == SCHEME_LKY else "msg4")
 
 
+def test_each_log_line_is_the_sorted_json_of_its_record(tmp_path, monkeypatch):
+    logged = []
+    write_line = Service._log_line
+
+    def recording_log_line(self, obj):
+        logged.append(obj)
+        write_line(self, obj)
+
+    monkeypatch.setattr(Service, "_log_line", recording_log_line)
+    log = tmp_path / "server.jsonl"
+    with Service(toy_config(tmp_path, enroll=True, log_path=log)) as service:
+        client_register(service.address, VerifierRecord(id_a=20, id_b=12, v=7))
+        client_connect(service.address, TOY_CREDS, TOY_PARAMS, toy_options())
+        with pytest.raises(RemoteError):
+            client_connect(service.address, WRONG_CREDS, TOY_PARAMS,
+                           toy_options(x=5))
+    assert [obj["kind"] for obj in logged] == ["register", "session", "session"]
+    assert log.read_text() == "".join(json.dumps(obj, sort_keys=True) + "\n"
+                                      for obj in logged)
+
+
+def test_the_line_is_on_disk_when_the_final_frame_arrives(tmp_path,
+                                                          monkeypatch):
+    log = tmp_path / "server.jsonl"
+    client_recv = service_module._client_recv
+    lines_at_final_frame = []
+
+    def checking_recv(rfile, transcript=None):
+        frame = client_recv(rfile, transcript)
+        if transcript is not None and transcript.messages == 4:
+            lines_at_final_frame.append(log.read_bytes().count(b"\n"))
+        return frame
+
+    monkeypatch.setattr(service_module, "_client_recv", checking_recv)
+    with Service(toy_config(tmp_path, log_path=log)) as service:
+        for _ in range(5):
+            client_connect(service.address, TOY_CREDS, TOY_PARAMS, toy_options())
+    assert lines_at_final_frame == [1, 2, 3, 4, 5]
+
+
+def test_a_service_and_a_client_sharing_a_log_write_whole_lines(tmp_path):
+    log = tmp_path / "shared.jsonl"
+    errors = []
+
+    def login(n):
+        try:
+            for _ in range(n):
+                key, _ = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                                        toy_options(log_path=log))
+                assert key.value == 9
+        except Exception as exc:            # reported below, in the main thread
+            errors.append(exc)
+
+    with Service(toy_config(tmp_path, log_path=log)) as service:
+        threads = [threading.Thread(target=login, args=(8,)) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    text = log.read_text()
+    assert text.endswith("\n")
+    views = [json.loads(line)["flags"][0] for line in text.splitlines()]
+    assert sorted(views) == ["client-side view"] * 24 + ["server-side view"] * 24
+
+
+def test_stop_closes_the_held_log(tmp_path):
+    service = Service(toy_config(tmp_path, log_path=tmp_path / "server.jsonl"))
+    handle = service._log_file
+    service.start()
+    client_connect(service.address, TOY_CREDS, TOY_PARAMS, toy_options())
+    assert not handle.closed
+    service.stop()
+    assert handle.closed
+    # a service that never started closes its log too
+    service = Service(toy_config(tmp_path, log_path=tmp_path / "server.jsonl"))
+    handle = service._log_file
+    service.stop()
+    assert handle.closed
+
+
+def test_a_session_that_ends_after_stop_keeps_its_line_and_final_frame(
+        tmp_path, monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="pakelab.netio")
+    log = tmp_path / "server.jsonl"
+    service = Service(toy_config(tmp_path, log_path=log))
+    client_send = service_module._client_send
+
+    def send_stopping_before_msg3(sock, frame, transcript):
+        if transcript.messages == 2:
+            service.stop()              # closes the log under this session
+        client_send(sock, frame, transcript)
+
+    monkeypatch.setattr(service_module, "_client_send", send_stopping_before_msg3)
+    service.start()
+    try:
+        key, report = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                                     toy_options())
+    finally:
+        service.stop()
+    assert key.value == 9 and report.transcript.messages == 4
+    assert json.loads(log.read_text())["key_b"] == "9"
+    assert not [r for r in caplog.records if r.exc_info or r.levelno >= logging.ERROR]
+
+
+def test_a_service_whose_bind_fails_leaves_no_open_log(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(service_module, "open", recording_open, raising=False)
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        config = toy_config(tmp_path, listen=taken.getsockname(),
+                            log_path=tmp_path / "server.jsonl")
+        with pytest.raises(OSError):
+            Service(config)
+    assert len(opened) == 1 and opened[0].closed
+
+
+def test_a_pinned_client_nonce_builds_no_random(tmp_path, monkeypatch):
+    with Service(toy_config(tmp_path)) as service:
+        monkeypatch.setattr(service_module.random, "Random",
+                            lambda *args: pytest.fail("built a Random"))
+        key, _ = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                                toy_options(x=3))
+    assert key.value == 9
+
+
+def test_seeded_logins_keep_their_transcript_bytes(tmp_path):
+    params, spec = generate_params(16, 7), HashSpec(DIGEST256)
+    creds = Credentials(id_a=9, id_b=12, password=10)
+    store_path = tmp_path / "verifiers.tsv"
+    store = VerifierStore()
+    store.add(VerifierRecord(id_a=9, id_b=12,
+                             v=derive_verifier(creds, params, spec)))
+    store.save(store_path)
+    config = ServeConfig(params=params, store_path=store_path, hash_spec=spec,
+                         rng_seed=3)
+    with Service(config) as service:
+        sessions = [client_connect(service.address, creds, params,
+                                   ClientOptions(hash_spec=spec, seed=seed))
+                    for seed in (1, 2)]
+    assert [(key.value, [e.hex for e in report.transcript])
+            for key, report in sessions] == [
+        (25177, ["504b01020002f2a700010700010900021b46", "504b01030002b7e7",
+                 "504b0104000173", "504b01050002db5f"]),
+        (1781, ["504b01020002f2a700010700010900029b33", "504b01030002d69b",
+                "504b01040002c312", "504b010500024ff7"]),
+    ]
+
+
 def test_client_encodes_each_sent_frame_once(tmp_path, monkeypatch):
     client_encodes, server_encodes = [], []
 
