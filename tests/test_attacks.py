@@ -89,6 +89,28 @@ def test_stale_verifier_copy_fails_against_the_baseline():
     assert report.attacker_key is None
 
 
+def test_a_record_with_another_verifier_fails_both_baseline_checks():
+    wrong = VerifierRecord(id_a=9, id_b=12, v=4)
+    report = stolen_verifier_attack_lky(TOY_V, IDS, TOY_PARAMS, TOYSUM_SPEC,
+                                        x_attacker=3, y_server=4,
+                                        server_record=wrong)
+    assert not report.succeeded
+    assert report.notes == (
+        "attacker holds v only; base of T_A is v; "
+        "server confirmation d_B did not verify on the attacker side; "
+        "server rejected d_A: client confirmation d_A does not verify")
+
+
+@pytest.mark.parametrize("attack", [stolen_verifier_attack_lky,
+                                    stolen_verifier_attack_proposed])
+def test_a_record_for_another_identity_refuses_msg1(attack):
+    other = VerifierRecord(id_a=8, id_b=12, v=TOY_V)
+    report = attack(TOY_V, IDS, TOY_PARAMS, TOYSUM_SPEC, x_attacker=3,
+                    y_server=4, server_record=other)
+    assert not report.succeeded and report.victim_key is None
+    assert report.notes == "server rejected Msg1: no verifier on record for id_A=9"
+
+
 # -- stolen verifier, revised scheme -------------------------------------------------
 
 

@@ -565,6 +565,20 @@ def test_connect_refused_port_exits_3(capsys):
     assert capsys.readouterr().err.startswith("error: connection failed: ")
 
 
+def test_connect_whose_nonce_draws_never_fit_exits_1(tmp_path, capsys,
+                                                    monkeypatch):
+    # in Z_3^* every baseline client draw gives g^x = v
+    monkeypatch.setattr(service_module.socket, "create_connection",
+                        lambda *args, **kwargs: pytest.fail("a port was dialed"))
+    group = tmp_path / "q3.params"
+    group.write_text("3\n2\n")
+    assert run_cli("connect", "--addr", "127.0.0.1:1", "--params", str(group),
+                   "--hash", "toysum", "--scheme", "lky", "--seed", "1",
+                   "--id-a", "9", "--id-b", "12", "--password", "10") == 1
+    assert capsys.readouterr().err == (
+        "error: could not pick a usable client nonce\n")
+
+
 def test_serve_refuses_a_port_out_of_range_before_binding(tmp_path, capsys,
                                                          monkeypatch):
     monkeypatch.setattr(service_module, "_Server",

@@ -104,6 +104,13 @@ def test_encode_enforces_the_frame_cap():
         encode_frame(Msg2Frame(t_b=1 << (8 * 70000)))
 
 
+def test_encode_names_the_size_it_refuses():
+    # 4-byte header + 1-byte code + 2-byte length + 65530 bytes of detail
+    with pytest.raises(ValueError) as exc:
+        encode_frame(ErrorFrame(1, "x" * 65530))
+    assert str(exc.value) == "frame of 65537 bytes exceeds the 65536 cap"
+
+
 # -- decode-side strictness -----------------------------------------------------------
 
 

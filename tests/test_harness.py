@@ -9,6 +9,7 @@ import pytest
 from pakelab.attacks import ATTACK_STOLEN_VERIFIER_LKY, stolen_verifier_attack_lky
 from pakelab.core import (
     Credentials,
+    GroupParams,
     HashSpec,
     SCHEME_LKY,
     SCHEME_PROPOSED,
@@ -21,6 +22,7 @@ from pakelab.core import (
     derive_verifier,
     generate_params,
 )
+from pakelab import lky as lky_module
 from pakelab.errors import CounterDrift, ScenarioError
 from pakelab import harness
 from pakelab.harness import (
@@ -95,6 +97,41 @@ def test_seeded_degenerate_nonce_is_resampled():
     report = run_honest_session(Scenario(scheme=SCHEME_LKY, seed=seed))
     assert report.error is None
     assert report.key_a == report.key_b
+
+
+# Z_3^* has the one exponent 1, so h = x = y = 1 and v = g: every draw the
+# baseline client makes gives g^x = v
+Q3_PARAMS = GroupParams(q=3, g=2)
+
+
+def count_lky_client_starts(monkeypatch):
+    starts = []
+    original = lky_module.lky_client_start
+
+    def start(*args):
+        starts.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(lky_module, "lky_client_start", start)
+    return starts
+
+
+def test_seeded_nonces_that_never_fit_exhaust_the_resamples(monkeypatch):
+    starts = count_lky_client_starts(monkeypatch)
+    report = run_honest_session(Scenario(scheme=SCHEME_LKY, params=Q3_PARAMS,
+                                         seed=1))
+    assert report.error == ("retry nonce (resamples exhausted): "
+                            "g^x equals v; resample x")
+    assert report.key_a is None and report.key_b is None
+    assert starts == [1] * 64
+
+
+def test_explicit_nonces_that_do_not_fit_get_one_try(monkeypatch):
+    starts = count_lky_client_starts(monkeypatch)
+    report = run_honest_session(Scenario(scheme=SCHEME_LKY, params=Q3_PARAMS,
+                                         x=1, y=1))
+    assert report.error == "retry nonce: g^x equals v; resample x"
+    assert starts == [1]
 
 
 def test_scenario_needs_nonces_or_a_seed():

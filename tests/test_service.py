@@ -29,6 +29,7 @@ from pakelab.core import (
     derive_verifier,
     generate_params,
 )
+from pakelab.drivers import proposed_server
 from pakelab.errors import (
     MalformedFrame,
     RemoteError,
@@ -44,6 +45,7 @@ from pakelab.netio.frames import (
     ERR_VERSION_MISMATCH,
     ErrorFrame,
     Msg1Frame,
+    Msg2Frame,
     OkFrame,
     RegisterFrame,
     encode_frame,
@@ -615,6 +617,38 @@ def test_lky_client_refuses_its_own_degenerate_nonce(tmp_path):
                            toy_options(scheme=SCHEME_LKY, x=7))
 
 
+# Z_3^* has the one exponent 1, so h = x = y = 1 and v = g: every nonce
+# either baseline party draws is degenerate
+Q3_PARAMS = GroupParams(q=3, g=2)
+
+
+def test_a_client_whose_nonce_draws_never_fit_gives_up(monkeypatch):
+    monkeypatch.setattr(service_module.socket, "create_connection",
+                        lambda *args, **kwargs: pytest.fail("a port was dialed"))
+    with pytest.raises(RetryNonce) as exc:
+        client_connect(("127.0.0.1", 1), TOY_CREDS, Q3_PARAMS,
+                       ClientOptions(hash_spec=TOYSUM_SPEC, scheme=SCHEME_LKY,
+                                     seed=1))
+    assert str(exc.value) == "could not pick a usable client nonce"
+
+
+@pytest.mark.parametrize("y_override, detail", [
+    (None, "could not pick a usable nonce"),
+    (1, "pinned server nonce is degenerate"),
+])
+def test_a_server_whose_nonces_never_fit_refuses(tmp_path, y_override, detail):
+    store = VerifierStore()
+    store.add(VerifierRecord(id_a=9, id_b=12, v=2))
+    store.save(tmp_path / "verifiers.tsv")
+    config = ServeConfig(params=Q3_PARAMS, store_path=tmp_path / "verifiers.tsv",
+                         hash_spec=TOYSUM_SPEC, insecure_lky=True,
+                         y_override=y_override)
+    with Service(config) as service:
+        reply = raw_exchange(service.address, encode_frame(
+            Msg1Frame(q=3, g=2, id_a=9, t_a=3)))
+    assert reply == ErrorFrame(code=ERR_AUTH_FAIL, detail=detail)
+
+
 def test_client_rejects_unknown_scheme(tmp_path):
     with Service(toy_config(tmp_path)) as service:
         with pytest.raises(ValueError):
@@ -813,6 +847,53 @@ def test_service_survives_abusive_peers(tmp_path):
         key, _ = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
                                 toy_options())
         assert key.value == 9
+
+
+def test_a_client_that_hangs_up_after_msg2_leaves_no_line(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="pakelab.netio")
+    log = tmp_path / "server.jsonl"
+    with Service(toy_config(tmp_path, log_path=log)) as service:
+        with (socket.create_connection(service.address, timeout=5.0) as sock,
+              sock.makefile("rb") as rfile):
+            sock.sendall(encode_frame(Msg1Frame(q=13, g=6, id_a=9, t_a=8)))
+            assert isinstance(read_frame(rfile)[0], Msg2Frame)
+            sock.shutdown(socket.SHUT_WR)
+            assert rfile.read(1) == b""         # EOF, and no frame
+        key, _ = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                                toy_options())
+        assert key.value == 9
+    [line] = log.read_text().splitlines()       # the login's, and no other
+    assert json.loads(line)["key_b"] == "9"
+    [hang_up] = [r for r in caplog.records if "hung up" in r.getMessage()]
+    assert hang_up.levelno == logging.INFO
+
+
+def test_a_server_driver_that_raises_gets_no_reply_and_no_line(tmp_path,
+                                                               monkeypatch,
+                                                               caplog):
+    caplog.set_level(logging.INFO, logger="pakelab.netio")
+    calls = []
+
+    def server(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("driver failed")
+        return proposed_server(*args)
+
+    monkeypatch.setattr(service_module, "SERVERS", {SCHEME_PROPOSED: server})
+    log = tmp_path / "server.jsonl"
+    with Service(toy_config(tmp_path, log_path=log)) as service:
+        with pytest.raises(MalformedFrame, match="closed the connection"):
+            client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                           toy_options())
+        key, _ = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                                toy_options())
+        assert key.value == 9
+    [line] = log.read_text().splitlines()       # the second login's
+    assert json.loads(line)["key_b"] == "9"
+    [failure] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert failure.levelno == logging.ERROR
+    assert failure.exc_info[0] is RuntimeError
 
 
 def test_silent_peers_are_dropped_at_the_read_deadline(tmp_path, monkeypatch,
