@@ -14,7 +14,9 @@ returned and checks each reply's frame type with expect before passing it
 to the next step. Three adapters run the drivers: run_in_memory below
 (honest sessions, golden replay and the attack experiments), the
 service's server loop and client_connect's client loop
-(pakelab.netio.service).
+(pakelab.netio.service). A step that cannot use its nonce raises
+RetryNonce, and all three adapters pick their nonces by one rule,
+first_usable.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Callable, Optional
 
 from . import lky, proposed
 from .core import (
-    DESK_SCALE_BOUND,
     SCHEME_LKY,
     SCHEME_PROPOSED,
     Credentials,
@@ -34,7 +35,7 @@ from .core import (
     VerifierRecord,
     derive_verifier,
 )
-from .errors import MalformedFrame, PakeError
+from .errors import MalformedFrame, PakeError, RetryNonce
 from .netio.frames import (
     LkyMsg2Frame,
     Msg1Frame,
@@ -46,6 +47,8 @@ from .netio.frames import (
 )
 from .transcript import DIR_AB, DIR_BA, Transcript
 
+MAX_NONCE_RESAMPLES = 64
+
 
 def expect(frame, cls, name: str = ""):
     """frame if it is a cls, else MalformedFrame naming what arrived."""
@@ -53,6 +56,22 @@ def expect(frame, cls, name: str = ""):
         raise MalformedFrame(
             f"expected {name or cls.__name__}, got {frame_label(frame)}")
     return frame
+
+
+def first_usable(attempt: Callable, pinned, draw: Callable):
+    """attempt(nonce) for the first nonce it does not refuse with RetryNonce.
+
+    A pinned nonce gets one try; otherwise up to MAX_NONCE_RESAMPLES draws
+    are tried. The last RetryNonce reaches the caller.
+    """
+    if pinned is not None:
+        return attempt(pinned)
+    for _ in range(MAX_NONCE_RESAMPLES - 1):
+        try:
+            return attempt(draw())
+        except RetryNonce:
+            pass
+    return attempt(draw())
 
 
 def lky_client(creds: Credentials, params: GroupParams, hash_spec: HashSpec,
@@ -73,14 +92,11 @@ def lky_server(msg1: Msg1Frame, record: VerifierRecord, params: GroupParams,
 
 def proposed_client(creds: Credentials, params: GroupParams, hash_spec: HashSpec,
                     x: int):
-    """The revised client; it checks the server exactly where q <= DESK_SCALE_BOUND."""
     msg1, state = proposed.prop_client_start(creds, params, hash_spec, x)
     reply = yield msg1, state
     msg3 = proposed.prop_client_confirm(expect(reply, Msg2Frame), state)
     reply = yield msg3, state
-    key = proposed.prop_client_finish(
-        expect(reply, Msg4Frame), state,
-        skip_server_auth=params.q > DESK_SCALE_BOUND)
+    key = proposed.prop_client_finish(expect(reply, Msg4Frame), state)
     return None, key, state
 
 

@@ -35,12 +35,10 @@ from .core import (
     TOY_PARAMS,
     sample_nonce,
 )
-from .drivers import CLIENTS, run_pair
+from .drivers import CLIENTS, first_usable, run_pair
 from .errors import CounterDrift, RetryNonce, ScenarioError
 from .proposed import FLAG_UNAUTHENTICATED
 from .transcript import Transcript
-
-MAX_NONCE_RESAMPLES = 64
 
 
 @dataclass
@@ -145,21 +143,15 @@ def run_honest_session(scenario: Scenario) -> SessionReport:
     if not explicit and scenario.seed is None:
         raise ScenarioError("scenario needs explicit nonces or a seed")
     rng = random.Random(scenario.seed)
-    last_retry: Optional[RetryNonce] = None
-    for _ in range(MAX_NONCE_RESAMPLES):
-        if explicit:
-            x, y = scenario.x, scenario.y
-        else:
-            x = sample_nonce(scenario.params, rng)
-            y = sample_nonce(scenario.params, rng)
-        try:
-            return _run_session(scenario, x, y)
-        except RetryNonce as exc:
-            last_retry = exc
-            if explicit:
-                # deterministic scenarios must not silently change nonces
-                return _aborted_report(scenario, f"retry nonce: {exc}")
-    return _aborted_report(scenario, f"retry nonce (resamples exhausted): {last_retry}")
+    try:
+        return first_usable(lambda nonces: _run_session(scenario, *nonces),
+                            (scenario.x, scenario.y) if explicit else None,
+                            lambda: (sample_nonce(scenario.params, rng),
+                                     sample_nonce(scenario.params, rng)))
+    except RetryNonce as exc:
+        # deterministic scenarios must not silently change nonces
+        return _aborted_report(scenario, f"retry nonce: {exc}" if explicit else
+                               f"retry nonce (resamples exhausted): {exc}")
 
 
 def _aborted_report(scenario: Scenario, error: str) -> SessionReport:

@@ -2,9 +2,11 @@
 
 The server speaks one session per connection: MSG1 in, MSG2 out, MSG3 in,
 then MSG4 (or OK for the baseline scheme) out on acceptance. Both ends run
-the scheme's drivers (pakelab.drivers); the server loop and the client loop
-here only move frames and map what the drivers raise to ERROR frames or
-exceptions. Every refusal is an ERROR frame with a stable code; malformed
+the scheme's drivers (pakelab.drivers) and pick nonces by its first_usable
+rule; the server loop and the client loop here only move frames and map
+what the drivers raise to ERROR frames or exceptions. Every refusal is an
+ERROR frame with a stable code, raised and sent from one place,
+Service._handle_connection, which also sees every hang-up; malformed
 input can never bring the listener down, and a connection still reading
 READ_TIMEOUT seconds after it was accepted is dropped as a hang-up, however
 slowly its peer trickles bytes. Group parameters ride in MSG1
@@ -74,13 +76,8 @@ from ..errors import (
     UnmaskOutOfRange,
     VersionMismatch,
 )
-from ..drivers import CLIENTS, SERVERS, expect
-from ..harness import (
-    MAX_NONCE_RESAMPLES,
-    SessionReport,
-    append_log_line,
-    counters_from,
-)
+from ..drivers import CLIENTS, SERVERS, expect, first_usable
+from ..harness import SessionReport, append_log_line, counters_from
 from ..proposed import FLAG_UNAUTHENTICATED
 from ..transcript import DIR_AB, DIR_BA, Transcript
 from .frames import (
@@ -231,10 +228,13 @@ class _Server(socketserver.TCPServer):
 class _SessionEnd(NamedTuple):
     """How a session ended, for its log line; key_b is None on auth-fail."""
 
-    scheme: str
     key_b: Optional[SessionKey]
     tally: Tally
     error: Optional[str] = None
+
+
+class _Refusal(Exception):
+    """_Refusal(code, detail[, transcript, end]): the args of its _reply_error."""
 
 
 class Service:
@@ -343,8 +343,10 @@ class Service:
             elif isinstance(frame, Msg1Frame):
                 self._handle_session(conn, frame, raw)
             else:
-                self._reply_error(conn, ERR_MALFORMED,
-                                  f"expected MSG1 or REGISTER, got {frame_label(frame)}")
+                raise _Refusal(ERR_MALFORMED,
+                               f"expected MSG1 or REGISTER, got {frame_label(frame)}")
+        except _Refusal as refusal:
+            self._reply_error(conn, *refusal.args)
         except VersionMismatch as exc:
             self._reply_error(conn, ERR_VERSION_MISMATCH, str(exc))
         except (MalformedFrame, UnmaskOutOfRange, NotInGroup) as exc:
@@ -381,12 +383,9 @@ class Service:
 
     def _handle_register(self, conn: _Handler, frame: RegisterFrame):
         if not self.config.enroll:
-            self._reply_error(conn, ERR_AUTH_FAIL, "enrollment is disabled")
-            return
+            raise _Refusal(ERR_AUTH_FAIL, "enrollment is disabled")
         if not self.config.params.contains(frame.v):
-            self._reply_error(conn, ERR_PARAM_MISMATCH,
-                              "verifier is not a group element")
-            return
+            raise _Refusal(ERR_PARAM_MISMATCH, "verifier is not a group element")
         record = VerifierRecord(id_a=frame.id_a, id_b=frame.id_b, v=frame.v)
         with self._lock:
             self.store.append(self.config.store_path, record)
@@ -396,74 +395,62 @@ class Service:
                         "id_b": frame.id_b})
         self._send(conn, OkFrame())
 
-    def _preflight(self, conn: _Handler, msg1: Msg1Frame) -> Optional[VerifierRecord]:
+    def _preflight(self, msg1: Msg1Frame) -> VerifierRecord:
         """Shared MSG1 policy: params match, throttle, identity lookup."""
         cfg = self.config
         if (msg1.q, msg1.g) != (cfg.params.q, cfg.params.g):
-            self._reply_error(conn, ERR_PARAM_MISMATCH,
-                              f"group ({msg1.q}, {msg1.g}) is not "
-                              f"({cfg.params.q}, {cfg.params.g})")
-            return None
+            raise _Refusal(ERR_PARAM_MISMATCH,
+                           f"group ({msg1.q}, {msg1.g}) is not "
+                           f"({cfg.params.q}, {cfg.params.g})")
         with self._lock:
             failures = self._failures.get(msg1.id_a, 0)
             records = self.store.records_for(msg1.id_a)
         if failures >= cfg.max_fail:
-            self._reply_error(conn, ERR_THROTTLED,
-                              f"{failures} consecutive failures for "
-                              f"id_a={msg1.id_a}")
-            return None
+            raise _Refusal(ERR_THROTTLED,
+                           f"{failures} consecutive failures for id_a={msg1.id_a}")
         if not records:
-            self._reply_error(conn, ERR_UNKNOWN_IDENTITY,
-                              f"no verifier on record for id_a={msg1.id_a}")
-            return None
+            raise _Refusal(ERR_UNKNOWN_IDENTITY,
+                           f"no verifier on record for id_a={msg1.id_a}")
         if len(records) > 1:
             # MSG1 names only id_a; with several (id_a, id_b) rows the server
             # cannot know which shared secret this session means
-            self._reply_error(conn, ERR_UNKNOWN_IDENTITY,
-                              f"id_a={msg1.id_a} is enrolled with multiple "
-                              "server identities")
-            return None
+            raise _Refusal(ERR_UNKNOWN_IDENTITY,
+                           f"id_a={msg1.id_a} is enrolled with multiple "
+                           "server identities")
         return records[0]
 
-    def _server_nonce(self, params: GroupParams) -> int:
-        if self.config.y_override is not None:
-            return self.config.y_override
+    def _server_nonce(self) -> int:
         with self._lock:
-            return sample_nonce(params, self._rng)
+            return sample_nonce(self.config.params, self._rng)
 
     def _handle_session(self, conn: _Handler, msg1: Msg1Frame, raw: bytes):
         """Run the served scheme's server driver over this connection.
 
-        Frames the driver rejects as malformed, or that fail to parse, end
-        in _handle_connection with their ERROR frame.
+        Every end short of acceptance is raised for _handle_connection.
         """
-        cfg, scheme = self.config, self.scheme
+        cfg = self.config
         transcript = Transcript()
         transcript.record(DIR_AB, "msg1", raw)
-        record = self._preflight(conn, msg1)
-        if record is None:
-            return
-        for _ in range(MAX_NONCE_RESAMPLES):
-            server = SERVERS[scheme](msg1, record, cfg.params, cfg.hash_spec,
-                                     self._server_nonce(cfg.params))
-            try:
-                frame, state = next(server)
-                break
-            except RetryNonce:
-                if cfg.y_override is not None:
-                    self._reply_error(conn, ERR_AUTH_FAIL,
-                                      "pinned server nonce is degenerate")
-                    return
-        else:
-            self._reply_error(conn, ERR_AUTH_FAIL, "could not pick a usable nonce")
-            return
+        record = self._preflight(msg1)
+
+        def start(y: int):
+            server = SERVERS[self.scheme](msg1, record, cfg.params,
+                                          cfg.hash_spec, y)
+            return server, *next(server)
+
+        try:
+            server, frame, state = first_usable(start, cfg.y_override,
+                                                self._server_nonce)
+        except RetryNonce:
+            raise _Refusal(ERR_AUTH_FAIL, "could not pick a usable nonce"
+                           if cfg.y_override is None
+                           else "pinned server nonce is degenerate")
         try:
             while True:
                 self._send(conn, frame, transcript)
                 received = read_frame(conn.rfile)
                 if received is None:
-                    log.info("peer hung up before MSG3")
-                    return
+                    raise ConnectionError("peer hung up before MSG3")
                 reply, raw = received
                 transcript.record(DIR_AB, frame_label(reply), raw)
                 frame, state = server.send(reply)
@@ -473,18 +460,16 @@ class Service:
             with self._lock:
                 count = self._failures.get(msg1.id_a, 0) + 1
                 self._failures[msg1.id_a] = count
-            self._reply_error(conn, ERR_AUTH_FAIL,
-                              f"{exc} (consecutive failures: {count})", transcript,
-                              _SessionEnd(scheme, None, state.tally, str(exc)))
-            return
+            raise _Refusal(ERR_AUTH_FAIL, f"{exc} (consecutive failures: {count})",
+                           transcript, _SessionEnd(None, state.tally, str(exc)))
         with self._lock:
             self._failures.pop(msg1.id_a, None)
         # a server that accepts with nothing left to send acknowledges with OK
         self._send(conn, final if final is not None else OkFrame(), transcript,
-                   _SessionEnd(scheme, key_b, state.tally))
+                   _SessionEnd(key_b, state.tally))
 
     def _log_session(self, transcript: Transcript, end: _SessionEnd):
-        report = SessionReport(scheme=end.scheme, params=self.config.params,
+        report = SessionReport(scheme=self.scheme, params=self.config.params,
                                transcript=transcript, key_a=None, key_b=end.key_b,
                                auth_a_ok=False, auth_b_ok=end.key_b is not None,
                                counters=counters_from(Tally(), end.tally, transcript),
@@ -543,20 +528,20 @@ def client_connect(address: Tuple[str, int], creds: Credentials,
     opts = options if options is not None else ClientOptions()
     if opts.scheme not in CLIENTS:
         raise ValueError(f"unknown scheme {opts.scheme!r}")
+
+    def start(x: int):
+        client = CLIENTS[opts.scheme](creds, params, opts.hash_spec, x)
+        return client, *next(client)
+
     # a pinned x needs no nonce stream
     rng = None if opts.x is not None else random.Random(opts.seed)
-    for _ in range(MAX_NONCE_RESAMPLES):
-        client = CLIENTS[opts.scheme](
-            creds, params, opts.hash_spec,
-            opts.x if rng is None else sample_nonce(params, rng))
-        try:
-            frame, state = next(client)
-            break
-        except RetryNonce:
-            if rng is None:
-                raise
-    else:
-        raise RetryNonce("could not pick a usable client nonce")
+    try:
+        client, frame, state = first_usable(start, opts.x,
+                                            lambda: sample_nonce(params, rng))
+    except RetryNonce:
+        if rng is None:
+            raise
+        raise RetryNonce("could not pick a usable client nonce") from None
     transcript = Transcript()
     with (socket.create_connection(address, timeout=CLIENT_TIMEOUT) as sock,
           sock.makefile("rb") as rfile):

@@ -21,9 +21,9 @@ The check as it is sometimes stated, e(E_B, g) = e(T_B, r), is NOT an
 identity -- on the workbench's toy run it evaluates to 4 vs 0 -- so this
 module implements the minimal correction (g replaced by T_A) and keeps the
 uncorrected form available for the analysis harness. Every evaluation of e
-goes through core.toy_pairing, the desk-scale dlog-product oracle; large
-groups must either skip server authentication explicitly or fail with
-GroupTooLarge.
+goes through core.toy_pairing, the desk-scale dlog-product oracle, so the
+client checks the server exactly where q <= DESK_SCALE_BOUND; on a larger
+group it skips the check and flags the session "server unauthenticated".
 
 Both parties finish with session key h(id_A, id_B, g^(x*y)) mod q. Group
 elements are reduced mod q before hashing, so transcripts are canonical.
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
+    DESK_SCALE_BOUND,
     Credentials,
     GroupParams,
     HashSpec,
@@ -177,21 +178,19 @@ def prop_server_finish(msg3: Msg3Frame, state: PropServerState,
     return Msg4Frame(e_b=state.e_b), state.key
 
 
-def prop_client_finish(msg4: Msg4Frame, state: PropClientState,
-                       skip_server_auth: bool = False) -> SessionKey:
+def prop_client_finish(msg4: Msg4Frame, state: PropClientState) -> SessionKey:
     """Step 5: authenticate the server via e(E_B, T_A) = e(T_B, r), derive the key.
 
-    Both sides of the check are toy_pairing calls, so it runs only on a
-    desk-scale group; set skip_server_auth for large groups (the skip is
-    recorded as a state flag). Raises GroupTooLarge when the map is
-    unavailable and the check was not explicitly disabled.
+    Both sides of the check are toy_pairing calls, so it runs only where
+    q <= DESK_SCALE_BOUND; above that the skip is recorded as the state
+    flag FLAG_UNAUTHENTICATED.
     """
     if state.phase != PHASE_CONFIRMED:
         raise AuthFail(f"client state is {state.phase}, expected {PHASE_CONFIRMED}")
     params = state.params
     if not params.contains(msg4.e_b):
         raise NotInGroup(f"E_B = {msg4.e_b} not in Z_q^*")
-    if skip_server_auth:
+    if params.q > DESK_SCALE_BOUND:
         state.flags.append(FLAG_UNAUTHENTICATED)
     else:
         left = toy_pairing(msg4.e_b, state.t_a, params)

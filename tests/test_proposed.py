@@ -18,7 +18,8 @@ from pakelab.core import (
     derive_verifier,
     generate_params,
 )
-from pakelab.errors import AuthFail, GroupTooLarge, NotInGroup, UnknownIdentity
+from pakelab.drivers import run_pair
+from pakelab.errors import AuthFail, NotInGroup, UnknownIdentity
 from pakelab.proposed import (
     FLAG_DEGENERATE_TB,
     FLAG_UNAUTHENTICATED,
@@ -40,15 +41,14 @@ def record_for(creds, params, hash_spec):
                           v=derive_verifier(creds, params, hash_spec))
 
 
-def run_handshake(params, creds, hash_spec, x, y, record=None,
-                  skip_server_auth=False):
+def run_handshake(params, creds, hash_spec, x, y, record=None):
     if record is None:
         record = record_for(creds, params, hash_spec)
     msg1, client = prop_client_start(creds, params, hash_spec, x)
     msg2, server = prop_server_respond(msg1, record, params, hash_spec, y)
     msg3 = prop_client_confirm(msg2, client)
     msg4, key_b = prop_server_finish(msg3, server)
-    key_a = prop_client_finish(msg4, client, skip_server_auth=skip_server_auth)
+    key_a = prop_client_finish(msg4, client)
     return msg1, msg2, msg3, msg4, key_a, key_b, client, server
 
 
@@ -118,23 +118,23 @@ def test_corrected_check_passes_where_the_uncorrected_one_fails():
     assert left == right
 
 
-def test_skip_server_auth_is_recorded():
-    *_, key_a, key_b, client, _ = run_handshake(
-        TOY_PARAMS, TOY_CREDS, TOYSUM_SPEC, x=3, y=4, skip_server_auth=True)
-    assert key_a == key_b
-    assert FLAG_UNAUTHENTICATED in client.flags
-
-
-def test_large_group_without_skip_raises():
+def test_the_finish_step_skips_and_flags_the_check_above_the_desk_bound():
     params = generate_params(24, seed=3)    # past the dlog-table bound
     creds = Credentials(id_a=9, id_b=12, password=10)
-    with pytest.raises(GroupTooLarge):
-        run_handshake(params, creds, HashSpec(DIGEST256), x=1234, y=4321)
     *_, key_a, key_b, client, _ = run_handshake(
-        params, creds, HashSpec(DIGEST256), x=1234, y=4321,
-        skip_server_auth=True)
+        params, creds, HashSpec(DIGEST256), x=1234, y=4321)
     assert key_a == key_b
-    assert FLAG_UNAUTHENTICATED in client.flags
+    assert client.flags == [FLAG_UNAUTHENTICATED]
+
+
+def test_a_driven_session_above_the_desk_bound_skips_and_flags_the_check():
+    params = generate_params(24, seed=3)
+    creds = Credentials(id_a=9, id_b=12, password=10)
+    run = run_pair("proposed", creds, params, HashSpec(DIGEST256),
+                   x=1234, y=4321)
+    assert run.error is None
+    assert run.key_a == run.key_b
+    assert run.client.flags == [FLAG_UNAUTHENTICATED]
 
 
 # -- input validation --------------------------------------------------------------
