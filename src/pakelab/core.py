@@ -135,7 +135,7 @@ class VerifierRecord:
 class Tally:
     """Per-session operation counters, owned by one protocol party.
 
-    Passed into mod_exp() and HashSpec.of_ints() by the state machines;
+    Passed into mod_exp() and HashSpec.of_ints() by the scheme steps;
     never global. Registration-time exponentiations (deriving v from the
     password) are tallied separately so per-session costs stay comparable.
     """
@@ -579,6 +579,12 @@ def sample_nonce(params: GroupParams, rng: random.Random) -> int:
     if params.q > ORDER_CHECK_BOUND:
         return rng.randrange(1, 1 << NAMED_NONCE_BITS)
     return rng.randrange(1, params.order)
+
+
+def check_nonce(name: str, value: int, params: GroupParams):
+    """ValueError unless the ephemeral exponent value lies in [1, q-2]."""
+    if not 1 <= value <= params.order - 1:
+        raise ValueError(f"{name} must lie in [1, {params.order - 1}]")
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,15 @@ detects it. A server driver is built from the client's MSG1 frame, since
 the caller looks up the verifier record from it first.
 
 The scheme steps (pakelab.lky, pakelab.proposed) take and return the wire
-frames themselves, so a driver only sequences them: it yields what a step
-returned and checks each reply's frame type with expect before passing it
-to the next step. Three adapters run the drivers: run_in_memory below
-(honest sessions, golden replay and the attack experiments), the
-service's server loop and client_connect's client loop
-(pakelab.netio.service). A step that cannot use its nonce raises
-RetryNonce, and all three adapters pick their nonces by one rule,
-first_usable.
+frames themselves and hold no order, so a driver alone sequences them: it
+yields what a step returned and checks each reply's frame type with expect
+before passing it to the next step. A generator that has ended cannot be
+resumed, so no party takes a step twice or after a rejection. Three
+adapters run the drivers: run_in_memory below (honest sessions, golden
+replay and the attack experiments), the service's server loop and
+client_connect's client loop (pakelab.netio.service). A step that cannot
+use its nonce raises RetryNonce, and all three adapters pick their nonces
+by one rule, first_usable.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ class NotInGroup(PakeError):
     """Value is not an element of Z_q^*."""
 
 
-# --- protocol state machines ---
+# --- scheme steps ---
 
 class RetryNonce(PakeError):
     """Ephemeral exponent produced a degenerate (all-zero) mask; resample."""

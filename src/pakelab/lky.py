@@ -17,8 +17,9 @@ This scheme is the workbench's broken baseline: anyone holding the stolen
 verifier can run the client side with v as the exponentiation base and be
 accepted (see pakelab.attacks.stolen_verifier_attack_lky).
 
-State machines are deterministic: ephemeral exponents are injected by the
-caller, so golden runs and attack scripts are reproducible byte for byte.
+Steps hold no message order (pakelab.drivers fixes it) and are deterministic:
+ephemeral exponents are injected by the caller, so golden runs and attack
+scripts are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import (
     SessionKey,
     Tally,
     VerifierRecord,
+    check_nonce,
     derive_verifier,
     encode_residue,
     exponent_reduce,
@@ -47,11 +49,6 @@ from .errors import (
     UnmaskOutOfRange,
 )
 from .netio.frames import LkyMsg2Frame, Msg1Frame, Msg3Frame
-
-PHASE_STARTED = "started"
-PHASE_RESPONDED = "responded"
-PHASE_FINISHED = "finished"
-PHASE_FAILED = "failed"
 
 
 def xor_mask(value: int, v: int, params: GroupParams) -> int:
@@ -96,7 +93,6 @@ class LkyClientState:
     t_a_masked: int
     tally: Tally
     flags: list = field(default_factory=list)   # always empty; read like proposed's
-    phase: str = PHASE_STARTED
 
 
 @dataclass
@@ -111,7 +107,6 @@ class LkyServerState:
     d_a_expected: int
     d_b: int
     tally: Tally
-    phase: str = PHASE_RESPONDED
 
 
 def lky_client_start(creds: Credentials, params: GroupParams, hash_spec: HashSpec,
@@ -121,8 +116,7 @@ def lky_client_start(creds: Credentials, params: GroupParams, hash_spec: HashSpe
     Raises RetryNonce when g^x equals v: the mask would be all zeros, which
     receivers reject, so the caller must resample x.
     """
-    if not 1 <= x <= params.order - 1:
-        raise ValueError(f"x must lie in [1, {params.order - 1}]")
+    check_nonce("x", x, params)
     tally = Tally()
     v = derive_verifier(creds, params, hash_spec, tally)
     t_a = mod_exp(params.g, x, params, tally)
@@ -145,8 +139,7 @@ def lky_server_respond(msg1: Msg1Frame, record: VerifierRecord, params: GroupPar
     """
     if record.id_a != msg1.id_a:
         raise UnknownIdentity(f"no verifier on record for id_A={msg1.id_a}")
-    if not 1 <= y <= params.order - 1:
-        raise ValueError(f"y must lie in [1, {params.order - 1}]")
+    check_nonce("y", y, params)
     tally = Tally()
     v = record.v
     t_a = xor_unmask(msg1.t_a, v, params)
@@ -170,8 +163,6 @@ def lky_client_finish(msg2: LkyMsg2Frame, state: LkyClientState,
     r is recovered as (v^y)^(x * h^-1) mod q, with the inverse taken mod
     q-1; it equals the server's (g^x)^y in every honest run.
     """
-    if state.phase != PHASE_STARTED:
-        raise AuthFail(f"client state is {state.phase}, expected {PHASE_STARTED}")
     params, creds, hash_spec = state.params, state.creds, state.hash_spec
     t_b = xor_unmask(msg2.t_b_masked, state.v, params)
     h_exp = hash_to_exponent(
@@ -182,24 +173,18 @@ def lky_client_finish(msg2: LkyMsg2Frame, state: LkyClientState,
     d_b_expected = hash_spec.of_ints(
         [creds.id_b, state.t_a_masked, r_a], state.tally)
     if msg2.d_b != d_b_expected:
-        state.phase = PHASE_FAILED
         raise AuthFail("server confirmation d_B does not verify")
     d_a = hash_spec.of_ints([creds.id_a, msg2.t_b_masked, r_a], state.tally)
     key = SessionKey.from_value(
         hash_spec.of_ints([r_a], state.tally) % params.q, params)
-    state.phase = PHASE_FINISHED
     return Msg3Frame(d_a=d_a), key
 
 
 def lky_server_finish(msg3: Msg3Frame, state: LkyServerState) -> SessionKey:
     """Step 4: accept iff d_A matches the precomputed expectation."""
-    if state.phase != PHASE_RESPONDED:
-        raise AuthFail(f"server state is {state.phase}, expected {PHASE_RESPONDED}")
     if msg3.d_a != state.d_a_expected:
-        state.phase = PHASE_FAILED
         raise AuthFail("client confirmation d_A does not verify")
     key = SessionKey.from_value(
         state.hash_spec.of_ints([state.r_b], state.tally) % state.params.q,
         state.params)
-    state.phase = PHASE_FINISHED
     return key

@@ -24,9 +24,10 @@ Two deliberately guarded modes:
   * insecure_lky (config.insecure_lky): serves the broken baseline scheme
     instead of the revised one, for attack demonstrations.
 
-Per-identity consecutive-failure counters throttle online guessing: once a
-client identity crosses config.max_fail, further attempts get ERROR 0x06
-until a success clears the counter (counters are in-memory only).
+Per-identity in-memory counters throttle online guessing: MSG1 gets ERROR
+0x06 once its identity's consecutive failures plus its logins in flight
+reach config.max_fail. An auth-fail counts a failure and a success clears
+the count, so concurrent logins check no more guesses than sequential ones.
 
 With config.log_path set, the service opens its JSONL log once and holds it
 until stop(), so a log renamed or rotated while it runs keeps receiving
@@ -64,6 +65,7 @@ from ..core import (
     SessionKey,
     Tally,
     VerifierRecord,
+    check_nonce,
     sample_nonce,
     validate_params,
 )
@@ -242,6 +244,8 @@ class Service:
 
     def __init__(self, config: ServeConfig):
         validate_params(config.params)
+        if config.y_override is not None:
+            check_nonce("y", config.y_override, config.params)
         self.config = config
         self.scheme = SCHEME_LKY if config.insecure_lky else SCHEME_PROPOSED
         path = Path(config.store_path)
@@ -259,8 +263,10 @@ class Service:
                           else open(config.log_path, "a", encoding="utf-8"))
         self._store_lock = None
         self._lock = threading.Lock()
-        # id_a -> consecutive failed logins, guarded by _lock
+        # id_a -> consecutive failed logins, and id_a -> logins admitted
+        # and not yet ended; both guarded by _lock
         self._failures: Dict[int, int] = {}
+        self._in_flight: Dict[int, int] = {}
         # log writes get their own lock: a session's line is written before
         # its final frame, so it must not wait behind a store write
         self._log_lock = threading.Lock()
@@ -396,7 +402,7 @@ class Service:
         self._send(conn, OkFrame())
 
     def _preflight(self, msg1: Msg1Frame) -> VerifierRecord:
-        """Shared MSG1 policy: params match, throttle, identity lookup."""
+        """MSG1 policy: params match, throttle, identity; charges the login."""
         cfg = self.config
         if (msg1.q, msg1.g) != (cfg.params.q, cfg.params.g):
             raise _Refusal(ERR_PARAM_MISMATCH,
@@ -404,7 +410,11 @@ class Service:
                            f"({cfg.params.q}, {cfg.params.g})")
         with self._lock:
             failures = self._failures.get(msg1.id_a, 0)
+            in_flight = self._in_flight.get(msg1.id_a, 0)
             records = self.store.records_for(msg1.id_a)
+            admitted = len(records) == 1 and failures + in_flight < cfg.max_fail
+            if admitted:
+                self._in_flight[msg1.id_a] = in_flight + 1
         if failures >= cfg.max_fail:
             raise _Refusal(ERR_THROTTLED,
                            f"{failures} consecutive failures for id_a={msg1.id_a}")
@@ -417,7 +427,23 @@ class Service:
             raise _Refusal(ERR_UNKNOWN_IDENTITY,
                            f"id_a={msg1.id_a} is enrolled with multiple "
                            "server identities")
+        if not admitted:
+            raise _Refusal(ERR_THROTTLED,
+                           f"{failures} consecutive failures and {in_flight} "
+                           f"logins in flight for id_a={msg1.id_a}")
         return records[0]
+
+    def _release(self, id_a: int, accepted: Optional[bool]) -> int:
+        """Free id_a's charge and apply its verdict, if any; return its failures."""
+        with self._lock:
+            left = self._in_flight.pop(id_a) - 1
+            if left:
+                self._in_flight[id_a] = left
+            if accepted:
+                self._failures.pop(id_a, None)
+            elif accepted is False:
+                self._failures[id_a] = self._failures.get(id_a, 0) + 1
+            return self._failures.get(id_a, 0)
 
     def _server_nonce(self) -> int:
         with self._lock:
@@ -438,14 +464,10 @@ class Service:
                                           cfg.hash_spec, y)
             return server, *next(server)
 
+        accepted = None         # the verdict on the client's guess, once judged
         try:
             server, frame, state = first_usable(start, cfg.y_override,
                                                 self._server_nonce)
-        except RetryNonce:
-            raise _Refusal(ERR_AUTH_FAIL, "could not pick a usable nonce"
-                           if cfg.y_override is None
-                           else "pinned server nonce is degenerate")
-        try:
             while True:
                 self._send(conn, frame, transcript)
                 received = read_frame(conn.rfile)
@@ -454,16 +476,22 @@ class Service:
                 reply, raw = received
                 transcript.record(DIR_AB, frame_label(reply), raw)
                 frame, state = server.send(reply)
+        except RetryNonce:              # only the first step draws a nonce
+            raise _Refusal(ERR_AUTH_FAIL, "could not pick a usable nonce"
+                           if cfg.y_override is None
+                           else "pinned server nonce is degenerate")
         except StopIteration as done:
             final, key_b, state = done.value
+            accepted = True
         except AuthFail as exc:
-            with self._lock:
-                count = self._failures.get(msg1.id_a, 0) + 1
-                self._failures[msg1.id_a] = count
-            raise _Refusal(ERR_AUTH_FAIL, f"{exc} (consecutive failures: {count})",
-                           transcript, _SessionEnd(None, state.tally, str(exc)))
-        with self._lock:
-            self._failures.pop(msg1.id_a, None)
+            accepted, rejection = False, exc
+        finally:
+            # any other end judged no guess, so it only frees the charge
+            failures = self._release(msg1.id_a, accepted)
+        if not accepted:
+            raise _Refusal(ERR_AUTH_FAIL,
+                           f"{rejection} (consecutive failures: {failures})",
+                           transcript, _SessionEnd(None, state.tally, str(rejection)))
         # a server that accepts with nothing left to send acknowledges with OK
         self._send(conn, final if final is not None else OkFrame(), transcript,
                    _SessionEnd(key_b, state.tally))

@@ -27,12 +27,12 @@ group it skips the check and flags the session "server unauthenticated".
 
 Both parties finish with session key h(id_A, id_B, g^(x*y)) mod q. Group
 elements are reduced mod q before hashing, so transcripts are canonical.
+As in pakelab.lky, the steps hold no message order; pakelab.drivers fixes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .core import (
     DESK_SCALE_BOUND,
@@ -42,6 +42,7 @@ from .core import (
     SessionKey,
     Tally,
     VerifierRecord,
+    check_nonce,
     exponent_reduce,
     hash_to_exponent,
     mod_exp,
@@ -50,12 +51,6 @@ from .core import (
 )
 from .errors import AuthFail, NotInGroup, UnknownIdentity
 from .netio.frames import Msg1Frame, Msg2Frame, Msg3Frame, Msg4Frame
-
-PHASE_STARTED = "started"
-PHASE_CONFIRMED = "confirmed"
-PHASE_RESPONDED = "responded"
-PHASE_FINISHED = "finished"
-PHASE_FAILED = "failed"
 
 FLAG_DEGENERATE_TB = "degenerate T_B"
 FLAG_UNAUTHENTICATED = "server unauthenticated"
@@ -71,9 +66,8 @@ class PropClientState:
     t_a: int
     tally: Tally
     t_b: int = 0
-    r: int = 0                          # defined once phase >= confirmed
+    r: int = 0                          # set by prop_client_confirm
     flags: list = field(default_factory=list)
-    phase: str = PHASE_STARTED
 
 
 @dataclass
@@ -87,8 +81,6 @@ class PropServerState:
     tally: Tally
     f_a: int = 0                        # fixed before the client's d_A is read
     e_b: int = 0
-    key: Optional[SessionKey] = None
-    phase: str = PHASE_RESPONDED
 
 
 def prop_client_start(creds: Credentials, params: GroupParams, hash_spec: HashSpec,
@@ -98,8 +90,7 @@ def prop_client_start(creds: Credentials, params: GroupParams, hash_spec: HashSp
     The client never needs the verifier v = g^h itself, only h, so it does
     not derive it (derive_verifier does, for enrollment).
     """
-    if not 1 <= x <= params.order - 1:
-        raise ValueError(f"x must lie in [1, {params.order - 1}]")
+    check_nonce("x", x, params)
     tally = Tally()
     raw = hash_spec.of_ints([creds.id_a, creds.id_b, creds.password], tally)
     h_exp = hash_to_exponent(raw, params)
@@ -119,8 +110,7 @@ def prop_server_respond(msg1: Msg1Frame, record: VerifierRecord,
     """
     if record.id_a != msg1.id_a:
         raise UnknownIdentity(f"no verifier on record for id_A={msg1.id_a}")
-    if not 1 <= y <= params.order - 1:
-        raise ValueError(f"y must lie in [1, {params.order - 1}]")
+    check_nonce("y", y, params)
     if not params.contains(msg1.t_a):
         raise NotInGroup(f"T_A = {msg1.t_a} not in Z_q^*")
     tally = Tally()
@@ -136,8 +126,6 @@ def prop_client_confirm(msg2: Msg2Frame, state: PropClientState) -> Msg3Frame:
     A received T_B of 1 collapses r to 1 for every x; the run proceeds but
     is flagged as degenerate in the state (and so in the session report).
     """
-    if state.phase != PHASE_STARTED:
-        raise AuthFail(f"client state is {state.phase}, expected {PHASE_STARTED}")
     params = state.params
     if not params.contains(msg2.t_b):
         raise NotInGroup(f"T_B = {msg2.t_b} not in Z_q^*")
@@ -148,7 +136,6 @@ def prop_client_confirm(msg2: Msg2Frame, state: PropClientState) -> Msg3Frame:
     state.t_b = msg2.t_b
     state.r = mod_exp(msg2.t_b, exponent, params, state.tally)
     d_a = state.hash_spec.of_ints([state.r], state.tally) % params.q
-    state.phase = PHASE_CONFIRMED
     return Msg3Frame(d_a=d_a)
 
 
@@ -160,22 +147,17 @@ def prop_server_finish(msg3: Msg3Frame, state: PropServerState,
     E_B = v^(y^2) (exponent reduced mod q-1) rides back in a fourth message
     so the client can run its server-authentication check.
     """
-    if state.phase != PHASE_RESPONDED:
-        raise AuthFail(f"server state is {state.phase}, expected {PHASE_RESPONDED}")
     params, hash_spec = state.params, state.hash_spec
     shared = mod_exp(state.t_a, state.y, params, state.tally)
     state.f_a = hash_spec.of_ints([shared], state.tally) % params.q
     if msg3.d_a != state.f_a:
-        state.phase = PHASE_FAILED
         raise AuthFail("client confirmation d_A does not match F_A")
     state.e_b = mod_exp(state.record.v,
                         exponent_reduce(state.y * state.y, params),
                         params, state.tally)
     key_value = hash_spec.of_ints(
         [state.record.id_a, state.record.id_b, shared], state.tally) % params.q
-    state.key = SessionKey.from_value(key_value, params)
-    state.phase = PHASE_FINISHED
-    return Msg4Frame(e_b=state.e_b), state.key
+    return Msg4Frame(e_b=state.e_b), SessionKey.from_value(key_value, params)
 
 
 def prop_client_finish(msg4: Msg4Frame, state: PropClientState) -> SessionKey:
@@ -185,8 +167,6 @@ def prop_client_finish(msg4: Msg4Frame, state: PropClientState) -> SessionKey:
     q <= DESK_SCALE_BOUND; above that the skip is recorded as the state
     flag FLAG_UNAUTHENTICATED.
     """
-    if state.phase != PHASE_CONFIRMED:
-        raise AuthFail(f"client state is {state.phase}, expected {PHASE_CONFIRMED}")
     params = state.params
     if not params.contains(msg4.e_b):
         raise NotInGroup(f"E_B = {msg4.e_b} not in Z_q^*")
@@ -196,12 +176,10 @@ def prop_client_finish(msg4: Msg4Frame, state: PropClientState) -> SessionKey:
         left = toy_pairing(msg4.e_b, state.t_a, params)
         right = toy_pairing(state.t_b, state.r, params)
         if left != right:
-            state.phase = PHASE_FAILED
             raise AuthFail(
                 f"server authentication failed: e(E_B, T_A) = {left} != {right} = e(T_B, r)")
     key_value = state.hash_spec.of_ints(
         [state.creds.id_a, state.creds.id_b, state.r], state.tally) % params.q
-    state.phase = PHASE_FINISHED
     return SessionKey.from_value(key_value, params)
 
 

@@ -35,7 +35,15 @@ from pakelab.core import (
 from pakelab.drivers import run_pair
 from pakelab.errors import GroupTooLarge, RetryNonce, ScenarioError
 from pakelab.harness import Scenario, run_honest_session
-from pakelab.transcript import Transcript
+from pakelab.netio.frames import (
+    Msg1Frame,
+    Msg2Frame,
+    Msg3Frame,
+    Msg4Frame,
+    encode_frame,
+    frame_label,
+)
+from pakelab.transcript import DIR_AB, DIR_BA, Transcript
 
 TOYSUM_SPEC = HashSpec(TOYSUM)
 TOY_V = 7       # derive_verifier(TOY_CREDS, TOY_PARAMS, toysum); pinned in test_core
@@ -247,6 +255,29 @@ def test_census_is_pointwise(dictionary):
                              id_b=12)
     part = dictionary_census(tap, dictionary, TOY_PARAMS, TOYSUM_SPEC, id_b=12)
     assert part.consistent == [p for p in dictionary if p in full.consistent]
+
+
+def crafted_wiretap(t_a=8, t_b=9):
+    """The pinned toy run's frames with T_A or T_B replaced."""
+    tap = Transcript()
+    for direction, frame in [(DIR_AB, Msg1Frame(q=13, g=6, id_a=9, t_a=t_a)),
+                             (DIR_BA, Msg2Frame(t_b=t_b)),
+                             (DIR_AB, Msg3Frame(d_a=1)),
+                             (DIR_BA, Msg4Frame(e_b=9))]:
+        tap.record(direction, frame_label(frame), encode_frame(frame))
+    return tap
+
+
+@pytest.mark.parametrize("fields, why", [
+    (dict(t_a=1), "T_A has no admissible discrete log"),
+    (dict(t_b=1), "T_B has no admissible nonce under this password"),
+])
+def test_census_rejects_a_share_that_no_nonce_produces(fields, why):
+    assert [e.data for e in crafted_wiretap()] == [e.data for e in wiretap()]
+    census = dictionary_census(crafted_wiretap(**fields), [10], TOY_PARAMS,
+                               TOYSUM_SPEC, id_b=12)
+    assert census.consistent == []
+    assert census.rejections == {10: why}
 
 
 def test_census_requires_a_desk_scale_group():

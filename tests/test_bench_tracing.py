@@ -12,7 +12,11 @@ import socket
 import time
 from pathlib import Path
 
+import pytest
+
 from pakelab.core import (
+    SCHEME_LKY,
+    SCHEME_PROPOSED,
     TOY_CREDS,
     TOY_PARAMS,
     TOYSUM,
@@ -23,6 +27,7 @@ from pakelab.core import (
     derive_verifier,
 )
 from pakelab.errors import RemoteError
+from pakelab.harness import Scenario, run_honest_session
 from pakelab.netio import service as service_module
 from pakelab.netio.frames import (
     ERR_AUTH_FAIL,
@@ -62,7 +67,8 @@ def test_every_name_the_traced_run_wraps_resolves():
     assert "_handle_connection" in Service.__dict__
 
 
-def test_the_traced_server_tags_each_connection_with_the_client_port(tmp_path):
+def _traced_toy_login(tmp_path):
+    """One traced TCP login on the toy group: (key, spans by name)."""
     spec = HashSpec(TOYSUM)
     store = VerifierStore()
     store.add(VerifierRecord(id_a=9, id_b=12,
@@ -78,13 +84,23 @@ def test_the_traced_server_tags_each_connection_with_the_client_port(tmp_path):
             key, _ = service_module.client_connect(
                 service.address, TOY_CREDS, TOY_PARAMS,
                 ClientOptions(hash_spec=spec, x=3))
+            # the connection span ends just after the final frame is written
+            deadline = time.monotonic() + 5.0
+            while (not any(s[2] == "netio.service.connection" for s in tracer.spans)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
     finally:
         tracer.uninstall()
-    assert key.value == 9
 
     def named(name):
         return [s for s in tracer.spans if s[2] == name]
 
+    return key, named
+
+
+def test_the_traced_server_tags_each_connection_with_the_client_port(tmp_path):
+    key, named = _traced_toy_login(tmp_path)
+    assert key.value == 9
     # (span_id, parent_id, name, start_ns, end_ns, op, note, error)
     [connect] = named("netio.service.connect")
     [connection] = named("netio.service.connection")
@@ -94,6 +110,34 @@ def test_the_traced_server_tags_each_connection_with_the_client_port(tmp_path):
                     if s[1] != client[0]]
     assert len(server_reads) == 2               # MSG1, MSG3
     assert all(s[1] == connection[0] and s[5] == connect[6] for s in server_reads)
+
+
+def test_a_traced_login_takes_each_server_step_once_in_its_connection(tmp_path):
+    _, named = _traced_toy_login(tmp_path)
+    [connection] = named("netio.service.connection")
+    for step in ("proposed.server_respond", "proposed.server_finish"):
+        [span] = named(step)
+        assert span[1] == connection[0] and span[7] is None
+
+
+@pytest.mark.parametrize("scheme, steps", [
+    (SCHEME_LKY, ("lky.client_start", "lky.server_respond",
+                  "lky.client_finish", "lky.server_finish")),
+    (SCHEME_PROPOSED, ("proposed.client_start", "proposed.server_respond",
+                       "proposed.client_confirm", "proposed.server_finish",
+                       "proposed.client_finish")),
+])
+def test_a_traced_in_memory_session_takes_each_step_once(scheme, steps):
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        report = run_honest_session(
+            Scenario(scheme=scheme, hash_spec=HashSpec(TOYSUM), x=3, y=4))
+    finally:
+        tracer.uninstall()
+    assert report.error is None
+    step_spans = [s[2] for s in tracer.spans if s[2] in steps]
+    assert sorted(step_spans) == sorted(steps)
 
 
 def _refused_code(call):

@@ -25,7 +25,9 @@ from pakelab.core import (
     validate_params,
 )
 from pakelab.errors import AuthFail
+from pakelab.harness import GoldenVector
 from pakelab.netio import service as service_module
+from pakelab.netio.frames import Msg2Frame, encode_frame, read_frame
 from pakelab.netio.service import ServeConfig, Service
 from pakelab.netio.store import VerifierStore
 
@@ -170,6 +172,17 @@ def test_simulate_golden(capsys):
     out = capsys.readouterr().out
     assert "golden proposed-toy: ok" in out
     assert "golden lky-toy: ok" in out
+
+
+def test_simulate_golden_reports_a_drifted_vector(monkeypatch, capsys):
+    [vector, _] = cli_module.golden_vectors()
+    drifted = GoldenVector(vector.name, vector.scenario,
+                           dict(vector.expected, key=vector.expected["key"] + 1))
+    monkeypatch.setattr(cli_module, "golden_vectors", lambda: [drifted])
+    assert run_cli("simulate", "--golden") == 2
+    out = capsys.readouterr().out
+    assert f"golden {vector.name}: MISMATCH" in out
+    assert "  expected: " in out and "  observed: " in out
 
 
 def test_simulate_golden_bless_prints_without_mutating(capsys):
@@ -533,6 +546,42 @@ def test_serve_and_connect_via_cli(served_store, capsys):
         proc.terminate()
         proc.wait(timeout=10)
         proc.stdout.close()
+
+
+def test_serve_with_an_out_of_range_y_override_exits_3(served_store, tmp_path):
+    log = tmp_path / "server.jsonl"
+    done = subprocess.run(
+        [sys.executable, "-m", "pakelab.cli", "serve",
+         "--listen", "127.0.0.1:0", "--store", str(served_store),
+         "--hash", "toysum", "--log", str(log), "--y-override", "12"],
+        capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=30)
+    assert done.returncode == 3
+    assert "error: y must lie in [1, 11]" in done.stderr
+    assert not log.exists()
+
+
+def test_connect_to_a_server_sending_a_non_element_exits_2(capsys):
+    """A PakeError no earlier clause of main names falls to exit 2."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        host, port = listener.getsockname()
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as rfile:
+                read_frame(rfile)                       # MSG1
+                conn.sendall(encode_frame(Msg2Frame(t_b=13)))
+                rfile.read(1)                           # until the client leaves
+
+        server = threading.Thread(target=answer)
+        server.start()
+        try:
+            code = run_cli("connect", "--addr", f"{host}:{port}", "--hash",
+                           "toysum", "--id-a", "9", "--id-b", "12",
+                           "--password", "10", "--x", "3")
+        finally:
+            server.join(timeout=10)
+    assert code == 2
+    assert "error: T_B = 13 not in Z_q^*" in capsys.readouterr().err
 
 
 def test_serve_stops_on_sigterm_like_on_sigint(served_store):

@@ -36,6 +36,7 @@ from pakelab.harness import (
     replay_golden,
     run_honest_session,
 )
+from pakelab.transcript import TranscriptEntry
 
 
 # -- honest sessions ------------------------------------------------------------
@@ -218,6 +219,11 @@ def test_counters_as_dict_is_asdict_as_a_fresh_copy():
     as_dict["messages"] = 99
     assert counters.messages == 4
     assert counters.as_dict() is not counters.as_dict()
+
+
+def test_a_transcript_entry_refuses_an_unknown_direction():
+    with pytest.raises(ValueError, match="direction must be one of"):
+        TranscriptEntry(direction="A->A", label="msg1", data=b"")
 
 
 def test_append_log_line(tmp_path):

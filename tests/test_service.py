@@ -29,7 +29,7 @@ from pakelab.core import (
     derive_verifier,
     generate_params,
 )
-from pakelab.drivers import proposed_server
+from pakelab.drivers import proposed_server, run_pair
 from pakelab.errors import (
     MalformedFrame,
     RemoteError,
@@ -46,6 +46,7 @@ from pakelab.netio.frames import (
     ErrorFrame,
     Msg1Frame,
     Msg2Frame,
+    Msg3Frame,
     OkFrame,
     RegisterFrame,
     encode_frame,
@@ -505,6 +506,82 @@ def test_success_resets_the_failure_counter(tmp_path):
         assert "consecutive failures: 1" in str(exc.value)
 
 
+MSG1_TOY = encode_frame(Msg1Frame(q=13, g=6, id_a=9, t_a=8))     # x = 3
+WRONG_MSG3_TOY = encode_frame(Msg3Frame(d_a=2))                   # honest: 1
+
+
+def test_concurrent_logins_for_one_identity_are_charged_at_msg1(tmp_path):
+    with Service(toy_config(tmp_path, max_fail=5)) as service:
+        socks = [socket.create_connection(service.address, timeout=5.0)
+                 for _ in range(20)]
+        rfiles = [sock.makefile("rb") for sock in socks]
+        try:
+            for sock in socks:
+                sock.sendall(MSG1_TOY)
+            replies = [read_frame(rfile)[0] for rfile in rfiles]
+            admitted = [(sock, rfile) for sock, rfile, reply
+                        in zip(socks, rfiles, replies)
+                        if isinstance(reply, Msg2Frame)]
+            refused = [reply for reply in replies
+                       if not isinstance(reply, Msg2Frame)]
+            assert len(admitted) == 5
+            assert refused == [ErrorFrame(
+                code=ERR_THROTTLED,
+                detail="0 consecutive failures and 5 logins in flight for id_a=9",
+            )] * 15
+            # each admitted login has its guess judged, and no more
+            for sock, rfile in admitted:
+                sock.sendall(WRONG_MSG3_TOY)
+                assert read_frame(rfile)[0].code == ERR_AUTH_FAIL
+        finally:
+            for sock, rfile in zip(socks, rfiles):
+                rfile.close()
+                sock.close()
+        with pytest.raises(RemoteError) as exc:
+            client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                           toy_options())
+    assert exc.value.code == ERR_THROTTLED
+    assert exc.value.detail == "5 consecutive failures for id_a=9"
+
+
+def test_a_login_that_hangs_up_after_msg2_frees_its_charge(tmp_path):
+    with Service(toy_config(tmp_path, max_fail=1)) as service:
+        with (socket.create_connection(service.address, timeout=5.0) as sock,
+              sock.makefile("rb") as rfile):
+            sock.sendall(MSG1_TOY)
+            assert isinstance(read_frame(rfile)[0], Msg2Frame)
+            sock.shutdown(socket.SHUT_WR)
+            assert rfile.read(1) == b""         # the server has ended it
+        key, _ = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
+                                toy_options())
+    assert key.value == 9
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_PROPOSED, SCHEME_LKY])
+def test_msg3_sent_again_after_the_final_frame_reads_eof(tmp_path, scheme):
+    msg1, msg3 = [e.data for e in run_pair(scheme, TOY_CREDS, TOY_PARAMS,
+                                           TOYSUM_SPEC, 3, 4).transcript
+                  if e.direction == "A->B"]
+    log = tmp_path / "server.jsonl"
+    config = toy_config(tmp_path, insecure_lky=scheme == SCHEME_LKY,
+                        log_path=log)
+    with Service(config) as service:
+        with (socket.create_connection(service.address, timeout=5.0) as sock,
+              sock.makefile("rb") as rfile):
+            sock.sendall(msg1)
+            assert not isinstance(read_frame(rfile)[0], ErrorFrame)
+            sock.sendall(msg3)
+            final, _ = read_frame(rfile)
+            assert not isinstance(final, ErrorFrame)
+            # wait for the server's end of the connection, so the resent
+            # frame cannot race its close
+            assert sock.recv(1, socket.MSG_PEEK) == b""
+            sock.sendall(msg3)
+            assert read_frame(rfile) is None
+    [line] = log.read_text().splitlines()
+    assert json.loads(line)["key_b"] is not None
+
+
 def throttle_toy_identity(service):
     """Fail id_a=9 three times (the max_fail these tests set) and check the lockout."""
     for _ in range(3):
@@ -812,6 +889,15 @@ def test_service_refuses_a_log_it_cannot_open_before_binding(tmp_path,
         assert (tmp_path / "server.jsonl").read_text() == ""
 
 
+@pytest.mark.parametrize("y", [12, 0, -3])
+def test_service_refuses_an_out_of_range_y_override_before_opening_the_log(
+        tmp_path, y):
+    log = tmp_path / "server.jsonl"
+    with pytest.raises(ValueError, match=r"^y must lie in \[1, 11\]$"):
+        Service(toy_config(tmp_path, y_override=y, log_path=log))
+    assert not log.exists()
+
+
 def test_service_requires_a_store_unless_enrolling(tmp_path):
     with pytest.raises(FileNotFoundError):
         Service(ServeConfig(params=TOY_PARAMS,
@@ -1086,7 +1172,9 @@ def test_handler_threads_retiring_under_load_strand_no_connection(tmp_path,
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with Service(toy_config(tmp_path)) as service:
+        # the six clients share one identity, so the throttle must admit
+        # six logins of it in flight at once
+        with Service(toy_config(tmp_path, max_fail=6)) as service:
             clients = [threading.Thread(target=logins, args=(service,))
                        for _ in range(6)]
             for thread in clients:
