@@ -139,7 +139,9 @@ def run_honest_session(scenario: Scenario) -> SessionReport:
     if scenario.scheme not in CLIENTS:
         raise ScenarioError(f"unknown scheme {scenario.scheme!r}")
 
-    explicit = scenario.x is not None and scenario.y is not None
+    explicit = scenario.x is not None
+    if explicit != (scenario.y is not None):
+        raise ScenarioError("scenario pins one nonce: pin both x and y, or neither")
     if not explicit and scenario.seed is None:
         raise ScenarioError("scenario needs explicit nonces or a seed")
     rng = random.Random(scenario.seed)

@@ -33,10 +33,10 @@ With config.log_path set, the service opens its JSONL log once and holds it
 until stop(), so a log renamed or rotated while it runs keeps receiving
 lines until the service restarts.
 
-Each connection in flight has its own daemon handler thread. A finished
-connection's thread waits for the next one instead of exiting, a new thread
-starts only when none is idle, and a thread left idle for READ_TIMEOUT
-seconds exits, as do the idle threads when the service stops.
+One accept() loop hands each connection in flight to a daemon handler
+thread; a finished connection's thread waits for the next one instead of
+exiting, a new thread starts only when none is idle, and a thread left idle
+for READ_TIMEOUT seconds exits, as do the idle threads when the service stops.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import queue
 import random
 import signal
 import socket
-import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
@@ -103,12 +102,9 @@ log = logging.getLogger("pakelab.netio")
 
 DEFAULT_MAX_FAIL = 5
 
-# serve_forever's shutdown poll; short so that Service.stop() returns promptly
-POLL_INTERVAL = 0.05
-
-# pending connections the kernel queues for accept(); socketserver's default
-# of 5 overflows under 8 concurrent clients, and a refused SYN is retried
-# only after the kernel's 1 s retransmit timeout
+# pending connections the kernel queues for accept(); a backlog of 5
+# overflows under 8 concurrent clients, and a refused SYN is retried only
+# after the kernel's 1 s retransmit timeout
 LISTEN_BACKLOG = 128
 
 # seconds after which a connection's reads fail and it is dropped as a
@@ -169,62 +165,12 @@ class _DeadlineReader(io.RawIOBase):
         return self._sock.recv_into(buffer)
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    timeout = READ_TIMEOUT
+class _Connection(NamedTuple):
+    """An accepted connection: its socket, its peer, and its deadline reader."""
 
-    def setup(self):
-        super().setup()
-        # one deadline for the whole connection, not one per read
-        self.rfile.close()
-        self.rfile = io.BufferedReader(_DeadlineReader(
-            self.connection, time.monotonic() + self.timeout))
-
-    def handle(self):
-        self.server.service._handle_connection(self)
-
-
-class _Server(socketserver.TCPServer):
-    """Runs each accepted connection on an idle handler thread, or a new one."""
-
-    allow_reuse_address = True
-    request_queue_size = LISTEN_BACKLOG
-
-    def __init__(self, address, handler):
-        # (request, address); None: exit. Not a SimpleQueue: on CPython 3.11
-        # its timed get can block for good when several threads wait on it
-        self._requests = queue.Queue()
-        self._idle = threading.Semaphore(0)     # idle threads not yet claimed
-        super().__init__(address, handler)
-
-    def process_request(self, request, client_address):
-        self._requests.put((request, client_address))
-        if not self._idle.acquire(blocking=False):
-            threading.Thread(target=self._work, name="pakelab-handler",
-                             daemon=True).start()
-
-    def _work(self):
-        while True:
-            try:
-                item = self._requests.get(timeout=READ_TIMEOUT)
-            except queue.Empty:
-                if self._idle.acquire(blocking=False):
-                    return                  # one idle thread fewer
-                continue                    # all are claimed: work is queued
-            if item is None:
-                self._requests.put(None)    # pass the exit on to the next one
-                return
-            request, client_address = item
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                self.shutdown_request(request)
-            self._idle.release()
-
-    def server_close(self):
-        super().server_close()
-        self._requests.put(None)
+    sock: socket.socket
+    client_address: Tuple[str, int]
+    rfile: io.BufferedReader
 
 
 class _SessionEnd(NamedTuple):
@@ -246,6 +192,8 @@ class Service:
         validate_params(config.params)
         if config.y_override is not None:
             check_nonce("y", config.y_override, config.params)
+        if config.max_fail < 1:
+            raise ValueError(f"max_fail must be at least 1, got {config.max_fail}")
         self.config = config
         self.scheme = SCHEME_LKY if config.insecure_lky else SCHEME_PROPOSED
         path = Path(config.store_path)
@@ -277,33 +225,80 @@ class Service:
                 self.store.save(path)
             # taken after the compaction, which renames a new file over the old
             self._store_lock = lock_store(path) if config.enroll else None
-            self._server = _Server(config.listen, _Handler)
+            self._listener = socket.create_server(config.listen,
+                                                  backlog=LISTEN_BACKLOG)
         except BaseException:
             self._release_store()
             self._close_log()
             raise
-        self._server.service = self
+        # (sock, client_address); None: exit. Not a SimpleQueue: on CPython
+        # 3.11 its timed get can block for good when several threads wait on it
+        self._requests = queue.Queue()
+        self._idle = threading.Semaphore(0)     # idle threads not yet claimed
+        self._stopping = False
         self._thread: Optional[threading.Thread] = None
 
     @property
     def address(self) -> Tuple[str, int]:
-        return self._server.server_address[:2]
+        return self._listener.getsockname()[:2]
 
     def start(self):
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        args=(POLL_INTERVAL,),
-                                        name="pakelab-serve", daemon=True)
+        self._thread = threading.Thread(target=self._serve, name="pakelab-serve",
+                                        daemon=True)
         self._thread.start()
 
     def stop(self):
         """Close the listener, store and log; safe on a never-started service."""
+        self._stopping = True
         if self._thread is not None:
-            # shutdown() waits for a serve_forever loop, so only one that ran
-            self._server.shutdown()
+            # wakes the accept() that _serve blocks in; close() alone does not
+            self._listener.shutdown(socket.SHUT_RDWR)
             self._thread.join(timeout=5)
-        self._server.server_close()
+            self._thread = None
+        self._listener.close()
+        self._requests.put(None)
         self._release_store()
         self._close_log()
+
+    def _serve(self):
+        """Accept connections until stop(); each runs on an idle handler thread."""
+        while True:
+            try:
+                sock, client_address = self._listener.accept()
+            except OSError:
+                if self._stopping:
+                    return
+                continue                    # e.g. out of file descriptors
+            self._requests.put((sock, client_address))
+            if not self._idle.acquire(blocking=False):
+                threading.Thread(target=self._work, name="pakelab-handler",
+                                 daemon=True).start()
+
+    def _work(self):
+        while True:
+            try:
+                item = self._requests.get(timeout=READ_TIMEOUT)
+            except queue.Empty:
+                if self._idle.acquire(blocking=False):
+                    return                  # one idle thread fewer
+                continue                    # all are claimed: work is queued
+            if item is None:
+                self._requests.put(None)    # pass the exit on to the next one
+                return
+            sock, client_address = item
+            with sock:
+                # one deadline for the whole connection, not one per read
+                rfile = io.BufferedReader(_DeadlineReader(
+                    sock, time.monotonic() + READ_TIMEOUT))
+                try:
+                    self._handle_connection(_Connection(sock, client_address, rfile))
+                except Exception:
+                    log.exception("connection from %s failed", client_address)
+                try:
+                    sock.shutdown(socket.SHUT_WR)   # EOF ahead of any reset by close()
+                except OSError:
+                    pass                    # peer is gone
+            self._idle.release()
 
     def _release_store(self):
         if self._store_lock is not None:
@@ -322,7 +317,7 @@ class Service:
         try:
             host, port = self.address
             log.info("listening on %s:%d", host, port)
-            self._server.serve_forever(POLL_INTERVAL)
+            self._serve()
         except KeyboardInterrupt:
             pass
         finally:
@@ -338,7 +333,7 @@ class Service:
 
     # -- per-connection logic ------------------------------------------------
 
-    def _handle_connection(self, conn: _Handler):
+    def _handle_connection(self, conn: _Connection):
         try:
             received = read_frame(conn.rfile)
             if received is None:
@@ -363,7 +358,7 @@ class Service:
             # the listener must survive anything a peer throws at it
             log.exception("connection handler failed")
 
-    def _send(self, conn: _Handler, frame, transcript: Optional[Transcript] = None,
+    def _send(self, conn: _Connection, frame, transcript: Optional[Transcript] = None,
               end: Optional[_SessionEnd] = None):
         """Record frame in the transcript, then write it to the peer.
 
@@ -376,18 +371,17 @@ class Service:
         if end is not None:
             self._log_session(transcript, end)
         try:
-            conn.wfile.write(data)
-            conn.wfile.flush()
+            conn.sock.sendall(data)
         except OSError:
             pass                            # peer is gone; nothing to salvage
 
-    def _reply_error(self, conn: _Handler, code: int, detail: str,
+    def _reply_error(self, conn: _Connection, code: int, detail: str,
                      transcript: Optional[Transcript] = None,
                      end: Optional[_SessionEnd] = None):
         log.info("refusing connection: code %#04x, %s", code, detail)
         self._send(conn, ErrorFrame(code=code, detail=detail), transcript, end)
 
-    def _handle_register(self, conn: _Handler, frame: RegisterFrame):
+    def _handle_register(self, conn: _Connection, frame: RegisterFrame):
         if not self.config.enroll:
             raise _Refusal(ERR_AUTH_FAIL, "enrollment is disabled")
         if not self.config.params.contains(frame.v):
@@ -449,7 +443,7 @@ class Service:
         with self._lock:
             return sample_nonce(self.config.params, self._rng)
 
-    def _handle_session(self, conn: _Handler, msg1: Msg1Frame, raw: bytes):
+    def _handle_session(self, conn: _Connection, msg1: Msg1Frame, raw: bytes):
         """Run the served scheme's server driver over this connection.
 
         Every end short of acceptance is raised for _handle_connection.

@@ -167,6 +167,16 @@ def test_simulate_needs_nonces_or_seed():
     assert run_cli("simulate", "--scheme", "lky", "--x", "3") == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--x", "3", "--seed", "2"),
+    ("simulate", "--scheme", "lky", "--y", "4", "--seed", "2"),
+    ("attack", "census", "--dict", "10,11", "--x", "3", "--seed", "2"),
+])
+def test_a_half_pinned_nonce_is_refused_even_with_a_seed(argv, capsys):
+    assert run_cli(*argv) == 3
+    assert "pins one nonce" in capsys.readouterr().err
+
+
 def test_simulate_golden(capsys):
     assert run_cli("simulate", "--golden") == 0
     out = capsys.readouterr().out
@@ -352,10 +362,10 @@ def test_only_a_live_enrolling_server_holds_the_store(tmp_path, monkeypatch):
         assert run_cli(*args, "--id-a", "20") == 0
     # a service whose listener cannot bind lets go of the store it locked
 
-    def no_listener(*args):
+    def no_listener(*args, **kwargs):
         raise OSError("address already in use")
 
-    monkeypatch.setattr(service_module, "_Server", no_listener)
+    monkeypatch.setattr(service_module.socket, "create_server", no_listener)
     with pytest.raises(OSError):
         Service(ServeConfig(params=TOY_PARAMS, store_path=store_path,
                             hash_spec=HashSpec(TOYSUM), enroll=True))
@@ -384,8 +394,7 @@ def test_serve_validates_the_group_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "validate_params",
                             lambda p: checked.append(p) or validate_params(p))
     # serve_blocking still runs, and its cleanup releases the store lock
-    monkeypatch.setattr(service_module._Server, "serve_forever",
-                        lambda self, poll_interval: None)
+    monkeypatch.setattr(Service, "_serve", lambda self: None)
     assert run_cli("serve", "--listen", "127.0.0.1:0", "--enroll", "--params",
                    str(group), "--store", str(tmp_path / "verifiers.tsv")) == 0
     assert checked == [params]
@@ -393,8 +402,8 @@ def test_serve_validates_the_group_once(tmp_path, monkeypatch):
 
 def test_serve_refuses_a_bad_params_file_before_binding(tmp_path, capsys,
                                                         monkeypatch):
-    monkeypatch.setattr(service_module, "_Server",
-                        lambda *args: pytest.fail("a listener was bound"))
+    monkeypatch.setattr(service_module.socket, "create_server",
+                        lambda *args, **kwargs: pytest.fail("a listener was bound"))
     cases = (("13 six\n", 2, "must hold two decimal integers (q, then g)"),
              ("13\n12\n", 3, "12 has order dividing 6 mod 13"),
              ("15\n2\n", 3, "15 is not prime"),
@@ -417,8 +426,8 @@ def test_serve_and_register_refuse_a_store_for_another_group(tmp_path, capsys,
     other = tmp_path / "q23.params"
     other.write_text("23\n5\n")
     capsys.readouterr()
-    monkeypatch.setattr(service_module, "_Server",
-                        lambda *args: pytest.fail("a listener was bound"))
+    monkeypatch.setattr(service_module.socket, "create_server",
+                        lambda *args, **kwargs: pytest.fail("a listener was bound"))
     for flags, theirs in ((["--params", str(other), "--hash", "toysum"],
                            "q=23, g=5, hash=toysum"),
                           (["--hash", "digest256"], "q=13, g=6, hash=digest256")):
@@ -630,17 +639,32 @@ def test_connect_whose_nonce_draws_never_fit_exits_1(tmp_path, capsys,
 
 def test_serve_refuses_a_port_out_of_range_before_binding(tmp_path, capsys,
                                                          monkeypatch):
-    monkeypatch.setattr(service_module, "_Server",
-                        lambda *args: pytest.fail("a listener was bound"))
+    monkeypatch.setattr(service_module.socket, "create_server",
+                        lambda *args, **kwargs: pytest.fail("a listener was bound"))
     assert run_cli("serve", "--listen", "127.0.0.1:99999", "--enroll",
                    "--store", str(tmp_path / "verifiers.tsv")) == 3
     assert "port 99999 is out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_fail", ["0", "-2"])
+def test_serve_refuses_a_max_fail_below_one_before_binding(tmp_path, capsys,
+                                                           monkeypatch, max_fail):
+    # a throttle that admits no login would refuse every one with ERROR 0x06
+    monkeypatch.setattr(service_module.socket, "create_server",
+                        lambda *args, **kwargs: pytest.fail("a listener was bound"))
+    log = tmp_path / "server.jsonl"
+    assert run_cli("serve", "--listen", "127.0.0.1:0", "--enroll",
+                   "--store", str(tmp_path / "verifiers.tsv"), "--log", str(log),
+                   "--max-fail", max_fail) == 3
+    assert (capsys.readouterr().err
+            == f"error: max_fail must be at least 1, got {max_fail}\n")
+    assert not log.exists() and not (tmp_path / "verifiers.tsv").exists()
+
+
 def test_serve_refuses_a_log_it_cannot_open_before_binding(tmp_path, capsys,
                                                           monkeypatch):
-    monkeypatch.setattr(service_module, "_Server",
-                        lambda *args: pytest.fail("a listener was bound"))
+    monkeypatch.setattr(service_module.socket, "create_server",
+                        lambda *args, **kwargs: pytest.fail("a listener was bound"))
     for log_path in (tmp_path / "missing" / "server.jsonl", tmp_path):
         assert run_cli("serve", "--listen", "127.0.0.1:0", "--enroll",
                        "--store", str(tmp_path / "verifiers.tsv"),

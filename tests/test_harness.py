@@ -140,6 +140,13 @@ def test_scenario_needs_nonces_or_a_seed():
         run_honest_session(Scenario(scheme=SCHEME_LKY))
 
 
+@pytest.mark.parametrize("pinned", [{"x": 3}, {"y": 4}])
+def test_a_half_pinned_scenario_is_refused_even_with_a_seed(pinned):
+    # a seed must not stand in for the nonce left out, nor replace the one given
+    with pytest.raises(ScenarioError, match="pins one nonce"):
+        run_honest_session(Scenario(scheme=SCHEME_PROPOSED, seed=2, **pinned))
+
+
 def test_honest_runner_refuses_adversarial_scenarios():
     # attacks run from pakelab.attacks; a scenario has no field to name one
     with pytest.raises(TypeError):

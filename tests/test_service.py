@@ -1,5 +1,6 @@
 """TCP service: loopback sessions, error codes, throttling, enrollment, logs."""
 
+import errno
 import gc
 import json
 import logging
@@ -660,6 +661,19 @@ def test_garbage_opener_reply(tmp_path):
     assert reply.code == ERR_MALFORMED
 
 
+def test_a_peer_whose_bytes_go_unread_gets_the_error_frame_then_eof(tmp_path):
+    # the server closes with 100 kB unread, so the kernel resets the
+    # connection; the whole ERROR frame and an orderly EOF come first
+    with Service(toy_config(tmp_path)) as service:
+        with (socket.create_connection(service.address, timeout=5.0) as sock,
+              sock.makefile("rb") as rfile):
+            sock.sendall(b"GET / HTTP/1.1\r\n\r\n" + bytes(100_000))
+            reply, _ = read_frame(rfile)
+            assert rfile.read(1) == b""
+    assert isinstance(reply, ErrorFrame)
+    assert reply.code == ERR_MALFORMED
+
+
 def test_wrong_opening_frame_type(tmp_path):
     with Service(toy_config(tmp_path)) as service:
         reply = raw_exchange(service.address, encode_frame(OkFrame()))
@@ -861,8 +875,8 @@ def test_service_refuses_a_store_for_another_group_before_binding(tmp_path,
     store.add(VerifierRecord(id_a=9, id_b=12, v=7))
     store.save(path)
     before = path.read_bytes()
-    monkeypatch.setattr(service_module, "_Server",
-                        lambda *args: pytest.fail("a listener was bound"))
+    monkeypatch.setattr(service_module.socket, "create_server",
+                        lambda *args, **kwargs: pytest.fail("a listener was bound"))
     for overrides in ({"params": GroupParams(q=23, g=5)},
                       {"hash_spec": HashSpec(DIGEST256)}):
         with pytest.raises(StoreParseError) as exc:
@@ -876,8 +890,8 @@ def test_service_refuses_a_log_it_cannot_open_before_binding(tmp_path,
                                                             monkeypatch):
     log_path = tmp_path / "missing" / "server.jsonl"
     with monkeypatch.context() as patch:
-        patch.setattr(service_module, "_Server",
-                      lambda *args: pytest.fail("a listener was bound"))
+        patch.setattr(service_module.socket, "create_server",
+                      lambda *args, **kwargs: pytest.fail("a listener was bound"))
         with pytest.raises(FileNotFoundError) as exc:
             Service(toy_config(tmp_path, enroll=True, log_path=log_path))
     assert str(log_path) in str(exc.value)
@@ -984,7 +998,7 @@ def test_a_server_driver_that_raises_gets_no_reply_and_no_line(tmp_path,
 
 def test_silent_peers_are_dropped_at_the_read_deadline(tmp_path, monkeypatch,
                                                        caplog):
-    monkeypatch.setattr(service_module._Handler, "timeout", 0.2)
+    monkeypatch.setattr(service_module, "READ_TIMEOUT", 0.2)
     caplog.set_level(logging.INFO, logger="pakelab.netio")
     with Service(toy_config(tmp_path)) as service:
         silent = [socket.create_connection(service.address, timeout=5.0)
@@ -1009,7 +1023,7 @@ def test_a_trickling_peer_is_cut_off_at_the_connection_deadline(tmp_path,
                                                                 caplog):
     # each byte arrives well inside the deadline, so only a deadline on the
     # whole connection, not on each read, ends these
-    monkeypatch.setattr(service_module._Handler, "timeout", 0.3)
+    monkeypatch.setattr(service_module, "READ_TIMEOUT", 0.3)
     caplog.set_level(logging.INFO, logger="pakelab.netio")
     ends = []
 
@@ -1078,6 +1092,21 @@ def wait_until_dead(threads, seconds):
     return not any(t.is_alive() for t in threads)
 
 
+def test_an_accept_that_fails_leaves_the_listener_serving(tmp_path, monkeypatch):
+    accept, failed = socket.socket.accept, []
+
+    def accept_failing_once(sock):
+        if not failed:
+            failed.append(errno.EMFILE)
+            raise OSError(errno.EMFILE, "Too many open files")
+        return accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept_failing_once)
+    with Service(toy_config(tmp_path)) as service:
+        toy_login(service)
+    assert len(failed) == 1
+
+
 def test_sequential_logins_reuse_one_handler_thread(tmp_path, monkeypatch):
     seen = record_handler_threads(monkeypatch)
     with Service(toy_config(tmp_path)) as service:
@@ -1115,8 +1144,7 @@ def test_a_thread_handed_a_connection_as_its_wait_times_out_serves_it(tmp_path,
     seen = record_handler_threads(monkeypatch)
     waiting, claimed, time_out = (threading.Event() for _ in range(3))
     with Service(toy_config(tmp_path)) as service:
-        server = service._server
-        requests, idle = server._requests, server._idle
+        requests, idle = service._requests, service._idle
 
         class GatedRequests:
             put = requests.put
@@ -1139,7 +1167,7 @@ def test_a_thread_handed_a_connection_as_its_wait_times_out_serves_it(tmp_path,
                     claimed.set()               # the idle thread was handed work
                 return got
 
-        server._requests, server._idle = GatedRequests(), WatchedIdle()
+        service._requests, service._idle = GatedRequests(), WatchedIdle()
         toy_login(service)
         assert waiting.wait(5)
         second = threading.Thread(target=toy_login, args=(service,))
@@ -1197,12 +1225,16 @@ def test_stopping_the_service_ends_its_idle_handler_threads(tmp_path,
     seen = record_handler_threads(monkeypatch)
     before = set(threading.enumerate())
     with Service(toy_config(tmp_path)) as service:
+        address = service.address
         for _ in range(3):
             toy_login(service)
     assert len(seen) == 3
     assert wait_until_dead(seen, 1.0)
     assert not [t for t in threading.enumerate()
-                if t.name == "pakelab-handler" and t not in before]
+                if t.name in ("pakelab-handler", "pakelab-serve")
+                and t not in before]
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(address, timeout=5.0)
 
 
 # -- one message sequence, in memory and over TCP ------------------------------
