@@ -60,6 +60,7 @@ from .core import (
     VerifierRecord,
     derive_verifier,
     generate_params,
+    is_decimal,
     validate_params,
 )
 from .errors import (
@@ -117,8 +118,8 @@ def _maybe_log(args, obj: dict):
 
 
 def parse_identity(text: str, role: str, args) -> int:
-    """Decimal digits pass through; anything else maps via SHA-256."""
-    if text.isdigit():
+    """ASCII decimal digits pass through; anything else maps via SHA-256."""
+    if is_decimal(text):
         return int(text)
     value = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest(), "big")
     print(f"note: {role} {text!r} mapped to integer {value} "
@@ -139,7 +140,7 @@ def _read_params_file(path: str) -> GroupParams:
     if path in NAMED_GROUPS:
         return NAMED_GROUPS[path]
     lines = Path(path).read_text(encoding="utf-8").split()
-    if len(lines) != 2 or not all(tok.isdigit() for tok in lines):
+    if len(lines) != 2 or not all(map(is_decimal, lines)):
         raise MalformedFrame(
             f"params file {path} must hold two decimal integers (q, then g)")
     return GroupParams(q=int(lines[0]), g=int(lines[1]))

@@ -170,6 +170,11 @@ class HashSpec:
         return digest_hash([int_to_bytes(value) for value in values])
 
 
+def is_decimal(text: str) -> bool:
+    """One or more ASCII digits 0-9; str.isdigit() passes other scripts' too."""
+    return text.isascii() and text.isdigit()
+
+
 def int_to_bytes(value: int) -> bytes:
     """Minimal big-endian magnitude encoding; 0 encodes as a single zero byte."""
     if value < 0:
@@ -314,11 +319,10 @@ def hash_to_exponent(hash_value: int, params: GroupParams) -> int:
     if order < 2:
         raise DegenerateGroup(f"q = {params.q} leaves no usable exponent")
     e = hash_value % order
-    for _ in range(order + 1):
-        if e != 0 and gcd(e, order) == 1:
-            return e
+    # 1 is coprime to order, so the walk stops within order - 1 steps
+    while e == 0 or gcd(e, order) != 1:
         e = (e + 1) % order
-    raise DegenerateGroup(f"no invertible exponent mod {order}")
+    return e
 
 
 def toy_sum_hash(inputs: Sequence[int]) -> int:

@@ -101,7 +101,6 @@ class LkyServerState:
     params: GroupParams
     hash_spec: HashSpec
     y: int = field(repr=False)          # ephemeral; never serialized
-    t_a_masked: int
     t_b_masked: int
     r_b: int
     d_a_expected: int
@@ -151,8 +150,8 @@ def lky_server_respond(msg1: Msg1Frame, record: VerifierRecord, params: GroupPar
     d_a_expected = hash_spec.of_ints([msg1.id_a, t_b_masked, r_b], tally)
     d_b = hash_spec.of_ints([record.id_b, msg1.t_a, r_b], tally)
     state = LkyServerState(record=record, params=params, hash_spec=hash_spec, y=y,
-                           t_a_masked=msg1.t_a, t_b_masked=t_b_masked,
-                           r_b=r_b, d_a_expected=d_a_expected, d_b=d_b, tally=tally)
+                           t_b_masked=t_b_masked, r_b=r_b,
+                           d_a_expected=d_a_expected, d_b=d_b, tally=tally)
     return LkyMsg2Frame(t_b_masked=t_b_masked, d_b=d_b), state
 
 

@@ -3,14 +3,14 @@
 The server speaks one session per connection: MSG1 in, MSG2 out, MSG3 in,
 then MSG4 (or OK for the baseline scheme) out on acceptance. Both ends run
 the scheme's drivers (pakelab.drivers) and pick nonces by its first_usable
-rule; the server loop and the client loop here only move frames and map
-what the drivers raise to ERROR frames or exceptions. Every refusal is an
-ERROR frame with a stable code, raised and sent from one place,
-Service._handle_connection, which also sees every hang-up; malformed
-input can never bring the listener down, and a connection still reading
-READ_TIMEOUT seconds after it was accepted is dropped as a hang-up, however
-slowly its peer trickles bytes. Group parameters ride in MSG1
-and are compared against the server's configuration, never negotiated.
+rule; each end's loop here only moves frames through one _Connection, which
+records its transcript and ends every read by one deadline (READ_TIMEOUT
+after the server accepts, CLIENT_TIMEOUT after the client connects), however
+slowly the peer trickles bytes, and maps what the drivers raise to ERROR
+frames or exceptions. Every refusal is an ERROR frame with a stable code,
+raised and sent from one place, Service._handle_connection, which also sees
+every hang-up; malformed input can never bring the listener down. Group
+parameters ride in MSG1 and are checked against the server's, never negotiated.
 
 Two deliberately guarded modes:
 
@@ -65,6 +65,7 @@ from ..core import (
     Tally,
     VerifierRecord,
     check_nonce,
+    is_decimal,
     sample_nonce,
     validate_params,
 )
@@ -112,13 +113,13 @@ LISTEN_BACKLOG = 128
 # thread; also how long an idle handler thread waits for a connection
 READ_TIMEOUT = 30.0
 
-# seconds the client waits to connect, and then on each read or write
+# seconds the client waits to connect, and then for its whole session
 CLIENT_TIMEOUT = 10.0
 
 
 def parse_address(text: str) -> Tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
+    if not sep or not is_decimal(port):
         raise ValueError(f"address must be host:port, got {text!r}")
     if int(port) > 0xFFFF:
         raise ValueError(f"port {port} is out of range (0-65535)")
@@ -148,11 +149,19 @@ class ClientOptions:
     log_path: Optional[Union[str, Path]] = None
 
 
-class _DeadlineReader(io.RawIOBase):
-    """A socket's read side whose every read ends by one monotonic deadline."""
+class _Connection(io.RawIOBase):
+    """One end of a TCP session; on both ends, client_address is entity A's.
 
-    def __init__(self, sock: socket.socket, deadline: float):
-        self._sock, self._deadline = sock, deadline
+    Every read through rfile ends by the one deadline set when it is built.
+    """
+
+    def __init__(self, sock: socket.socket, client_address: Tuple[str, int],
+                 sends: str, transcript: Optional[Transcript], timeout: float):
+        self.sock, self.client_address = sock, client_address
+        self.sends, self.transcript = sends, transcript
+        self._receives = DIR_BA if sends == DIR_AB else DIR_AB
+        self._deadline = time.monotonic() + timeout
+        self.rfile = io.BufferedReader(self)
 
     def readable(self) -> bool:
         return True
@@ -161,16 +170,29 @@ class _DeadlineReader(io.RawIOBase):
         remaining = self._deadline - time.monotonic()
         if remaining <= 0:
             raise TimeoutError("connection deadline passed")
-        self._sock.settimeout(remaining)
-        return self._sock.recv_into(buffer)
+        self.sock.settimeout(remaining)
+        return self.sock.recv_into(buffer)
 
+    def close(self):
+        self.rfile = None       # the reader holds this end: drop the cycle
+        super().close()
 
-class _Connection(NamedTuple):
-    """An accepted connection: its socket, its peer, and its deadline reader."""
+    def record(self, frame) -> bytes:
+        """Encode frame once; record the bytes this end is about to send."""
+        data = encode_frame(frame)
+        if self.transcript is not None:
+            self.transcript.record(self.sends, frame_label(frame), data)
+        return data
 
-    sock: socket.socket
-    client_address: Tuple[str, int]
-    rfile: io.BufferedReader
+    def receive(self):
+        """The peer's next frame, recorded as it arrived; None at a clean end."""
+        received = read_frame(self.rfile)
+        if received is None:
+            return None
+        frame, raw = received
+        if self.transcript is not None:
+            self.transcript.record(self._receives, frame_label(frame), raw)
+        return frame
 
 
 class _SessionEnd(NamedTuple):
@@ -182,7 +204,7 @@ class _SessionEnd(NamedTuple):
 
 
 class _Refusal(Exception):
-    """_Refusal(code, detail[, transcript, end]): the args of its _reply_error."""
+    """_Refusal(code, detail[, end]): the args of its _reply_error."""
 
 
 class Service:
@@ -286,12 +308,10 @@ class Service:
                 self._requests.put(None)    # pass the exit on to the next one
                 return
             sock, client_address = item
-            with sock:
-                # one deadline for the whole connection, not one per read
-                rfile = io.BufferedReader(_DeadlineReader(
-                    sock, time.monotonic() + READ_TIMEOUT))
+            with sock, _Connection(sock, client_address, DIR_BA, Transcript(),
+                                   READ_TIMEOUT) as conn:
                 try:
-                    self._handle_connection(_Connection(sock, client_address, rfile))
+                    self._handle_connection(conn)
                 except Exception:
                     log.exception("connection from %s failed", client_address)
                 try:
@@ -335,15 +355,12 @@ class Service:
 
     def _handle_connection(self, conn: _Connection):
         try:
-            received = read_frame(conn.rfile)
-            if received is None:
-                return
-            frame, raw = received
+            frame = conn.receive()
             if isinstance(frame, RegisterFrame):
                 self._handle_register(conn, frame)
             elif isinstance(frame, Msg1Frame):
-                self._handle_session(conn, frame, raw)
-            else:
+                self._handle_session(conn, frame)
+            elif frame is not None:         # None: the peer left without a frame
                 raise _Refusal(ERR_MALFORMED,
                                f"expected MSG1 or REGISTER, got {frame_label(frame)}")
         except _Refusal as refusal:
@@ -358,28 +375,24 @@ class Service:
             # the listener must survive anything a peer throws at it
             log.exception("connection handler failed")
 
-    def _send(self, conn: _Connection, frame, transcript: Optional[Transcript] = None,
-              end: Optional[_SessionEnd] = None):
-        """Record frame in the transcript, then write it to the peer.
+    def _send(self, conn: _Connection, frame, end: Optional[_SessionEnd] = None):
+        """Record frame in the connection's transcript, then write it to the peer.
 
         With end (a session's final frame) the session is logged before the
         write, so a client that has read the frame finds its line in the log.
         """
-        data = encode_frame(frame)
-        if transcript is not None:
-            transcript.record(DIR_BA, frame_label(frame), data)
+        data = conn.record(frame)
         if end is not None:
-            self._log_session(transcript, end)
+            self._log_session(conn.transcript, end)
         try:
             conn.sock.sendall(data)
         except OSError:
             pass                            # peer is gone; nothing to salvage
 
     def _reply_error(self, conn: _Connection, code: int, detail: str,
-                     transcript: Optional[Transcript] = None,
                      end: Optional[_SessionEnd] = None):
         log.info("refusing connection: code %#04x, %s", code, detail)
-        self._send(conn, ErrorFrame(code=code, detail=detail), transcript, end)
+        self._send(conn, ErrorFrame(code=code, detail=detail), end)
 
     def _handle_register(self, conn: _Connection, frame: RegisterFrame):
         if not self.config.enroll:
@@ -443,14 +456,12 @@ class Service:
         with self._lock:
             return sample_nonce(self.config.params, self._rng)
 
-    def _handle_session(self, conn: _Connection, msg1: Msg1Frame, raw: bytes):
+    def _handle_session(self, conn: _Connection, msg1: Msg1Frame):
         """Run the served scheme's server driver over this connection.
 
         Every end short of acceptance is raised for _handle_connection.
         """
         cfg = self.config
-        transcript = Transcript()
-        transcript.record(DIR_AB, "msg1", raw)
         record = self._preflight(msg1)
 
         def start(y: int):
@@ -463,12 +474,10 @@ class Service:
             server, frame, state = first_usable(start, cfg.y_override,
                                                 self._server_nonce)
             while True:
-                self._send(conn, frame, transcript)
-                received = read_frame(conn.rfile)
-                if received is None:
+                self._send(conn, frame)
+                reply = conn.receive()
+                if reply is None:
                     raise ConnectionError("peer hung up before MSG3")
-                reply, raw = received
-                transcript.record(DIR_AB, frame_label(reply), raw)
                 frame, state = server.send(reply)
         except RetryNonce:              # only the first step draws a nonce
             raise _Refusal(ERR_AUTH_FAIL, "could not pick a usable nonce"
@@ -485,9 +494,9 @@ class Service:
         if not accepted:
             raise _Refusal(ERR_AUTH_FAIL,
                            f"{rejection} (consecutive failures: {failures})",
-                           transcript, _SessionEnd(None, state.tally, str(rejection)))
+                           _SessionEnd(None, state.tally, str(rejection)))
         # a server that accepts with nothing left to send acknowledges with OK
-        self._send(conn, final if final is not None else OkFrame(), transcript,
+        self._send(conn, final if final is not None else OkFrame(),
                    _SessionEnd(key_b, state.tally))
 
     def _log_session(self, transcript: Transcript, end: _SessionEnd):
@@ -513,33 +522,23 @@ class Service:
 # -- client side ---------------------------------------------------------------
 
 
-def _client_send(sock: socket.socket, frame, transcript: Transcript):
-    """Encode frame once; the same bytes go to the transcript and the wire."""
-    data = encode_frame(frame)
-    transcript.record(DIR_AB, frame_label(frame), data)
-    sock.sendall(data)
-
-
-def _client_recv(rfile, transcript: Optional[Transcript] = None):
-    """Read the server's next frame, recorded as the bytes that arrived."""
-    received = read_frame(rfile)
-    if received is None:
+def _client_recv(conn: _Connection):
+    """Read the server's next frame; an ERROR frame raises RemoteError."""
+    frame = conn.receive()
+    if frame is None:
         raise MalformedFrame("server closed the connection mid-session")
-    frame, raw = received
     if isinstance(frame, ErrorFrame):
         raise RemoteError(frame.code, frame.detail)
-    if transcript is not None:
-        transcript.record(DIR_BA, frame_label(frame), raw)
     return frame
 
 
 def client_register(address: Tuple[str, int], record: VerifierRecord):
     """Enroll a verifier over TCP (demo of the in-the-clear registration step)."""
     with (socket.create_connection(address, timeout=CLIENT_TIMEOUT) as sock,
-          sock.makefile("rb") as rfile):
-        sock.sendall(encode_frame(RegisterFrame(id_a=record.id_a,
-                                                id_b=record.id_b, v=record.v)))
-        expect(_client_recv(rfile), OkFrame)
+          _Connection(sock, sock.getsockname(), DIR_AB, None, CLIENT_TIMEOUT) as conn):
+        sock.sendall(conn.record(RegisterFrame(id_a=record.id_a, id_b=record.id_b,
+                                               v=record.v)))
+        expect(_client_recv(conn), OkFrame)
 
 
 def client_connect(address: Tuple[str, int], creds: Credentials,
@@ -564,25 +563,25 @@ def client_connect(address: Tuple[str, int], creds: Credentials,
         if rng is None:
             raise
         raise RetryNonce("could not pick a usable client nonce") from None
-    transcript = Transcript()
     with (socket.create_connection(address, timeout=CLIENT_TIMEOUT) as sock,
-          sock.makefile("rb") as rfile):
+          _Connection(sock, sock.getsockname(), DIR_AB, Transcript(),
+                      CLIENT_TIMEOUT) as conn):
         try:
             while True:
-                _client_send(sock, frame, transcript)
-                frame, state = client.send(_client_recv(rfile, transcript))
+                sock.sendall(conn.record(frame))
+                frame, state = client.send(_client_recv(conn))
         except StopIteration as done:
             final, key, state = done.value
         if final is not None:
             # the server accepts on this last frame and acknowledges it with OK
-            _client_send(sock, final, transcript)
-            expect(_client_recv(rfile, transcript), OkFrame)
+            sock.sendall(conn.record(final))
+            expect(_client_recv(conn), OkFrame)
     flags = list(state.flags)
-    report = SessionReport(scheme=opts.scheme, params=params, transcript=transcript,
-                           key_a=key, key_b=None,
+    report = SessionReport(scheme=opts.scheme, params=params,
+                           transcript=conn.transcript, key_a=key, key_b=None,
                            auth_a_ok=FLAG_UNAUTHENTICATED not in flags,
                            auth_b_ok=True,
-                           counters=counters_from(state.tally, Tally(), transcript),
+                           counters=counters_from(state.tally, Tally(), conn.transcript),
                            flags=["client-side view"] + flags)
     if opts.log_path is not None:
         append_log_line(opts.log_path, report.to_json_obj())

@@ -48,11 +48,12 @@ import re
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
-from ..core import GroupParams, VerifierRecord
+from ..core import GroupParams, VerifierRecord, is_decimal
 from ..errors import DuplicateEntry, StoreLocked, StoreParseError, UnknownIdentity
 
 HEADER = "# pake-verifiers v1"
-_V2_HEADER = re.compile(r"# pake-verifiers v2 q=(\d+) g=(\d+) hash=(\S+)")
+_V2_HEADER = re.compile(r"# pake-verifiers v2 q=([0-9]+) g=([0-9]+) hash=(\S+)")
+_HEX = re.compile(r"[0-9a-fA-F]+")
 
 
 def _v2_header(params: GroupParams, hash_mode: str) -> str:
@@ -216,11 +217,9 @@ def _parse_row(line: str, lineno: int, params: Optional[GroupParams]) -> Verifie
             lineno, f"expected 3 tab-separated fields, got {len(parts)}")
     id_a = _parse_decimal(parts[0], lineno, "id_a")
     id_b = _parse_decimal(parts[1], lineno, "id_b")
-    try:
-        v = int(parts[2], 16)
-    except ValueError:
-        raise StoreParseError(
-            lineno, f"verifier {parts[2]!r} is not hex") from None
+    if not _HEX.fullmatch(parts[2]):
+        raise StoreParseError(lineno, f"verifier {parts[2]!r} is not hex")
+    v = int(parts[2], 16)
     if v < 1:
         raise StoreParseError(lineno, "verifier must be a positive residue")
     if params is not None and not params.contains(v):
@@ -230,6 +229,6 @@ def _parse_row(line: str, lineno: int, params: Optional[GroupParams]) -> Verifie
 
 
 def _parse_decimal(text: str, lineno: int, name: str) -> int:
-    if not text.isdigit():
+    if not is_decimal(text):
         raise StoreParseError(lineno, f"{name} {text!r} is not a decimal integer")
     return int(text)

@@ -54,6 +54,3 @@ class Transcript:
 
     def __iter__(self) -> Iterator[TranscriptEntry]:
         return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)

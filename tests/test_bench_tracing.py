@@ -112,6 +112,38 @@ def test_the_traced_server_tags_each_connection_with_the_client_port(tmp_path):
     assert all(s[1] == connection[0] and s[5] == connect[6] for s in server_reads)
 
 
+def test_the_traced_client_records_a_login_and_not_a_register(tmp_path):
+    # the traced run checks each op's transcript.record count against the
+    # cost table: 4 messages per login, 0 per REGISTER
+    _, named = _traced_toy_login(tmp_path)
+    [client] = named("netio.service.client_connect")
+
+    def in_client(name):
+        return [s for s in named(name) if s[1] == client[0]]
+
+    assert len(in_client("transcript.record")) == 4
+    assert len(in_client("netio.frames.read_frame")) == 2      # MSG2, MSG4
+    assert [s[6] for s in in_client("netio.frames.encode_frame")] == [
+        "Msg1Frame", "Msg3Frame"]
+
+    config = ServeConfig(params=TOY_PARAMS, store_path=tmp_path / "enroll.tsv",
+                         hash_spec=HashSpec(TOYSUM), enroll=True)
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        with Service(config) as service:
+            service_module.client_register(
+                service.address, VerifierRecord(id_a=20, id_b=12, v=7))
+    finally:
+        tracer.uninstall()
+    [register] = [s for s in tracer.spans
+                  if s[2] == "netio.service.client_register"]
+    in_register = [s[2] for s in tracer.spans if s[1] == register[0]]
+    assert "transcript.record" not in in_register
+    assert in_register.count("netio.frames.encode_frame") == 1
+    assert in_register.count("netio.frames.read_frame") == 1
+
+
 def test_a_traced_login_takes_each_server_step_once_in_its_connection(tmp_path):
     _, named = _traced_toy_login(tmp_path)
     [connection] = named("netio.service.connection")

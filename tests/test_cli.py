@@ -92,6 +92,12 @@ def test_params_takes_a_named_group(capsys):
         assert "auth: client->server ok" in capsys.readouterr().out
 
 
+def test_params_check_rejects_non_ascii_digits(tmp_path):
+    arabic_indic = tmp_path / "group.params"
+    arabic_indic.write_text("\u0661\u0663\n\u0666\n", encoding="utf-8")  # 13, 6
+    assert run_cli("params", "check", str(arabic_indic)) == 2
+
+
 def test_params_check_rejects_bad_files(tmp_path, capsys):
     garbled = tmp_path / "garbled.params"
     garbled.write_text("13 six\n")
@@ -474,6 +480,19 @@ def test_a_desk_scale_session_leaves_ctypes_out():
     assert out.strip() == "False"
 
 
+def test_identities_with_non_ascii_digits_are_mapped_like_strings(tmp_path,
+                                                                 capsys):
+    # str.isdigit() passes both, but only ASCII digits are a decimal identity
+    assert run_cli("simulate", "--id-a", "\u00b2", "--x", "3", "--y", "4") == 0
+    superscript = int.from_bytes(hashlib.sha256("\u00b2".encode()).digest(), "big")
+    assert f"mapped to integer {superscript}" in capsys.readouterr().err
+    store_path = tmp_path / "verifiers.tsv"
+    for id_a in ("\u0669", "9"):                   # Arabic-Indic nine, then 9
+        assert run_cli("register", "--store", str(store_path), "--hash", "toysum",
+                       "--id-a", id_a, "--id-b", "12", "--password", "10") == 0
+    assert len(VerifierStore.load(store_path)) == 2
+
+
 def test_register_maps_string_identities(tmp_path, capsys):
     store_path = tmp_path / "verifiers.tsv"
     assert run_cli("register", "--store", str(store_path),
@@ -693,6 +712,14 @@ def test_serve_rejects_a_corrupt_store(tmp_path):
     bad.write_text("not a store\n")
     assert run_cli("serve", "--listen", "127.0.0.1:0",
                    "--store", str(bad)) == 2
+
+
+def test_serve_rejects_a_store_row_with_a_non_ascii_digit(tmp_path, capsys):
+    bad = tmp_path / "verifiers.tsv"
+    bad.write_text("# pake-verifiers v1\n\u00b2\t12\t7\n", encoding="utf-8")
+    assert run_cli("serve", "--listen", "127.0.0.1:0",
+                   "--store", str(bad)) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_serve_and_register_reject_a_verifier_outside_the_group(tmp_path, capsys):

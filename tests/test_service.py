@@ -64,6 +64,7 @@ from pakelab.netio.service import (
     parse_address,
 )
 from pakelab.netio.store import VerifierStore
+from pakelab.transcript import DIR_AB
 
 TOYSUM_SPEC = HashSpec(TOYSUM)
 WRONG_CREDS = Credentials(id_a=9, id_b=12, password=11)
@@ -117,6 +118,13 @@ def test_parse_address():
     assert parse_address("127.0.0.1:65535") == ("127.0.0.1", 65535)
     for text in ("127.0.0.1:65536", "127.0.0.1:99999", ":1000000"):
         with pytest.raises(ValueError, match="out of range"):
+            parse_address(text)
+
+
+def test_parse_address_takes_only_ascii_digits_as_the_port():
+    # str.isdigit() passes both; int() reads the Arabic-Indic digits as 8080
+    for text in ("127.0.0.1:\u0668\u0660\u0668\u0660", "127.0.0.1:8\u00b2"):
+        with pytest.raises(ValueError, match="must be host:port"):
             parse_address(text)
 
 
@@ -295,9 +303,9 @@ def test_the_line_is_on_disk_when_the_final_frame_arrives(tmp_path,
     client_recv = service_module._client_recv
     lines_at_final_frame = []
 
-    def checking_recv(rfile, transcript=None):
-        frame = client_recv(rfile, transcript)
-        if transcript is not None and transcript.messages == 4:
+    def checking_recv(conn):
+        frame = client_recv(conn)
+        if conn.transcript.messages == 4:
             lines_at_final_frame.append(log.read_bytes().count(b"\n"))
         return frame
 
@@ -355,14 +363,15 @@ def test_a_session_that_ends_after_stop_keeps_its_line_and_final_frame(
     caplog.set_level(logging.INFO, logger="pakelab.netio")
     log = tmp_path / "server.jsonl"
     service = Service(toy_config(tmp_path, log_path=log))
-    client_send = service_module._client_send
+    record = service_module._Connection.record
 
-    def send_stopping_before_msg3(sock, frame, transcript):
-        if transcript.messages == 2:
+    def record_stopping_before_msg3(conn, frame):
+        if conn.sends == DIR_AB and conn.transcript.messages == 2:
             service.stop()              # closes the log under this session
-        client_send(sock, frame, transcript)
+        return record(conn, frame)
 
-    monkeypatch.setattr(service_module, "_client_send", send_stopping_before_msg3)
+    monkeypatch.setattr(service_module._Connection, "record",
+                        record_stopping_before_msg3)
     service.start()
     try:
         key, report = client_connect(service.address, TOY_CREDS, TOY_PARAMS,
@@ -1057,6 +1066,45 @@ def test_a_trickling_peer_is_cut_off_at_the_connection_deadline(tmp_path,
     assert all(0.2 < seconds < 1.0 and data == b"" for seconds, data in ends), ends
     hang_ups = [r for r in caplog.records if "hung up" in r.getMessage()]
     assert len(hang_ups) == 3
+
+
+def test_a_trickling_server_is_cut_off_at_the_client_deadline(monkeypatch,
+                                                              capsys):
+    # MSG2 with a 10-byte field, one byte every 0.1 s: each read is well
+    # inside the timeout, so only a deadline on the whole session ends it
+    monkeypatch.setattr(service_module, "CLIENT_TIMEOUT", 0.3)
+    msg2 = encode_frame(Msg2Frame(t_b=2**79 + 1))
+
+    def trickle(listener):
+        for _ in range(2):
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as rfile:
+                read_frame(rfile)                   # MSG1
+                try:
+                    for byte in msg2:
+                        conn.sendall(bytes([byte]))
+                        time.sleep(0.1)
+                except OSError:
+                    pass                            # the client has left
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5.0)            # a client that never comes
+        host, port = listener.getsockname()
+        server = threading.Thread(target=trickle, args=(listener,))
+        server.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client_connect((host, port), TOY_CREDS, TOY_PARAMS, toy_options())
+            assert time.monotonic() - start < 0.9       # the whole frame takes 1.6 s
+            capsys.readouterr()
+            assert cli_main(["connect", "--addr", f"{host}:{port}",
+                             "--hash", "toysum", "--id-a", "9", "--id-b", "12",
+                             "--password", "10", "--x", "3"]) == 3
+        finally:
+            server.join(timeout=10)
+    assert not server.is_alive()
+    assert "error: connection failed" in capsys.readouterr().err
 
 
 # -- handler threads -------------------------------------------------------------

@@ -73,6 +73,15 @@ def test_load_missing_file(tmp_path):
     (HEADER + "\n9\t12\n", 2),                      # missing column
     (HEADER + "\n9\t12\t7\tX\n", 2),                # extra column
     (HEADER + "\nnine\t12\t7\n", 2),                # non-decimal identity
+    (HEADER + "\n\u00b2\t12\t7\n", 2),              # superscript two: int() refuses it
+    (HEADER + "\n9\t\u0669\t7\n", 2),              # Arabic-Indic nine: int() reads 9
+    (HEADER + "\n9\t12\t0x7\n", 2),                 # hex with a prefix,
+    (HEADER + "\n9\t12\t+7\n", 2),                  # a sign,
+    (HEADER + "\n9\t12\t 7\n", 2),                  # a space,
+    (HEADER + "\n9\t12\t0_7\n", 2),                 # an underscore,
+    (HEADER + "\n9\t12\t\u0667\n", 2),              # or a non-ASCII digit
+    ("# pake-verifiers v2 q=\u0661\u0663 g=\u0666 hash=toysum\n9\t12\t7\n",
+     1),                                            # Arabic-Indic 13 and 6 in a v2 header
     (HEADER + "\n9\t12\tzz\n", 2),                  # non-hex verifier
     (HEADER + "\n9\t12\t0\n", 2),                   # verifier below 1
     (HEADER + "\n9\t12\t7\n9\t12\t7\n", 3),         # duplicate pair
