@@ -117,6 +117,17 @@ def _maybe_log(args, obj: dict):
         append_log_line(path, obj)
 
 
+def _decimal(text: str) -> int:
+    """argparse type for integer flags: ASCII digits 0-9 after an optional '-'.
+
+    A negative value parses, so each command's own range check refuses it.
+    """
+    if not is_decimal(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(
+            f"expected decimal digits 0-9, got {text!r}")
+    return int(text)
+
+
 def parse_identity(text: str, role: str, args) -> int:
     """ASCII decimal digits pass through; anything else maps via SHA-256."""
     if is_decimal(text):
@@ -420,9 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_params = sub.add_parser("params", help="make or vet group parameters")
     params_sub = p_params.add_subparsers(dest="params_command", required=True)
     p_gen = params_sub.add_parser("gen", help="generate a prime group")
-    p_gen.add_argument("--bits", type=int, required=True,
+    p_gen.add_argument("--bits", type=_decimal, required=True,
                        help="size of q in bits, 4..64")
-    p_gen.add_argument("--seed", type=int, required=True)
+    p_gen.add_argument("--seed", type=_decimal, required=True)
     p_gen.add_argument("--out", metavar="FILE")
     p_gen.set_defaults(func=cmd_params_gen)
     p_check = params_sub.add_parser("check",
@@ -442,15 +453,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_serve)
     p_serve.add_argument("--listen", required=True, metavar="HOST:PORT")
     p_serve.add_argument("--store", required=True, metavar="FILE")
-    p_serve.add_argument("--max-fail", type=int, default=DEFAULT_MAX_FAIL,
+    p_serve.add_argument("--max-fail", type=_decimal, default=DEFAULT_MAX_FAIL,
                          help="consecutive failures before throttling "
                               "(default: %(default)s)")
     p_serve.add_argument("--insecure-lky", action="store_true",
                          help="serve the broken baseline scheme (attack demos)")
     p_serve.add_argument("--enroll", action="store_true",
                          help="accept REGISTER frames (verifier in the clear)")
-    p_serve.add_argument("--seed", type=int, help="server nonce RNG seed")
-    p_serve.add_argument("--y-override", type=int, help=argparse.SUPPRESS)
+    p_serve.add_argument("--seed", type=_decimal, help="server nonce RNG seed")
+    p_serve.add_argument("--y-override", type=_decimal, help=argparse.SUPPRESS)
     p_serve.set_defaults(func=cmd_serve)
 
     p_conn = sub.add_parser("connect", help="run one session as entity A")
@@ -458,17 +469,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_conn.add_argument("--addr", required=True, metavar="HOST:PORT")
     p_conn.add_argument("--scheme", choices=[SCHEME_PROPOSED, SCHEME_LKY],
                         default=SCHEME_PROPOSED)
-    p_conn.add_argument("--x", type=int, help="explicit client nonce")
-    p_conn.add_argument("--seed", type=int, help="client nonce RNG seed")
+    p_conn.add_argument("--x", type=_decimal, help="explicit client nonce")
+    p_conn.add_argument("--seed", type=_decimal, help="client nonce RNG seed")
     p_conn.set_defaults(func=cmd_connect)
 
     p_sim = sub.add_parser("simulate", help="in-memory honest run")
     _add_common(p_sim, default_hash=TOYSUM, creds="toy")
     p_sim.add_argument("--scheme", choices=[SCHEME_PROPOSED, SCHEME_LKY],
                        default=SCHEME_PROPOSED)
-    p_sim.add_argument("--x", type=int)
-    p_sim.add_argument("--y", type=int)
-    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--x", type=_decimal)
+    p_sim.add_argument("--y", type=_decimal)
+    p_sim.add_argument("--seed", type=_decimal)
     p_sim.add_argument("--json", action="store_true",
                        help="print the session-log JSON line")
     p_sim.add_argument("--golden", action="store_true",
@@ -483,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = att_sub.add_parser(name, help="impersonation with a stolen verifier")
         _add_common(p, default_hash=TOYSUM, creds="toy",
                     password_help="victim password used only to enroll the verifier")
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--trials", type=_decimal, default=100)
+        p.add_argument("--seed", type=_decimal, default=0)
         p.set_defaults(func=_attack_stolen)
     p_mitm = att_sub.add_parser(ATTACK_MITM, help="in-flight field substitution")
     _add_common(p_mitm, default_hash=TOYSUM, creds="toy")
@@ -492,23 +503,23 @@ def build_parser() -> argparse.ArgumentParser:
                         default=SCHEME_PROPOSED)
     p_mitm.add_argument("--field", required=True,
                         help="message field to replace (e.g. t_a, e_b)")
-    p_mitm.add_argument("--value", type=int, required=True)
-    p_mitm.add_argument("--x", type=int, default=3)
-    p_mitm.add_argument("--y", type=int, default=4)
+    p_mitm.add_argument("--value", type=_decimal, required=True)
+    p_mitm.add_argument("--x", type=_decimal, default=3)
+    p_mitm.add_argument("--y", type=_decimal, default=4)
     p_mitm.set_defaults(func=_attack_mitm)
     p_cen = att_sub.add_parser("census", help="offline dictionary consistency")
     _add_common(p_cen, default_hash=TOYSUM, creds="toy")
     p_cen.add_argument("--dictionary", "--dict", required=True,
                        help="comma-separated candidate passwords")
-    p_cen.add_argument("--x", type=int)
-    p_cen.add_argument("--y", type=int)
-    p_cen.add_argument("--seed", type=int)
+    p_cen.add_argument("--x", type=_decimal)
+    p_cen.add_argument("--y", type=_decimal)
+    p_cen.add_argument("--seed", type=_decimal)
     p_cen.set_defaults(func=_attack_census)
 
     p_bench = sub.add_parser("bench", help="cost table over seeded honest runs")
     _add_common(p_bench, log=False)
-    p_bench.add_argument("--trials", type=int, required=True)
-    p_bench.add_argument("--seed", type=int, required=True)
+    p_bench.add_argument("--trials", type=_decimal, required=True)
+    p_bench.add_argument("--seed", type=_decimal, required=True)
     p_bench.add_argument("--csv", metavar="FILE")
     p_bench.set_defaults(func=cmd_bench)
 

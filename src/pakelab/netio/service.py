@@ -33,10 +33,11 @@ With config.log_path set, the service opens its JSONL log once and holds it
 until stop(), so a log renamed or rotated while it runs keeps receiving
 lines until the service restarts.
 
-One accept() loop hands each connection in flight to a daemon handler
-thread; a finished connection's thread waits for the next one instead of
-exiting, a new thread starts only when none is idle, and a thread left idle
-for READ_TIMEOUT seconds exits, as do the idle threads when the service stops.
+Each daemon handler thread accepts its own connections: it waits in the
+listener's accept() and serves what it gets, then waits again. The last
+thread to leave accept() starts its replacement before it serves, so one
+always waits; a thread idle for READ_TIMEOUT seconds exits while another
+one waits, and every waiting thread exits when the service stops.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import io
 import json
 import logging
-import queue
 import random
 import signal
 import socket
@@ -250,64 +250,52 @@ class Service:
             self._listener = socket.create_server(config.listen,
                                                   backlog=LISTEN_BACKLOG)
         except BaseException:
-            self._release_store()
-            self._close_log()
+            self._close_files()
             raise
-        # (sock, client_address); None: exit. Not a SimpleQueue: on CPython
-        # 3.11 its timed get can block for good when several threads wait on it
-        self._requests = queue.Queue()
-        self._idle = threading.Semaphore(0)     # idle threads not yet claimed
-        self._stopping = False
-        self._thread: Optional[threading.Thread] = None
+        # the idle wait: an accept() that times out may end its thread
+        self._listener.settimeout(READ_TIMEOUT)
+        self._waiting = 0           # handler threads in accept(); guarded by _lock
+        self._stopped = threading.Event()
 
     @property
     def address(self) -> Tuple[str, int]:
         return self._listener.getsockname()[:2]
 
     def start(self):
-        self._thread = threading.Thread(target=self._serve, name="pakelab-serve",
-                                        daemon=True)
-        self._thread.start()
+        """Start one more handler thread; the first one starts the serving."""
+        threading.Thread(target=self._work, name="pakelab-handler",
+                         daemon=True).start()
 
     def stop(self):
         """Close the listener, store and log; safe on a never-started service."""
-        self._stopping = True
-        if self._thread is not None:
-            # wakes the accept() that _serve blocks in; close() alone does not
+        self._stopped.set()
+        try:
+            # wakes every thread waiting in accept(); close() alone does not
             self._listener.shutdown(socket.SHUT_RDWR)
-            self._thread.join(timeout=5)
-            self._thread = None
+        except OSError:
+            pass                            # an earlier stop() closed it
         self._listener.close()
-        self._requests.put(None)
-        self._release_store()
-        self._close_log()
-
-    def _serve(self):
-        """Accept connections until stop(); each runs on an idle handler thread."""
-        while True:
-            try:
-                sock, client_address = self._listener.accept()
-            except OSError:
-                if self._stopping:
-                    return
-                continue                    # e.g. out of file descriptors
-            self._requests.put((sock, client_address))
-            if not self._idle.acquire(blocking=False):
-                threading.Thread(target=self._work, name="pakelab-handler",
-                                 daemon=True).start()
+        self._close_files()
 
     def _work(self):
+        """Accept and serve connections until stop(), or idle while another waits."""
         while True:
+            with self._lock:
+                self._waiting += 1
             try:
-                item = self._requests.get(timeout=READ_TIMEOUT)
-            except queue.Empty:
-                if self._idle.acquire(blocking=False):
-                    return                  # one idle thread fewer
-                continue                    # all are claimed: work is queued
-            if item is None:
-                self._requests.put(None)    # pass the exit on to the next one
-                return
-            sock, client_address = item
+                sock, client_address = self._listener.accept()
+            except OSError as exc:
+                with self._lock:
+                    self._waiting -= 1
+                    if self._stopped.is_set() or (isinstance(exc, TimeoutError)
+                                                  and self._waiting):
+                        return
+                continue            # out of file descriptors, or the last one idle
+            with self._lock:
+                self._waiting -= 1
+                last = not self._waiting
+            if last:
+                self.start()
             with sock, _Connection(sock, client_address, DIR_BA, Transcript(),
                                    READ_TIMEOUT) as conn:
                 try:
@@ -318,26 +306,25 @@ class Service:
                     sock.shutdown(socket.SHUT_WR)   # EOF ahead of any reset by close()
                 except OSError:
                     pass                    # peer is gone
-            self._idle.release()
 
-    def _release_store(self):
-        if self._store_lock is not None:
-            self._store_lock.close()
-            self._store_lock = None
-
-    def _close_log(self):
+    def _close_files(self):
+        """Release the store lock and close the log, once; stop() may race itself."""
         with self._log_lock:
+            if self._store_lock is not None:
+                self._store_lock.close()
+                self._store_lock = None
             if self._log_file is not None:
                 self._log_file.close()
                 self._log_file = None
 
     def serve_blocking(self):
-        """Serve in this thread, the main one, until SIGINT or SIGTERM."""
+        """Serve until stop(), SIGINT or SIGTERM; call it from the main thread."""
         previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
             host, port = self.address
             log.info("listening on %s:%d", host, port)
-            self._serve()
+            self.start()
+            self._stopped.wait()
         except KeyboardInterrupt:
             pass
         finally:

@@ -279,6 +279,26 @@ def test_flags_the_program_decides_itself_are_usage_errors(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (("params", "gen", "--seed", "1"), "--bits", "1٦"),
+    (("params", "gen", "--bits", "16"), "--seed", "+1"),
+    (("simulate", "--y", "4"), "--x", "٣"),
+    (("simulate", "--x", "3"), "--y", "4_0"),
+    (("simulate",), "--seed", " 7"),
+    (("attack", "stolen-verifier-lky"), "--trials", "-٣"),
+    (("attack", "mitm", "--field", "t_a"), "--value", "９"),
+    (("serve", "--listen", "127.0.0.1:0", "--store", "v.tsv"), "--max-fail", "5 "),
+    (("serve", "--listen", "127.0.0.1:0", "--store", "v.tsv"), "--y-override",
+     "0x4"),
+])
+def test_integer_flags_take_only_ascii_digits(argv, flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv, flag, value)
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: expected decimal digits 0-9, got {value!r}" in (
+        capsys.readouterr().err)
+
+
 def test_attack_census_above_the_desk_bound_is_a_usage_error(tmp_path, capsys):
     group = tmp_path / "group24.params"
     params = generate_params(24, 1)
@@ -399,8 +419,9 @@ def test_serve_validates_the_group_once(tmp_path, monkeypatch):
     for module in (cli_module, service_module):
         monkeypatch.setattr(module, "validate_params",
                             lambda p: checked.append(p) or validate_params(p))
-    # serve_blocking still runs, and its cleanup releases the store lock
-    monkeypatch.setattr(Service, "_serve", lambda self: None)
+    # serve_blocking still runs, stops at once, and its cleanup releases
+    # the store lock
+    monkeypatch.setattr(Service, "start", Service.stop)
     assert run_cli("serve", "--listen", "127.0.0.1:0", "--enroll", "--params",
                    str(group), "--store", str(tmp_path / "verifiers.tsv")) == 0
     assert checked == [params]

@@ -4,7 +4,6 @@ import errno
 import gc
 import json
 import logging
-import queue
 import socket
 import sys
 import threading
@@ -1140,6 +1139,20 @@ def wait_until_dead(threads, seconds):
     return not any(t.is_alive() for t in threads)
 
 
+def handler_threads(before):
+    """The live handler threads that are not in before."""
+    return {t for t in threading.enumerate()
+            if t.name == "pakelab-handler" and t not in before}
+
+
+def wait_for_one_handler(before, seconds):
+    """Wait until idle handler threads have retired down to the one that waits."""
+    deadline = time.monotonic() + seconds
+    while len(handler_threads(before)) != 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return len(handler_threads(before)) == 1
+
+
 def test_an_accept_that_fails_leaves_the_listener_serving(tmp_path, monkeypatch):
     accept, failed = socket.socket.accept, []
 
@@ -1156,82 +1169,56 @@ def test_an_accept_that_fails_leaves_the_listener_serving(tmp_path, monkeypatch)
 
 
 def test_sequential_logins_reuse_one_handler_thread(tmp_path, monkeypatch):
+    # the thread that takes the first login starts one to wait in its place;
+    # from then on one serves while the other waits
+    before = set(threading.enumerate())
     seen = record_handler_threads(monkeypatch)
     with Service(toy_config(tmp_path)) as service:
-        for _ in range(20):
+        for i in range(20):
             toy_login(service)
+            if i == 1:
+                after_two = handler_threads(before)
+        assert handler_threads(before) == after_two
     assert len(seen) == 20
-    assert len(set(seen)) == 1
+    assert len(after_two) <= 2 and set(seen) <= after_two
     assert seen[0].name == "pakelab-handler" and seen[0].daemon
 
 
 def test_a_handler_that_raises_drops_its_client_and_keeps_its_thread(tmp_path,
                                                                      monkeypatch):
+    before = set(threading.enumerate())
     seen = record_handler_threads(monkeypatch, fail_first=True)
     with Service(toy_config(tmp_path)) as service:
         with socket.create_connection(service.address, timeout=5.0) as sock:
             assert sock.recv(1) == b""          # EOF, and no ERROR frame
         time.sleep(0.05)
         toy_login(service)
-    assert len(seen) == 2 and seen[0] is seen[1]
+        assert seen[0].is_alive()
+        assert len(handler_threads(before)) <= 2
+    assert len(seen) == 2
 
 
 def test_an_idle_handler_thread_exits_after_the_read_timeout(tmp_path,
                                                              monkeypatch):
     monkeypatch.setattr(service_module, "READ_TIMEOUT", 0.2)
+    before = set(threading.enumerate())
     seen = record_handler_threads(monkeypatch)
     with Service(toy_config(tmp_path)) as service:
         toy_login(service)
-        assert wait_until_dead(seen, 5.0)
+        # of the two idle threads one retires; the last one keeps waiting
+        assert wait_for_one_handler(before, 5.0)
+        time.sleep(0.5)
+        assert len(handler_threads(before)) == 1
         toy_login(service)
-    assert len(seen) == 2 and seen[0] is not seen[1]
-
-
-def test_a_thread_handed_a_connection_as_its_wait_times_out_serves_it(tmp_path,
-                                                                       monkeypatch):
-    seen = record_handler_threads(monkeypatch)
-    waiting, claimed, time_out = (threading.Event() for _ in range(3))
-    with Service(toy_config(tmp_path)) as service:
-        requests, idle = service._requests, service._idle
-
-        class GatedRequests:
-            put = requests.put
-            gets = 0
-
-            def get(self, timeout):
-                self.gets += 1
-                if self.gets == 2:              # the thread's first idle wait
-                    waiting.set()
-                    time_out.wait(5)
-                    raise queue.Empty
-                return requests.get(timeout=timeout)
-
-        class WatchedIdle:
-            release = idle.release
-
-            def acquire(self, blocking=True):
-                got = idle.acquire(blocking=blocking)
-                if got and threading.current_thread().name == "pakelab-serve":
-                    claimed.set()               # the idle thread was handed work
-                return got
-
-        service._requests, service._idle = GatedRequests(), WatchedIdle()
-        toy_login(service)
-        assert waiting.wait(5)
-        second = threading.Thread(target=toy_login, args=(service,))
-        second.start()
-        assert claimed.wait(5)
-        time_out.set()                          # its wait ends with no work seen
-        second.join(timeout=5)
-        assert not second.is_alive()
-    assert len(seen) == 2 and seen[0] is seen[1]
+    assert len(seen) == 2
 
 
 def test_handler_threads_retiring_under_load_strand_no_connection(tmp_path,
                                                                    monkeypatch):
     # idle threads time out every few ms while clients keep connecting, so
-    # retiring races with handing a connection to an idle thread
+    # retiring races with the last waiting thread accepting a connection
     monkeypatch.setattr(service_module, "READ_TIMEOUT", 0.005)
+    before = set(threading.enumerate())
     seen = record_handler_threads(monkeypatch)
     errors = []
 
@@ -1258,9 +1245,9 @@ def test_handler_threads_retiring_under_load_strand_no_connection(tmp_path,
             for thread in clients:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in clients)
-            # with every thread retired, a thread that left without giving
-            # up its idle slot would take this login and never serve it
-            assert wait_until_dead(seen, 5.0)
+            # had the last waiting thread retired, no thread would take
+            # this login
+            assert wait_for_one_handler(before, 5.0)
             toy_login(service)
     finally:
         sys.setswitchinterval(switch)
@@ -1276,11 +1263,32 @@ def test_stopping_the_service_ends_its_idle_handler_threads(tmp_path,
         address = service.address
         for _ in range(3):
             toy_login(service)
+        handlers = handler_threads(before)
     assert len(seen) == 3
-    assert wait_until_dead(seen, 1.0)
-    assert not [t for t in threading.enumerate()
-                if t.name in ("pakelab-handler", "pakelab-serve")
-                and t not in before]
+    assert wait_until_dead(handlers, 1.0)
+    assert not handler_threads(before)
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(address, timeout=5.0)
+
+
+def test_stop_from_another_thread_ends_serve_blocking(tmp_path):
+    service = Service(toy_config(tmp_path))
+    address, stopped_at = service.address, []
+
+    def login_then_stop():
+        try:
+            toy_login(service)
+        finally:
+            stopped_at.append(time.monotonic())
+            service.stop()
+
+    other = threading.Thread(target=login_then_stop)
+    other.start()
+    service.serve_blocking()
+    returned = time.monotonic()
+    other.join(timeout=5)
+    assert not other.is_alive()
+    assert returned - stopped_at[0] < 1.0
     with pytest.raises(ConnectionRefusedError):
         socket.create_connection(address, timeout=5.0)
 
