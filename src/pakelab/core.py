@@ -29,7 +29,10 @@ the named groups) runs on OpenSSL's libcrypto, through ctypes, when
 ctypes.util.find_library("crypto") finds it: about ten times faster than
 pow at 2048 bits. On custom groups, and without the library, pow does the
 work. The library loads on the first such call, so custom groups never
-import ctypes.
+import ctypes. libcrypto works without the GIL, so mod_exp_each, which
+raises several bases to one exponent, runs them on more than one CPU
+there; everywhere else it is a loop over mod_exp, and custom groups never
+import concurrent.futures either.
 
 Two oracles are deliberately brute-force and only constructible for small
 groups (q <= DESK_SCALE_BOUND): an exhaustive discrete-log table, and a toy
@@ -41,6 +44,7 @@ executable at desk scale, not to model computational hardness.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -201,10 +205,7 @@ def mod_exp(base: int, exponent: int, params: GroupParams,
     accounting is measured rather than asserted. Every protocol
     exponentiation goes through here.
     """
-    if not params.contains(base):
-        raise BaseOutOfRange(f"base {base} not in Z_{params.q}^*")
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
+    _check_operands(base, exponent, params)
     if tally is not None:
         if registration:
             tally.modexp_registration += 1
@@ -213,13 +214,71 @@ def mod_exp(base: int, exponent: int, params: GroupParams,
     return _powmod(base, exponent, params.q)
 
 
+def mod_exp_each(bases: Sequence[int], exponent: int, params: GroupParams,
+                 tally: Optional[Tally] = None) -> List[int]:
+    """[mod_exp(base, exponent, params) for base in bases], two or more at once.
+
+    Every operand passes mod_exp's range checks, and the tally counts
+    len(bases) session exponentiations, before any work starts; the count
+    is made here, in the caller's thread. Where _powmod runs on libcrypto,
+    which releases the GIL, and the process may use more than one CPU, the
+    first base is raised here while the shared pool (_modexp_pool) raises
+    the rest through mod_exp; a job no worker has started by the time the
+    first is done is cancelled and computed here instead, so a busy pool
+    costs no more than the plain loop that runs everywhere else.
+    """
+    for base in bases:
+        _check_operands(base, exponent, params)
+    if tally is not None:
+        tally.modexp += len(bases)
+    pool = (_modexp_pool(os.getpid()) if len(bases) > 1
+            and params.q > ORDER_CHECK_BOUND and _libcrypto() is not None
+            else None)
+    if pool is None:
+        return [mod_exp(base, exponent, params) for base in bases]
+    jobs = [pool.submit(mod_exp, base, exponent, params) for base in bases[1:]]
+    try:
+        results = [mod_exp(bases[0], exponent, params)]
+        for base, job in zip(bases[1:], jobs):
+            results.append(mod_exp(base, exponent, params) if job.cancel()
+                           else job.result())
+    finally:
+        for job in jobs:            # none is left queued if a base failed
+            job.cancel()
+    return results
+
+
+def _check_operands(base: int, exponent: int, params: GroupParams) -> None:
+    if not params.contains(base):
+        raise BaseOutOfRange(f"base {base} not in Z_{params.q}^*")
+    if exponent < 0:
+        raise ValueError("exponent must be nonnegative")
+
+
+@cache
+def _modexp_pool(pid: int):
+    """mod_exp_each's worker threads in process pid, or None on one CPU.
+
+    One thread fewer than the CPUs this process may run on, since the
+    caller raises one base itself. Made on first use and cached per pid,
+    so a forked child, which inherits the pool but not its threads, makes
+    its own.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(cpus - 1, thread_name_prefix="pakelab-modexp")
+
+
 def _powmod(base: int, exponent: int, modulus: int) -> int:
     """base^exponent mod modulus, for base >= 0, exponent >= 0, modulus > 1.
 
     An odd modulus above ORDER_CHECK_BOUND (a named group) goes to
     libcrypto's BN_mod_exp_mont_consttime, through ctypes: at 2048 bits,
-    with a full-length exponent, 3.1 ms where pow takes 27 ms (x86-64,
-    OpenSSL 3.0). Custom groups, where a ctypes call costs more than it
+    with a full-length exponent, 1.9-2.3 ms where pow takes 26 ms (x86-64,
+    libcrypto 3.0.19). Custom groups, where a ctypes call costs more than it
     saves, even moduli, and every call on a host where
     find_library("crypto") finds nothing run the built-in pow. The ctypes
     call releases the GIL while libcrypto works.

@@ -8,8 +8,8 @@ step takes and returns the wire frame (pakelab.netio.frames) itself:
   MSG3      A -> B : d_A = h(id_A, T_B, r)                     Msg3Frame
 
 where r = g^(x*y) is reached from both ends: the server computes
-(T_A (+) v)^y and the client (T_B (+) v)^(x * h^-1) with h^-1 the inverse
-of the adjusted password hash mod q-1. Hash inputs T_A / T_B are the masked
+(T_A (+) v)^y, together with v^y, and the client (T_B (+) v)^(x * h^-1)
+with h^-1 the inverse of the adjusted password hash mod q-1. Hash inputs T_A / T_B are the masked
 integers exactly as they travel; a masked integer wider than q is a
 malformed frame. Both sides finish with session key h(r) mod q.
 
@@ -39,6 +39,7 @@ from .core import (
     exponent_reduce,
     hash_to_exponent,
     mod_exp,
+    mod_exp_each,
     mod_inverse,
 )
 from .errors import (
@@ -132,9 +133,10 @@ def lky_server_respond(msg1: Msg1Frame, record: VerifierRecord, params: GroupPar
                        ) -> tuple[LkyMsg2Frame, LkyServerState]:
     """Step 2: answer with the masked v^y and the server confirmation d_B.
 
-    The server's expected client confirmation is fixed here, before any
-    client response is read. Raises RetryNonce when v^y equals v (zero
-    mask), mirroring the client-side rule.
+    v^y and r = T_A^y share the nonce y, so they are raised together
+    (core.mod_exp_each). The server's expected client confirmation is fixed
+    here, before any client response is read. Raises RetryNonce when v^y
+    equals v (zero mask), mirroring the client-side rule.
     """
     if record.id_a != msg1.id_a:
         raise UnknownIdentity(f"no verifier on record for id_A={msg1.id_a}")
@@ -142,11 +144,10 @@ def lky_server_respond(msg1: Msg1Frame, record: VerifierRecord, params: GroupPar
     tally = Tally()
     v = record.v
     t_a = xor_unmask(msg1.t_a, v, params)
-    v_y = mod_exp(v, y, params, tally)
+    v_y, r_b = mod_exp_each([v, t_a], y, params, tally)
     if v_y == v:
         raise RetryNonce("v^y equals v; resample y")
     t_b_masked = xor_mask(v_y, v, params)
-    r_b = mod_exp(t_a, y, params, tally)
     d_a_expected = hash_spec.of_ints([msg1.id_a, t_b_masked, r_b], tally)
     d_b = hash_spec.of_ints([record.id_b, msg1.t_a, r_b], tally)
     state = LkyServerState(record=record, params=params, hash_spec=hash_spec, y=y,

@@ -12,7 +12,10 @@ secret g^(x*y) directly. Each step takes and returns the wire frame
   MSG4  B -> A : E_B = v^(y^2) mod q      Msg4Frame, after checking d_A = F_A
 
 The server accepts via F_A = h(T_A^y mod q) mod q, which equals h(g^(x*y))
-for any hash function. The client authenticates the server by checking
+for any hash function. It fixes F_A when it answers MSG1, raising v and T_A
+to its nonce y together (core.mod_exp_each), and computes E_B as T_B^y:
+v^(y^2) itself, by y's 256 bits rather than the 512 of y^2 when a named
+group draws y. The client authenticates the server by checking
 
   e(E_B, T_A) = e(T_B, r)
 
@@ -46,6 +49,7 @@ from .core import (
     exponent_reduce,
     hash_to_exponent,
     mod_exp,
+    mod_exp_each,
     mod_inverse,
     toy_pairing,
 )
@@ -78,8 +82,9 @@ class PropServerState:
     y: int = field(repr=False)          # ephemeral; never serialized
     t_a: int
     t_b: int
+    r_b: int = field(repr=False)        # T_A^y = g^(x*y), the shared secret
+    f_a: int                            # fixed before the client's d_A is read
     tally: Tally
-    f_a: int = 0                        # fixed before the client's d_A is read
     e_b: int = 0
 
 
@@ -103,10 +108,12 @@ def prop_client_start(creds: Credentials, params: GroupParams, hash_spec: HashSp
 def prop_server_respond(msg1: Msg1Frame, record: VerifierRecord,
                         params: GroupParams, hash_spec: HashSpec, y: int,
                         ) -> tuple[Msg2Frame, PropServerState]:
-    """Step 2: answer with T_B = v^y.
+    """Step 2: answer with T_B = v^y, and fix F_A = h(T_A^y mod q) mod q.
 
-    y is capped at q-2 so that T_B = 1 cannot arise honestly (v is always a
-    generator, so v^y = 1 only at multiples of q-1).
+    T_B and T_A^y share the nonce y, so they are raised together
+    (core.mod_exp_each), after every refusal check. y is capped at q-2 so
+    that T_B = 1 cannot arise honestly (v is always a generator, so v^y = 1
+    only at multiples of q-1).
     """
     if record.id_a != msg1.id_a:
         raise UnknownIdentity(f"no verifier on record for id_A={msg1.id_a}")
@@ -114,9 +121,11 @@ def prop_server_respond(msg1: Msg1Frame, record: VerifierRecord,
     if not params.contains(msg1.t_a):
         raise NotInGroup(f"T_A = {msg1.t_a} not in Z_q^*")
     tally = Tally()
-    t_b = mod_exp(record.v, y, params, tally)
+    t_b, r_b = mod_exp_each([record.v, msg1.t_a], y, params, tally)
+    f_a = hash_spec.of_ints([r_b], tally) % params.q
     state = PropServerState(record=record, params=params, hash_spec=hash_spec,
-                            y=y, t_a=msg1.t_a, t_b=t_b, tally=tally)
+                            y=y, t_a=msg1.t_a, t_b=t_b, r_b=r_b, f_a=f_a,
+                            tally=tally)
     return Msg2Frame(t_b=t_b), state
 
 
@@ -141,22 +150,19 @@ def prop_client_confirm(msg2: Msg2Frame, state: PropClientState) -> Msg3Frame:
 
 def prop_server_finish(msg3: Msg3Frame, state: PropServerState,
                        ) -> tuple[Msg4Frame, SessionKey]:
-    """Step 4: check d_A against F_A = h(T_A^y mod q) mod q, then release E_B.
+    """Step 4: check d_A against F_A, fixed at step 2, then release E_B.
 
     F_A equals the honest client's h(g^(x*y)) mod q for every hash mode.
-    E_B = v^(y^2) (exponent reduced mod q-1) rides back in a fourth message
-    so the client can run its server-authentication check.
+    E_B = v^(y^2) rides back in a fourth message so the client can run its
+    server-authentication check; it is computed only after d_A verifies, as
+    T_B^y, which equals v^(y^2 mod q-1) because v^(q-1) = 1.
     """
     params, hash_spec = state.params, state.hash_spec
-    shared = mod_exp(state.t_a, state.y, params, state.tally)
-    state.f_a = hash_spec.of_ints([shared], state.tally) % params.q
     if msg3.d_a != state.f_a:
         raise AuthFail("client confirmation d_A does not match F_A")
-    state.e_b = mod_exp(state.record.v,
-                        exponent_reduce(state.y * state.y, params),
-                        params, state.tally)
+    state.e_b = mod_exp(state.t_b, state.y, params, state.tally)
     key_value = hash_spec.of_ints(
-        [state.record.id_a, state.record.id_b, shared], state.tally) % params.q
+        [state.record.id_a, state.record.id_b, state.r_b], state.tally) % params.q
     return Msg4Frame(e_b=state.e_b), SessionKey.from_value(key_value, params)
 
 

@@ -172,6 +172,27 @@ def test_a_traced_in_memory_session_takes_each_step_once(scheme, steps):
     assert sorted(step_spans) == sorted(steps)
 
 
+def test_a_traced_modp2048_op_records_each_exponentiation_once(tmp_path,
+                                                              monkeypatch,
+                                                              exponent_bits):
+    # the server's pairs go through core.mod_exp_each, whose pool threads call
+    # core.mod_exp too; their spans count like the caller's
+    monkeypatch.syspath_prepend(str(TRACING.parent.parent))
+    from perfbench.workloads import InMemModp2048
+    workload = InMemModp2048(seed=1, work_dir=tmp_path)
+    workload.setup()
+    exponent_bits.clear()
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        record = workload.op(0, 0)
+    finally:
+        tracer.uninstall()
+    assert not record.failed
+    spans = [s for s in tracer.spans if s[2] == "core.mod_exp"]
+    assert len(spans) == len(exponent_bits) == 23       # calls_per_op
+
+
 def _refused_code(call):
     try:
         call()

@@ -487,18 +487,21 @@ def test_each_module_imports_on_its_own(module):
 
 
 def test_a_desk_scale_session_leaves_ctypes_out():
-    code = ("import sys, pakelab.cli\n"
+    # nor the modexp pool: custom groups raise each base in the caller's thread
+    code = ("import sys, threading, pakelab.cli\n"
             "from pakelab.core import generate_params\n"
             "from pakelab.harness import Scenario, run_honest_session\n"
             "for scheme in ('lky', 'proposed'):\n"
             "    report = run_honest_session(Scenario(\n"
             "        scheme, params=generate_params(20, 1), seed=3))\n"
             "    assert report.auth_a_ok and report.auth_b_ok\n"
-            "print('ctypes' in sys.modules)")
+            "print('ctypes' in sys.modules, 'concurrent.futures' in sys.modules,\n"
+            "      [t.name for t in threading.enumerate()\n"
+            "       if t.name.startswith('pakelab-modexp')])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          env=SUBPROCESS_ENV, text=True, check=True,
                          timeout=60).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False []"
 
 
 def test_identities_with_non_ascii_digits_are_mapped_like_strings(tmp_path,

@@ -3,8 +3,10 @@
 import hashlib
 import math
 from math import gcd
+import os
 import random
 import re
+import sys
 import threading
 
 import mpmath
@@ -272,6 +274,119 @@ def test_powmod_from_four_threads_at_once():
         thread.join(timeout=60)
         assert not thread.is_alive()
     assert results == {k: expected[k:] + expected[:k] for k in range(4)}
+
+
+MODP2048 = NAMED_GROUPS["modp2048"]
+
+
+@pytest.mark.parametrize("params", [TOY_PARAMS, generate_params(20, 1),
+                                    MODP2048], ids=["toy", "desk", "modp2048"])
+def test_mod_exp_each_equals_sequential_mod_exp_and_counts_each(params):
+    rng = random.Random(params.q)
+    for count in (1, 2, 3, 5):
+        bases = [rng.randrange(1, params.q) for _ in range(count)]
+        exponent = rng.randrange(params.q)
+        tally = Tally(modexp=7)
+        assert core.mod_exp_each(bases, exponent, params, tally) == [
+            mod_exp(base, exponent, params) for base in bases]
+        assert (tally.modexp, tally.modexp_registration) == (7 + count, 0)
+
+
+@pytest.mark.parametrize("params", [TOY_PARAMS, MODP2048], ids=["toy", "modp2048"])
+def test_mod_exp_each_refuses_bad_operands_before_any_work(params, monkeypatch):
+    monkeypatch.setattr(core, "_powmod",
+                        lambda *args: pytest.fail("exponentiated"))
+    tally = Tally()
+    for bases in ([params.g, 0], [params.g, params.q], [params.q + 1, params.g]):
+        with pytest.raises(BaseOutOfRange):
+            core.mod_exp_each(bases, 3, params, tally)
+    with pytest.raises(ValueError, match="nonnegative"):
+        core.mod_exp_each([params.g, params.g], -1, params, tally)
+    assert tally == Tally()
+
+
+def _record_powmod_threads(monkeypatch, wait_for_a_second=False):
+    """The thread of each _powmod call. With wait_for_a_second, the caller's
+    calls wait (up to 5 s) until another thread has started one."""
+    threads, second = [], threading.Event()
+    powmod, caller = core._powmod, threading.get_ident()
+
+    def recording_powmod(base, exponent, modulus):
+        threads.append(threading.get_ident())
+        if threading.get_ident() != caller:
+            second.set()
+        elif wait_for_a_second:
+            second.wait(5.0)
+        return powmod(base, exponent, modulus)
+
+    monkeypatch.setattr(core, "_powmod", recording_powmod)
+    return threads
+
+
+def test_mod_exp_each_uses_a_second_thread_on_a_named_group_only(monkeypatch):
+    if core._libcrypto() is None or core._modexp_pool(os.getpid()) is None:
+        pytest.skip("mod_exp_each runs in one thread without libcrypto "
+                    "or a second CPU")
+    threads = _record_powmod_threads(monkeypatch, wait_for_a_second=True)
+    bases, y = [MODP2048.g, 3], 2 ** 255 + 1
+    assert core.mod_exp_each(bases, y, MODP2048) == [
+        pow(base, y, MODP2048.q) for base in bases]
+    assert len(threads) == 2 and threads[0] != threads[1]
+    threads.clear()                 # a second thread has started: no more waits
+    desk = generate_params(20, 1)
+    assert core.mod_exp_each([desk.g, 3, 5], 1001, desk) == [
+        pow(base, 1001, desk.q) for base in (desk.g, 3, 5)]
+    assert threads == [threading.get_ident()] * 3
+
+
+def test_mod_exp_each_computes_jobs_a_blocked_pool_never_started(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+    if core._libcrypto() is None:
+        pytest.skip("mod_exp_each uses no pool without libcrypto")
+    pool, release = ThreadPoolExecutor(1), threading.Event()
+    blocker = pool.submit(release.wait, 30.0)
+    monkeypatch.setattr(core, "_modexp_pool", lambda pid: pool)
+    threads = _record_powmod_threads(monkeypatch)
+    try:
+        bases, y = [MODP2048.g, 3, 5], 2 ** 255 + 1
+        tally = Tally()
+        assert core.mod_exp_each(bases, y, MODP2048, tally) == [
+            pow(base, y, MODP2048.q) for base in bases]
+        assert tally.modexp == 3
+        assert not blocker.done()
+    finally:
+        release.set()
+        pool.shutdown(wait=True)
+    assert threads == [threading.get_ident()] * 3
+
+
+def test_mod_exp_each_from_four_threads_counts_each_callers_own():
+    rng = random.Random(2048)
+    work = [([rng.randrange(2, MODP2048.q) for _ in range(2)],
+             rng.getrandbits(NAMED_NONCE_BITS)) for _ in range(6)]
+    expected = [[pow(base, y, MODP2048.q) for base in bases] for bases, y in work]
+    results, tallies = {}, {}
+
+    def run(k):
+        order = work[k:] + work[:k]            # each thread in its own order
+        tallies[k] = Tally()
+        results[k] = [core.mod_exp_each(bases, y, MODP2048, tallies[k])
+                      for bases, y in order]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)             # switch often, to expose lost counts
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == {k: expected[k:] + expected[:k] for k in range(4)}
+    assert {k: tally.modexp for k, tally in tallies.items()} == {
+        k: 12 for k in range(4)}
 
 
 @given(st.integers(min_value=2, max_value=10 ** 6),

@@ -185,12 +185,10 @@ def test_seeded_named_group_sessions_use_short_nonces(exponent_bits, scheme,
     # one more builds the server's stored verifier, outside both tallies
     assert len(exponent_bits) == client + server + registration + 1
     # only the client's T_B^(x * h^-1 mod q-1) keeps a full-length exponent;
-    # proposed's v^(y^2) has twice a nonce's bits, every other one at most 256
+    # every other one, proposed's E_B = T_B^y included, is at most a nonce's
     *short, full = sorted(exponent_bits)
     assert full > 2000
-    assert sum(bits > NAMED_NONCE_BITS for bits in short) == (
-        scheme == SCHEME_PROPOSED)
-    assert max(short) <= 2 * NAMED_NONCE_BITS
+    assert max(short) <= NAMED_NONCE_BITS
 
 
 # -- reports and logs -------------------------------------------------------------

@@ -31,6 +31,7 @@ from pakelab.core import (
 )
 from pakelab.drivers import proposed_server, run_pair
 from pakelab.errors import (
+    AuthFail,
     MalformedFrame,
     RemoteError,
     RetryNonce,
@@ -52,7 +53,7 @@ from pakelab.netio.frames import (
     encode_frame,
     read_frame,
 )
-from pakelab.harness import Scenario, run_honest_session
+from pakelab.harness import Scenario, counters_from, run_honest_session
 from pakelab.netio import service as service_module
 from pakelab.netio.service import (
     ClientOptions,
@@ -238,10 +239,11 @@ def test_a_seeded_login_on_a_named_group_uses_short_nonces(tmp_path,
         key, report = client_connect(service.address, creds, params,
                                      ClientOptions(hash_spec=spec, seed=4))
     assert 0 < key.value < params.q and report.auth_b_ok
-    # g^x, v^y, T_A^y and v^(y^2) are short; only T_B^(x * h^-1 mod q-1) is not
+    # g^x, v^y, T_A^y and E_B = T_B^y are by a nonce; only T_B^(x * h^-1 mod
+    # q-1) is not
     *short, full = sorted(exponent_bits)
     assert len(short) == 4 and full > 2000
-    assert max(short) <= 2 * NAMED_NONCE_BITS
+    assert max(short) <= NAMED_NONCE_BITS
 
 
 # -- the session's log line precedes its final frame --------------------------
@@ -589,6 +591,36 @@ def test_msg3_sent_again_after_the_final_frame_reads_eof(tmp_path, scheme):
             assert read_frame(rfile) is None
     [line] = log.read_text().splitlines()
     assert json.loads(line)["key_b"] is not None
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_PROPOSED, SCHEME_LKY])
+def test_a_session_refused_at_d_a_counts_two_server_modexps(tmp_path, scheme):
+    # d_A changed in flight stands for a wrong password's: an lky client with
+    # one refuses MSG2 itself. The server has raised v and T_A to y by then,
+    # and proposed's E_B is never computed.
+    def wrong_d_a(frame):
+        return Msg3Frame(d_a=frame.d_a + 1) if isinstance(frame, Msg3Frame) else frame
+
+    run = run_pair(scheme, TOY_CREDS, TOY_PARAMS, TOYSUM_SPEC, 3, 4, wire=wrong_d_a)
+    assert run.rejected_by == "server" and isinstance(run.error, AuthFail)
+    in_memory = counters_from(run.client.tally, run.server.tally, run.transcript)
+    assert in_memory.modexp_server == 2
+    msg1, msg3 = [e.data for e in run.transcript if e.direction == DIR_AB]
+    log = tmp_path / "server.jsonl"
+    config = toy_config(tmp_path, insecure_lky=scheme == SCHEME_LKY,
+                        log_path=log)
+    with Service(config) as service:
+        with (socket.create_connection(service.address, timeout=5.0) as sock,
+              sock.makefile("rb") as rfile):
+            sock.sendall(msg1)
+            assert not isinstance(read_frame(rfile)[0], ErrorFrame)
+            sock.sendall(msg3)
+            assert read_frame(rfile)[0].code == ERR_AUTH_FAIL
+    [line] = log.read_text().splitlines()
+    logged = json.loads(line)
+    assert logged["key_b"] is None
+    assert logged["counters"]["modexp_server"] == 2
+    assert logged["counters"]["hash_evals"] == run.server.tally.hash_evals
 
 
 def throttle_toy_identity(service):
