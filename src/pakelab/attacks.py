@@ -40,9 +40,9 @@ from .core import (
     SessionKey,
     VerifierRecord,
     exponent_reduce,
-    hash_to_exponent,
     mod_exp,
     mod_inverse,
+    password_exponent,
     toy_pairing,
 )
 from .drivers import lky_server, proposed_server, run_in_memory, run_pair
@@ -86,7 +86,6 @@ class AttackReport:
 
 @dataclass
 class DictionaryCensus:
-    dictionary: List[int]
     consistent: List[int]
     enumeration_bound: int
     witnesses: Dict[int, Tuple[int, int]] = field(default_factory=dict)
@@ -252,8 +251,9 @@ def dictionary_census(transcript: Transcript, dictionary: List[int],
 
     g and v' both generate the group, so the first two equations fix x'
     and y'; the dlog table reads them off, and the candidate stands or
-    falls with that one pair, at four exponentiations. id_b is supplied by
-    the caller because the wire only ever carries id_a.
+    falls with that one pair, at three exponentiations (both d_A
+    equations then raise g^(x'y')). id_b is supplied by the caller
+    because the wire only ever carries id_a.
 
     This measures information leakage with unlimited computation, not the
     cost of extracting it.
@@ -263,8 +263,7 @@ def dictionary_census(transcript: Transcript, dictionary: List[int],
     if params.q > DESK_SCALE_BOUND:
         raise GroupTooLarge(
             f"census needs q <= {DESK_SCALE_BOUND}, got {params.q}")
-    census = DictionaryCensus(dictionary=list(dictionary), consistent=[],
-                              enumeration_bound=bound)
+    census = DictionaryCensus(consistent=[], enumeration_bound=bound)
     for password in dictionary:
         witness, why = _census_one(obs, password, params, hash_spec, id_b)
         if witness is not None:
@@ -278,8 +277,8 @@ def dictionary_census(transcript: Transcript, dictionary: List[int],
 def _census_one(obs, password: int, params: GroupParams, hash_spec: HashSpec,
                 id_b: int):
     q, order = params.q, params.order
-    h_exp = hash_to_exponent(
-        hash_spec.of_ints([obs["id_a"], id_b, password]), params)
+    h_exp = password_exponent(Credentials(id_a=obs["id_a"], id_b=id_b,
+                                          password=password), params, hash_spec)
     v_cand = mod_exp(params.g, h_exp, params)
     h_inv = mod_inverse(h_exp, order)
     t_a, t_b, d_a, e_b = obs["t_a"], obs["t_b"], obs["d_a"], obs["e_b"]
@@ -290,9 +289,8 @@ def _census_one(obs, password: int, params: GroupParams, hash_spec: HashSpec,
     y_c = (table.dlog(t_b) * h_inv) % order
     if not 1 <= y_c <= q - 2:
         return None, "T_B has no admissible nonce under this password"
-    client_r = mod_exp(t_b, exponent_reduce(x_c * h_inv, params), params)
+    # T_B^(x' * h'^-1) is T_A^y' once x' and y' come off the table: one d_A check
     if (hash_spec.of_ints([mod_exp(t_a, y_c, params)]) % q != d_a
-            or hash_spec.of_ints([client_r]) % q != d_a
             or mod_exp(v_cand, exponent_reduce(y_c * y_c, params), params) != e_b):
         return None, "unique nonce pair fails the confirmation equations"
     return (x_c, y_c), ""
@@ -340,15 +338,13 @@ def mitm_tamper_experiment(scheme: str, tamper: TamperSpec, params: GroupParams,
     run = run_pair(scheme, creds, params, hash_spec, *nonces, wire=wire)
     if run.error is not None:
         notes.append(f"{run.rejected_by} rejected: {run.error}")
-        return AttackReport(scheme=scheme, attack=ATTACK_MITM, succeeded=False,
-                            attacker_key=None, victim_key=None,
-                            transcript=run.transcript, notes="; ".join(notes))
-    changed = any(n.startswith("replaced") for n in notes)
-    notes.append("session completed; keys "
-                 + ("match" if run.key_a == run.key_b else "differ"))
-    if changed:
-        # an accepted, genuinely altered run; surfaced loudly, never expected
-        notes.append("TAMPER ACCEPTED: substitution went unnoticed")
+    else:
+        notes.append("session completed; keys "
+                     + ("match" if run.key_a == run.key_b else "differ"))
+        if any(n.startswith("replaced") for n in notes):
+            # an accepted, genuinely altered run; surfaced loudly, never expected
+            notes.append("TAMPER ACCEPTED: substitution went unnoticed")
     return AttackReport(scheme=scheme, attack=ATTACK_MITM, succeeded=False,
-                        attacker_key=None, victim_key=run.key_b,
+                        attacker_key=None,
+                        victim_key=None if run.error is not None else run.key_b,
                         transcript=run.transcript, notes="; ".join(notes))

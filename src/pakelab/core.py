@@ -564,17 +564,26 @@ def _find_generator(q: int) -> int:
                 if all(pow(g, order // p, q) != 1 for p in factors))
 
 
+def password_exponent(creds: Credentials, params: GroupParams, hash_spec: HashSpec,
+                      tally: Optional[Tally] = None) -> int:
+    """The password exponent h = hash_to_exponent(h(id_A, id_B, P)).
+
+    It is invertible mod q-1, so g^h is a generator and h^-1 exists; the
+    one hash evaluation lands in the tally.
+    """
+    return hash_to_exponent(
+        hash_spec.of_ints([creds.id_a, creds.id_b, creds.password], tally), params)
+
+
 def derive_verifier(creds: Credentials, params: GroupParams, hash_spec: HashSpec,
                     tally: Optional[Tally] = None) -> int:
-    """Compute the verifier v = g^h(id_A, id_B, P) mod q.
+    """Compute the verifier v = g^h mod q for the password exponent h.
 
-    The exponent goes through hash_to_exponent, so v is never 1 and is
-    always a generator of Z_q^*. The exponentiation lands in the tally's
-    registration bucket.
+    v is never 1 and is always a generator of Z_q^*. The exponentiation
+    lands in the tally's registration bucket.
     """
-    raw = hash_spec.of_ints([creds.id_a, creds.id_b, creds.password], tally)
-    exponent = hash_to_exponent(raw, params)
-    return mod_exp(params.g, exponent, params, tally, registration=True)
+    return mod_exp(params.g, password_exponent(creds, params, hash_spec, tally),
+                   params, tally, registration=True)
 
 
 class DlogTable:

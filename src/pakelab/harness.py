@@ -221,7 +221,6 @@ class EfficiencyRow:
 @dataclass
 class EfficiencyTable:
     rows: List[EfficiencyRow]
-    trials: int
 
     def render_text(self) -> str:
         headers = ("scheme", "metric", "measured", "claimed")
@@ -282,7 +281,7 @@ def compare_efficiency(params: GroupParams, trials: int, seed: int,
             rows.append(EfficiencyRow(scheme=scheme, metric=metric,
                                       measured=measured,
                                       claimed=_CLAIMS.get((scheme, metric), "")))
-    return EfficiencyTable(rows=rows, trials=trials)
+    return EfficiencyTable(rows=rows)
 
 
 # -- golden vectors ----------------------------------------------------------
@@ -299,17 +298,13 @@ def golden_vectors() -> List[GoldenVector]:
     return [
         GoldenVector(
             name="proposed-toy",
-            scenario=Scenario(scheme=SCHEME_PROPOSED, params=TOY_PARAMS,
-                              creds=TOY_CREDS, hash_spec=HashSpec(TOYSUM),
-                              x=3, y=4),
+            scenario=Scenario(scheme=SCHEME_PROPOSED, x=3, y=4),
             expected={"v": 7, "t_a": 8, "t_b": 9, "r": 1, "d_a": 1,
                       "f_a": 1, "e_b": 9, "key": 9},
         ),
         GoldenVector(
             name="lky-toy",
-            scenario=Scenario(scheme=SCHEME_LKY, params=TOY_PARAMS,
-                              creds=TOY_CREDS, hash_spec=HashSpec(TOYSUM),
-                              x=3, y=4),
+            scenario=Scenario(scheme=SCHEME_LKY, x=3, y=4),
             expected={"v": 7, "t_a_masked": 15, "t_b_masked": 14, "r": 1,
                       "d_b": 28, "d_a": 24, "key": 1},
         ),

@@ -37,10 +37,10 @@ from .core import (
     derive_verifier,
     encode_residue,
     exponent_reduce,
-    hash_to_exponent,
     mod_exp,
     mod_exp_each,
     mod_inverse,
+    password_exponent,
 )
 from .errors import (
     AuthFail,
@@ -165,9 +165,7 @@ def lky_client_finish(msg2: LkyMsg2Frame, state: LkyClientState,
     """
     params, creds, hash_spec = state.params, state.creds, state.hash_spec
     t_b = xor_unmask(msg2.t_b_masked, state.v, params)
-    h_exp = hash_to_exponent(
-        hash_spec.of_ints([creds.id_a, creds.id_b, creds.password], state.tally),
-        params)
+    h_exp = password_exponent(creds, params, hash_spec, state.tally)
     exponent = exponent_reduce(state.x * mod_inverse(h_exp, params.order), params)
     r_a = mod_exp(t_b, exponent, params, state.tally)
     d_b_expected = hash_spec.of_ints(

@@ -37,15 +37,6 @@ MAGIC = b"\x50\x4b"
 VERSION = 0x01
 MAX_FRAME = 64 * 1024
 
-TYPE_REGISTER = 0x01
-TYPE_MSG1 = 0x02
-TYPE_MSG2 = 0x03
-TYPE_MSG3 = 0x04
-TYPE_MSG4 = 0x05
-TYPE_OK = 0x06
-TYPE_ERROR = 0x07
-TYPE_LKY_MSG2 = 0x08
-
 ERR_MALFORMED = 0x01
 ERR_PARAM_MISMATCH = 0x02
 ERR_UNKNOWN_IDENTITY = 0x03
@@ -119,32 +110,22 @@ class LkyMsg2Frame:
 Frame = Union[RegisterFrame, Msg1Frame, Msg2Frame, Msg3Frame, Msg4Frame,
               OkFrame, ErrorFrame, LkyMsg2Frame]
 
-_TYPE_OF = {
-    RegisterFrame: TYPE_REGISTER,
-    Msg1Frame: TYPE_MSG1,
-    Msg2Frame: TYPE_MSG2,
-    Msg3Frame: TYPE_MSG3,
-    Msg4Frame: TYPE_MSG4,
-    OkFrame: TYPE_OK,
-    ErrorFrame: TYPE_ERROR,
-    LkyMsg2Frame: TYPE_LKY_MSG2,
+# each frame class: its wire type byte and its transcript label
+_FRAME_TYPES = {
+    RegisterFrame: (0x01, "register"),
+    Msg1Frame: (0x02, "msg1"),
+    Msg2Frame: (0x03, "msg2"),
+    Msg3Frame: (0x04, "msg3"),
+    Msg4Frame: (0x05, "msg4"),
+    OkFrame: (0x06, "ok"),
+    ErrorFrame: (0x07, "error"),
+    LkyMsg2Frame: (0x08, "lky-msg2"),
 }
-_CLASS_OF = {t: c for c, t in _TYPE_OF.items()}
-
-_LABELS = {
-    RegisterFrame: "register",
-    Msg1Frame: "msg1",
-    Msg2Frame: "msg2",
-    Msg3Frame: "msg3",
-    Msg4Frame: "msg4",
-    OkFrame: "ok",
-    ErrorFrame: "error",
-    LkyMsg2Frame: "lky-msg2",
-}
+_CLASS_OF = {frame_type: cls for cls, (frame_type, _) in _FRAME_TYPES.items()}
 
 
 def frame_label(frame: Frame) -> str:
-    return _LABELS[type(frame)]
+    return _FRAME_TYPES[type(frame)][1]
 
 
 def _field(data: bytes) -> bytes:
@@ -155,12 +136,12 @@ def _field(data: bytes) -> bytes:
 
 def encode_frame(frame: Frame) -> bytes:
     """Serialize a frame; raises ValueError for unencodable field values."""
-    frame_type = _TYPE_OF.get(type(frame))
-    if frame_type is None:
+    spec = _FRAME_TYPES.get(type(frame))
+    if spec is None:
         raise ValueError(f"not a wire frame: {type(frame).__name__}")
     out = bytearray(MAGIC)
     out.append(VERSION)
-    out.append(frame_type)
+    out.append(spec[0])
     if isinstance(frame, ErrorFrame):
         out.append(frame.code)
         out += _field(frame.detail.encode("utf-8"))

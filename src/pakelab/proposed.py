@@ -47,10 +47,10 @@ from .core import (
     VerifierRecord,
     check_nonce,
     exponent_reduce,
-    hash_to_exponent,
     mod_exp,
     mod_exp_each,
     mod_inverse,
+    password_exponent,
     toy_pairing,
 )
 from .errors import AuthFail, NotInGroup, UnknownIdentity
@@ -97,8 +97,7 @@ def prop_client_start(creds: Credentials, params: GroupParams, hash_spec: HashSp
     """
     check_nonce("x", x, params)
     tally = Tally()
-    raw = hash_spec.of_ints([creds.id_a, creds.id_b, creds.password], tally)
-    h_exp = hash_to_exponent(raw, params)
+    h_exp = password_exponent(creds, params, hash_spec, tally)
     t_a = mod_exp(params.g, x, params, tally)
     state = PropClientState(creds=creds, params=params, hash_spec=hash_spec,
                             h_exp=h_exp, x=x, t_a=t_a, tally=tally)

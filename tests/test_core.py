@@ -40,6 +40,7 @@ from pakelab.core import (
     is_prime,
     mod_exp,
     mod_inverse,
+    password_exponent,
     prime_factors,
     sample_nonce,
     toy_pairing,
@@ -56,6 +57,7 @@ from pakelab.errors import (
     NotPrime,
     OutOfRange,
 )
+from pakelab.proposed import prop_client_start
 
 MID_PARAMS = GroupParams(q=29, g=2)
 BIG_TOY_PARAMS = GroupParams(q=61, g=2)
@@ -706,6 +708,26 @@ def test_prime_factors_match_sympy_on_random_values_up_to_64_bits():
 
 def test_derive_verifier_toy_value():
     assert derive_verifier(TOY_CREDS, TOY_PARAMS, HashSpec(TOYSUM)) == 7
+
+
+def test_password_exponent_toy_value():
+    # h(9, 12, 10) = 31 = 7 mod 12, and g^7 mod 13 is the toy verifier
+    h = password_exponent(TOY_CREDS, TOY_PARAMS, HashSpec(TOYSUM))
+    assert h == 7
+    assert pow(6, h, 13) == 7 == derive_verifier(TOY_CREDS, TOY_PARAMS,
+                                                 HashSpec(TOYSUM))
+
+
+def test_password_exponent_is_the_revised_clients_exponent():
+    params, spec = generate_params(16, 7), HashSpec(DIGEST256)
+    _, state = prop_client_start(TOY_CREDS, params, spec, x=5)
+    assert password_exponent(TOY_CREDS, params, spec) == state.h_exp
+
+
+def test_password_exponent_counts_one_hash():
+    tally = Tally()
+    password_exponent(TOY_CREDS, TOY_PARAMS, HashSpec(TOYSUM), tally)
+    assert tally == Tally(hash_evals=1)
 
 
 def test_derive_verifier_counts_as_registration():

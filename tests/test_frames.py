@@ -60,9 +60,21 @@ def test_more_pinned_encodings():
 
 
 def test_frame_labels():
-    assert frame_label(Msg1Frame(q=1, g=1, id_a=1, t_a=1)) == "msg1"
-    assert frame_label(LkyMsg2Frame(t_b_masked=1, d_b=1)) == "lky-msg2"
-    assert frame_label(ErrorFrame(code=ERR_THROTTLED, detail="")) == "error"
+    """Each frame type's wire byte, transcript label and round trip."""
+    for frame, type_byte, label in [
+        (RegisterFrame(id_a=9, id_b=12, v=7), 0x01, "register"),
+        (Msg1Frame(q=1, g=1, id_a=1, t_a=1), 0x02, "msg1"),
+        (Msg2Frame(t_b=9), 0x03, "msg2"),
+        (Msg3Frame(d_a=1), 0x04, "msg3"),
+        (Msg4Frame(e_b=9), 0x05, "msg4"),
+        (OkFrame(), 0x06, "ok"),
+        (ErrorFrame(code=ERR_THROTTLED, detail=""), 0x07, "error"),
+        (LkyMsg2Frame(t_b_masked=1, d_b=1), 0x08, "lky-msg2"),
+    ]:
+        data = encode_frame(frame)
+        assert data[:4] == MAGIC + bytes([VERSION, type_byte]), label
+        assert frame_label(frame) == label
+        assert decode_frame(data) == frame
 
 
 # -- round trips -------------------------------------------------------------------
