@@ -39,7 +39,6 @@ from .core import (
     SCHEME_PROPOSED,
     SessionKey,
     VerifierRecord,
-    exponent_reduce,
     mod_exp,
     mod_inverse,
     password_exponent,
@@ -82,6 +81,22 @@ class AttackReport:
             raise ValueError("succeeded implies attacker_key")
         if not self.succeeded and self.attacker_key is not None:
             raise ValueError("attacker_key implies succeeded")
+
+    def to_json_obj(self) -> dict:
+        return {
+            "kind": "attack",
+            "scheme": self.scheme,
+            "attack": self.attack,
+            "succeeded": self.succeeded,
+            "attacker_key": str(self.attacker_key.value) if self.attacker_key else None,
+            "victim_key": str(self.victim_key.value) if self.victim_key else None,
+            "transcript": self.transcript.to_json(),
+            "counters": {
+                "messages": self.transcript.messages,
+                "bytes_on_wire": self.transcript.bytes_on_wire,
+            },
+            "notes": self.notes,
+        }
 
 
 @dataclass
@@ -251,9 +266,9 @@ def dictionary_census(transcript: Transcript, dictionary: List[int],
 
     g and v' both generate the group, so the first two equations fix x'
     and y'; the dlog table reads them off, and the candidate stands or
-    falls with that one pair, at three exponentiations (both d_A
-    equations then raise g^(x'y')). id_b is supplied by the caller
-    because the wire only ever carries id_a.
+    falls with that one pair, at two exponentiations: T_A^y' (both d_A
+    equations raise g^(x'y')) and T_B^y' (E_B's v'^(y'^2)). id_b is
+    supplied by the caller because the wire only ever carries id_a.
 
     This measures information leakage with unlimited computation, not the
     cost of extracting it.
@@ -279,7 +294,6 @@ def _census_one(obs, password: int, params: GroupParams, hash_spec: HashSpec,
     q, order = params.q, params.order
     h_exp = password_exponent(Credentials(id_a=obs["id_a"], id_b=id_b,
                                           password=password), params, hash_spec)
-    v_cand = mod_exp(params.g, h_exp, params)
     h_inv = mod_inverse(h_exp, order)
     t_a, t_b, d_a, e_b = obs["t_a"], obs["t_b"], obs["d_a"], obs["e_b"]
     table = DlogTable.for_params(params)
@@ -289,9 +303,10 @@ def _census_one(obs, password: int, params: GroupParams, hash_spec: HashSpec,
     y_c = (table.dlog(t_b) * h_inv) % order
     if not 1 <= y_c <= q - 2:
         return None, "T_B has no admissible nonce under this password"
-    # T_B^(x' * h'^-1) is T_A^y' once x' and y' come off the table: one d_A check
+    # with x' and y' off the table, T_B^(x' * h'^-1) is T_A^y' (one d_A
+    # check) and v'^(y'^2) is T_B^y', which is how the server computes E_B
     if (hash_spec.of_ints([mod_exp(t_a, y_c, params)]) % q != d_a
-            or mod_exp(v_cand, exponent_reduce(y_c * y_c, params), params) != e_b):
+            or mod_exp(t_b, y_c, params) != e_b):
         return None, "unique nonce pair fails the confirmation equations"
     return (x_c, y_c), ""
 

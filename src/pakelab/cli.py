@@ -83,7 +83,6 @@ from .errors import (
 from .harness import (
     Scenario,
     append_log_line,
-    attack_report_to_json,
     check_golden,
     compare_efficiency,
     golden_vectors,
@@ -362,7 +361,7 @@ def _attack_stolen(args) -> int:
                    if successes else "claim held in every trial")
         print(f"measured verdict: {verdict}")
     if last_report is not None:
-        _maybe_log(args, attack_report_to_json(last_report))
+        _maybe_log(args, last_report.to_json_obj())
     return 0
 
 
@@ -376,7 +375,7 @@ def _attack_mitm(args) -> int:
     print(f"mitm on {args.scheme} ({args.field} -> {args.value}): "
           f"{'SUCCEEDED' if report.succeeded else 'no impersonation'}")
     print(f"  {report.notes}")
-    _maybe_log(args, attack_report_to_json(report))
+    _maybe_log(args, report.to_json_obj())
     return 0
 
 

@@ -359,13 +359,6 @@ def mod_inverse(a: int, m: int) -> int:
         raise NotCoprime(f"gcd({a}, {m}) = {gcd(a, m)}") from None
 
 
-def exponent_reduce(value: int, params: GroupParams) -> int:
-    """Reduce an exponent of g modulo the group order q-1."""
-    if value < 0:
-        raise ValueError("exponent must be nonnegative")
-    return value % params.order
-
-
 def hash_to_exponent(hash_value: int, params: GroupParams) -> int:
     """Map a hash value to an invertible exponent of g.
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from .attacks import AttackReport
 from .core import (
     DIGEST256,
     TOYSUM,
@@ -68,11 +67,6 @@ class Scenario:
     seed: Optional[int] = None
 
 
-def _transcript_json(transcript: Transcript) -> List[dict]:
-    return [{"direction": e.direction, "label": e.label, "frame": e.hex}
-            for e in transcript]
-
-
 @dataclass
 class SessionReport:
     scheme: str
@@ -91,7 +85,7 @@ class SessionReport:
             "kind": "session",
             "scheme": self.scheme,
             "params": {"q": str(self.params.q), "g": str(self.params.g)},
-            "transcript": _transcript_json(self.transcript),
+            "transcript": self.transcript.to_json(),
             "key_a": str(self.key_a.value) if self.key_a else None,
             "key_b": str(self.key_b.value) if self.key_b else None,
             "auth_a_ok": self.auth_a_ok,
@@ -106,23 +100,6 @@ class SessionReport:
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_json_line().encode()).hexdigest()
-
-
-def attack_report_to_json(report: AttackReport) -> dict:
-    return {
-        "kind": "attack",
-        "scheme": report.scheme,
-        "attack": report.attack,
-        "succeeded": report.succeeded,
-        "attacker_key": str(report.attacker_key.value) if report.attacker_key else None,
-        "victim_key": str(report.victim_key.value) if report.victim_key else None,
-        "transcript": _transcript_json(report.transcript),
-        "counters": {
-            "messages": report.transcript.messages,
-            "bytes_on_wire": report.transcript.bytes_on_wire,
-        },
-        "notes": report.notes,
-    }
 
 
 def append_log_line(path: Union[str, Path], obj: dict):

@@ -36,7 +36,6 @@ from .core import (
     check_nonce,
     derive_verifier,
     encode_residue,
-    exponent_reduce,
     mod_exp,
     mod_exp_each,
     mod_inverse,
@@ -166,7 +165,7 @@ def lky_client_finish(msg2: LkyMsg2Frame, state: LkyClientState,
     params, creds, hash_spec = state.params, state.creds, state.hash_spec
     t_b = xor_unmask(msg2.t_b_masked, state.v, params)
     h_exp = password_exponent(creds, params, hash_spec, state.tally)
-    exponent = exponent_reduce(state.x * mod_inverse(h_exp, params.order), params)
+    exponent = state.x * mod_inverse(h_exp, params.order) % params.order
     r_a = mod_exp(t_b, exponent, params, state.tally)
     d_b_expected = hash_spec.of_ints(
         [creds.id_b, state.t_a_masked, r_a], state.tally)

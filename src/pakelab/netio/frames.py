@@ -147,10 +147,7 @@ def encode_frame(frame: Frame) -> bytes:
         out += _field(frame.detail.encode("utf-8"))
     else:
         for f in fields(frame):
-            value = getattr(frame, f.name)
-            if value < 0:
-                raise ValueError("wire integers are unsigned")
-            out += _field(int_to_bytes(value))
+            out += _field(int_to_bytes(getattr(frame, f.name)))
     if len(out) > MAX_FRAME:
         raise ValueError(f"frame of {len(out)} bytes exceeds the {MAX_FRAME} cap")
     return bytes(out)

@@ -113,6 +113,10 @@ LISTEN_BACKLOG = 128
 # thread; also how long an idle handler thread waits for a connection
 READ_TIMEOUT = 30.0
 
+# seconds a handler thread waits, or until stop(), to retry an accept() that
+# failed other than by timing out (out of file descriptors), so as not to spin
+ACCEPT_RETRY_WAIT = 0.05
+
 # seconds the client waits to connect, and then for its whole session
 CLIENT_TIMEOUT = 10.0
 
@@ -290,6 +294,8 @@ class Service:
                     if self._stopped.is_set() or (isinstance(exc, TimeoutError)
                                                   and self._waiting):
                         return
+                if not isinstance(exc, TimeoutError):
+                    self._stopped.wait(ACCEPT_RETRY_WAIT)
                 continue            # out of file descriptors, or the last one idle
             with self._lock:
                 self._waiting -= 1
@@ -300,7 +306,7 @@ class Service:
                                    READ_TIMEOUT) as conn:
                 try:
                     self._handle_connection(conn)
-                except Exception:
+                except Exception:       # the listener outlives anything a peer throws
                     log.exception("connection from %s failed", client_address)
                 try:
                     sock.shutdown(socket.SHUT_WR)   # EOF ahead of any reset by close()
@@ -358,9 +364,6 @@ class Service:
             self._reply_error(conn, ERR_MALFORMED, str(exc))
         except (TimeoutError, ConnectionError) as exc:
             log.info("peer hung up or went silent: %s", exc)
-        except Exception:
-            # the listener must survive anything a peer throws at it
-            log.exception("connection handler failed")
 
     def _send(self, conn: _Connection, frame, end: Optional[_SessionEnd] = None):
         """Record frame in the connection's transcript, then write it to the peer.

@@ -46,7 +46,6 @@ from .core import (
     Tally,
     VerifierRecord,
     check_nonce,
-    exponent_reduce,
     mod_exp,
     mod_exp_each,
     mod_inverse,
@@ -139,8 +138,7 @@ def prop_client_confirm(msg2: Msg2Frame, state: PropClientState) -> Msg3Frame:
         raise NotInGroup(f"T_B = {msg2.t_b} not in Z_q^*")
     if msg2.t_b == 1:
         state.flags.append(FLAG_DEGENERATE_TB)
-    exponent = exponent_reduce(
-        state.x * mod_inverse(state.h_exp, params.order), params)
+    exponent = state.x * mod_inverse(state.h_exp, params.order) % params.order
     state.t_b = msg2.t_b
     state.r = mod_exp(msg2.t_b, exponent, params, state.tally)
     d_a = state.hash_spec.of_ints([state.r], state.tally) % params.q

@@ -54,3 +54,8 @@ class Transcript:
 
     def __iter__(self) -> Iterator[TranscriptEntry]:
         return iter(self.entries)
+
+    def to_json(self) -> list:
+        """The entries as JSON-ready dicts, each frame's bytes in hex."""
+        return [{"direction": e.direction, "label": e.label, "frame": e.hex}
+                for e in self.entries]

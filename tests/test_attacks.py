@@ -300,7 +300,7 @@ def test_census_rejects_bad_inputs():
                           TOYSUM_SPEC, id_b=12)
 
 
-def test_census_costs_at_most_three_modexps_per_candidate(monkeypatch):
+def test_census_costs_at_most_two_modexps_per_candidate(monkeypatch):
     """A search over the nonce space would cost up to q per candidate."""
     params = generate_params(20, seed=1)
     hash_spec = HashSpec(DIGEST256)
@@ -327,7 +327,7 @@ def test_census_costs_at_most_three_modexps_per_candidate(monkeypatch):
         calls.clear()
         census = dictionary_census(report.transcript, [candidate], params,
                                    hash_spec, id_b=TOY_CREDS.id_b)
-        assert 1 <= len(calls) <= 3, candidate
+        assert 1 <= len(calls) <= 2, candidate
         witnesses.update(census.witnesses)
     assert witnesses == {TOY_CREDS.password: (1234, 4321)}
     assert builds == [params]

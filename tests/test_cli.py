@@ -476,6 +476,15 @@ def test_importing_the_cli_leaves_sympy_out():
     assert out.strip() == "False"
 
 
+def test_importing_the_service_leaves_the_attacks_out():
+    code = ("import sys, pakelab.netio.service; "
+            "print('pakelab.attacks' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env=SUBPROCESS_ENV, text=True, check=True,
+                         timeout=60).stdout
+    assert out.strip() == "False"
+
+
 @pytest.mark.parametrize("module", [
     "core", "errors", "transcript", "lky", "proposed", "drivers", "harness",
     "attacks", "cli", "netio.frames", "netio.store", "netio.service"])

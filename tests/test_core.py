@@ -33,7 +33,6 @@ from pakelab.core import (
     derive_verifier,
     digest_hash,
     encode_residue,
-    exponent_reduce,
     generate_params,
     hash_to_exponent,
     int_to_bytes,
@@ -411,13 +410,6 @@ def test_mod_inverse_names_the_gcd():
 def test_mod_inverse_rejects_tiny_modulus():
     with pytest.raises(ValueError):
         mod_inverse(3, 1)
-
-
-def test_exponent_reduce():
-    assert exponent_reduce(25, TOY_PARAMS) == 1
-    assert exponent_reduce(12, TOY_PARAMS) == 0
-    with pytest.raises(ValueError):
-        exponent_reduce(-1, TOY_PARAMS)
 
 
 # -- hash modes -----------------------------------------------------------------

@@ -29,7 +29,6 @@ from pakelab.harness import (
     Counters,
     Scenario,
     append_log_line,
-    attack_report_to_json,
     check_golden,
     compare_efficiency,
     golden_vectors,
@@ -210,11 +209,22 @@ def test_attack_report_serializes():
     v = derive_verifier(TOY_CREDS, TOY_PARAMS, HashSpec(TOYSUM))
     report = stolen_verifier_attack_lky(v, (TOY_CREDS.id_a, TOY_CREDS.id_b),
                                         TOY_PARAMS, HashSpec(TOYSUM), 5, 4)
-    obj = attack_report_to_json(report)
+    obj = report.to_json_obj()
     assert obj["kind"] == "attack"
     assert obj["succeeded"] is True
     assert obj["attacker_key"] == obj["victim_key"] == "3"
     assert obj["counters"]["messages"] == len(obj["transcript"])
+    assert json.dumps(obj, sort_keys=True) == (
+        '{"attack": "stolen-verifier-lky", "attacker_key": "3", '
+        '"counters": {"bytes_on_wire": 33, "messages": 3}, "kind": "attack", '
+        '"notes": "attacker holds v only; base of T_A is v; server accepted; '
+        'keys match", "scheme": "lky", "succeeded": true, "transcript": ['
+        '{"direction": "A->B", "frame": "504b010200010d00010600010900010c", '
+        '"label": "msg1"}, '
+        '{"direction": "B->A", "frame": "504b010800010e00011b", '
+        '"label": "lky-msg2"}, '
+        '{"direction": "A->B", "frame": "504b010400011a", "label": "msg3"}], '
+        '"victim_key": "3"}')
 
 
 def test_counters_as_dict_is_asdict_as_a_fresh_copy():

@@ -1200,6 +1200,24 @@ def test_an_accept_that_fails_leaves_the_listener_serving(tmp_path, monkeypatch)
     assert len(failed) == 1
 
 
+def test_an_accept_that_keeps_failing_is_retried_without_spinning(tmp_path,
+                                                                  monkeypatch):
+    accept, calls = socket.socket.accept, []
+
+    def accept_out_of_descriptors(sock):
+        calls.append(sock)
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(socket.socket, "accept", accept_out_of_descriptors)
+    with Service(toy_config(tmp_path)) as service:
+        time.sleep(0.3)
+        tries = len(calls)
+        monkeypatch.setattr(socket.socket, "accept", accept)
+        toy_login(service)
+    # an accept() retried at once runs hundreds of thousands of times in 0.3 s
+    assert 1 <= tries <= 20
+
+
 def test_sequential_logins_reuse_one_handler_thread(tmp_path, monkeypatch):
     # the thread that takes the first login starts one to wait in its place;
     # from then on one serves while the other waits
@@ -1248,8 +1266,13 @@ def test_an_idle_handler_thread_exits_after_the_read_timeout(tmp_path,
 def test_handler_threads_retiring_under_load_strand_no_connection(tmp_path,
                                                                    monkeypatch):
     # idle threads time out every few ms while clients keep connecting, so
-    # retiring races with the last waiting thread accepting a connection
-    monkeypatch.setattr(service_module, "READ_TIMEOUT", 0.005)
+    # retiring races with the last waiting thread accepting a connection.
+    # The listener takes its idle wait from READ_TIMEOUT when the Service is
+    # built, each connection its deadline when it is accepted: only the idle
+    # wait is short, so a slow host cannot drop a login at its deadline
+    with monkeypatch.context() as patch:
+        patch.setattr(service_module, "READ_TIMEOUT", 0.005)
+        service = Service(toy_config(tmp_path, max_fail=6))
     before = set(threading.enumerate())
     seen = record_handler_threads(monkeypatch)
     errors = []
@@ -1269,7 +1292,7 @@ def test_handler_threads_retiring_under_load_strand_no_connection(tmp_path,
     try:
         # the six clients share one identity, so the throttle must admit
         # six logins of it in flight at once
-        with Service(toy_config(tmp_path, max_fail=6)) as service:
+        with service:
             clients = [threading.Thread(target=logins, args=(service,))
                        for _ in range(6)]
             for thread in clients:
