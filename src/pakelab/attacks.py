@@ -277,7 +277,7 @@ def dictionary_census(transcript: Transcript, dictionary: List[int],
     bound = (params.q - 2) ** 2
     if params.q > DESK_SCALE_BOUND:
         raise GroupTooLarge(
-            f"census needs q <= {DESK_SCALE_BOUND}, got {params.q}")
+            f"census needs q <= {DESK_SCALE_BOUND}, got a {params.q.bit_length()}-bit q")
     census = DictionaryCensus(consistent=[], enumeration_bound=bound)
     for password in dictionary:
         witness, why = _census_one(obs, password, params, hash_spec, id_b)

@@ -65,7 +65,6 @@ from .core import (
 )
 from .errors import (
     AuthFail,
-    CounterDrift,
     DuplicateEntry,
     GroupTooLarge,
     MalformedFrame,
@@ -75,10 +74,8 @@ from .errors import (
     ScenarioError,
     SearchExhausted,
     StoreLocked,
-    StoreParseError,
     UnknownIdentity,
     ValidationError,
-    VersionMismatch,
 )
 from .harness import (
     Scenario,
@@ -168,10 +165,6 @@ def _params(args) -> GroupParams:
     return TOY_PARAMS
 
 
-def _hash_spec(args) -> HashSpec:
-    return HashSpec(args.hash)
-
-
 def _add_common(p, default_hash: str = DIGEST256, creds: Optional[str] = None,
                 log: bool = True, password_help: Optional[str] = None):
     """--params, --hash and --log, plus credentials: "required" or "toy" defaults."""
@@ -222,7 +215,7 @@ def cmd_params_check(args) -> int:
 def cmd_register(args) -> int:
     params = _params(args)
     creds = _credentials(args)
-    v = derive_verifier(creds, params, _hash_spec(args))
+    v = derive_verifier(creds, params, HashSpec(args.hash))
     record = VerifierRecord(id_a=creds.id_a, id_b=creds.id_b, v=v)
     path = Path(args.store)
     exists = path.exists()
@@ -252,7 +245,7 @@ def cmd_serve(args) -> int:
         params=params,
         store_path=args.store,
         listen=parse_address(args.listen),
-        hash_spec=_hash_spec(args),
+        hash_spec=HashSpec(args.hash),
         max_fail=args.max_fail,
         insecure_lky=args.insecure_lky,
         enroll=args.enroll,
@@ -274,7 +267,7 @@ def cmd_serve(args) -> int:
 def cmd_connect(args) -> int:
     params = _params(args)
     creds = _credentials(args)
-    options = ClientOptions(hash_spec=_hash_spec(args), scheme=args.scheme,
+    options = ClientOptions(hash_spec=HashSpec(args.hash), scheme=args.scheme,
                             x=args.x, seed=args.seed, log_path=_log_path(args))
     key, report = client_connect(parse_address(args.addr), creds, params,
                                  options)
@@ -285,13 +278,11 @@ def cmd_connect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.bless and not args.golden:
-        raise ScenarioError("--bless only applies to --golden")
     if args.golden:
-        return _simulate_golden(args)
+        return _simulate_golden()
     params = _params(args)
     scenario = Scenario(scheme=args.scheme, params=params, creds=_credentials(args),
-                        hash_spec=_hash_spec(args), x=args.x, y=args.y,
+                        hash_spec=HashSpec(args.hash), x=args.x, y=args.y,
                         seed=args.seed)
     report = run_honest_session(scenario)
     _maybe_log(args, report.to_json_obj())
@@ -319,15 +310,13 @@ def cmd_simulate(args) -> int:
     return 0 if report.auth_b_ok and (report.auth_a_ok or skipped) else 1
 
 
-def _simulate_golden(args) -> int:
+def _simulate_golden() -> int:
     all_ok = True
     for vector in golden_vectors():
         ok, observed = check_golden(vector)
         all_ok = all_ok and ok
         print(f"golden {vector.name}: {'ok' if ok else 'MISMATCH'}")
-        if args.bless:
-            print(f"  regenerated: {json.dumps(observed, sort_keys=True)}")
-        elif not ok:
+        if not ok:
             print(f"  expected: {json.dumps(vector.expected, sort_keys=True)}")
             print(f"  observed: {json.dumps(observed, sort_keys=True)}")
     return 0 if all_ok else 2
@@ -338,21 +327,19 @@ def _attack_stolen(args) -> int:
         raise ScenarioError("trials must be >= 1")
     params = _params(args)
     creds = _credentials(args)
-    hash_spec = _hash_spec(args)
+    hash_spec = HashSpec(args.hash)
     v = derive_verifier(creds, params, hash_spec)
     rng = random.Random(args.seed)
     lky_mode = args.attack_name == ATTACK_STOLEN_VERIFIER_LKY
     attack_fn = (stolen_verifier_attack_lky if lky_mode
                  else stolen_verifier_attack_proposed)
     successes = 0
-    last_report = None
     for _ in range(args.trials):
         x_att = rng.randrange(2, params.q - 1)
         y_srv = rng.randrange(2, params.q - 1)
         report = attack_fn(v, (creds.id_a, creds.id_b), params, hash_spec,
                            x_att, y_srv)
         successes += report.succeeded
-        last_report = report
     print(f"{args.attack_name}: {successes}/{args.trials} impersonations "
           f"accepted by the server (attacker held only the verifier)")
     if not lky_mode:
@@ -360,8 +347,7 @@ def _attack_stolen(args) -> int:
         verdict = (f"claim does not hold on a {params.q.bit_length()}-bit group"
                    if successes else "claim held in every trial")
         print(f"measured verdict: {verdict}")
-    if last_report is not None:
-        _maybe_log(args, last_report.to_json_obj())
+    _maybe_log(args, report.to_json_obj())
     return 0
 
 
@@ -370,7 +356,7 @@ def _attack_mitm(args) -> int:
     creds = _credentials(args)
     report = mitm_tamper_experiment(args.scheme,
                                     TamperSpec(field=args.field, value=args.value),
-                                    params, _hash_spec(args), (args.x, args.y),
+                                    params, HashSpec(args.hash), (args.x, args.y),
                                     creds)
     print(f"mitm on {args.scheme} ({args.field} -> {args.value}): "
           f"{'SUCCEEDED' if report.succeeded else 'no impersonation'}")
@@ -382,7 +368,7 @@ def _attack_mitm(args) -> int:
 def _attack_census(args) -> int:
     params = _params(args)
     creds = _credentials(args)
-    hash_spec = _hash_spec(args)
+    hash_spec = HashSpec(args.hash)
     scenario = Scenario(scheme=SCHEME_PROPOSED, params=params, creds=creds,
                         hash_spec=hash_spec, x=args.x, y=args.y, seed=args.seed)
     wiretap = run_honest_session(scenario)
@@ -408,8 +394,7 @@ def _attack_census(args) -> int:
 
 def cmd_bench(args) -> int:
     params = _params(args)
-    table = compare_efficiency(params, args.trials, args.seed,
-                               hash_spec=_hash_spec(args))
+    table = compare_efficiency(params, args.trials, args.seed, HashSpec(args.hash))
     print(table.render_text())
     if args.csv:
         Path(args.csv).write_text(table.render_csv(), encoding="utf-8")
@@ -483,8 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the session-log JSON line")
     p_sim.add_argument("--golden", action="store_true",
                        help="check the pinned toy-group vectors")
-    p_sim.add_argument("--bless", action="store_true",
-                       help="with --golden: print regenerated vectors")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_att = sub.add_parser("attack", help="run an adversary experiment")
@@ -536,10 +519,6 @@ def main(argv=None) -> int:
     except (AuthFail, UnknownIdentity, RetryNonce) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MalformedFrame, VersionMismatch, StoreParseError,
-            CounterDrift) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValidationError, ScenarioError, SearchExhausted, GroupTooLarge,
             DuplicateEntry, StoreLocked, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

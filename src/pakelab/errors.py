@@ -87,7 +87,6 @@ class StoreParseError(PakeError):
     def __init__(self, line: int, reason: str):
         super().__init__(f"line {line}: {reason}")
         self.line = line
-        self.reason = reason
 
 
 class DuplicateEntry(PakeError):

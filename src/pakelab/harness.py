@@ -14,7 +14,6 @@ misstate every comparison this table exists to make.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -97,9 +96,6 @@ class SessionReport:
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.to_json_line().encode()).hexdigest()
 
 
 def append_log_line(path: Union[str, Path], obj: dict):
@@ -221,7 +217,7 @@ class EfficiencyTable:
 
 
 def compare_efficiency(params: GroupParams, trials: int, seed: int,
-                       hash_spec: Optional[HashSpec] = None) -> EfficiencyTable:
+                       hash_spec: HashSpec = HashSpec(DIGEST256)) -> EfficiencyTable:
     """Measure per-session costs for both schemes over seeded honest runs.
 
     Deterministic counters must agree across every trial of a scheme
@@ -230,13 +226,12 @@ def compare_efficiency(params: GroupParams, trials: int, seed: int,
     """
     if trials < 1:
         raise ScenarioError("trials must be >= 1")
-    spec = hash_spec if hash_spec is not None else HashSpec(DIGEST256)
     rows: List[EfficiencyRow] = []
     for scheme in (SCHEME_LKY, SCHEME_PROPOSED):
         samples: List[Counters] = []
         for trial in range(trials):
             report = run_honest_session(Scenario(
-                scheme=scheme, params=params, creds=TOY_CREDS, hash_spec=spec,
+                scheme=scheme, params=params, creds=TOY_CREDS, hash_spec=hash_spec,
                 seed=seed + trial * 7919))
             if report.error is not None:
                 raise ScenarioError(

@@ -39,10 +39,8 @@ class TranscriptEntry:
 class Transcript:
     entries: list = field(default_factory=list)
 
-    def record(self, direction: str, label: str, data: bytes) -> TranscriptEntry:
-        entry = TranscriptEntry(direction=direction, label=label, data=data)
-        self.entries.append(entry)
-        return entry
+    def record(self, direction: str, label: str, data: bytes) -> None:
+        self.entries.append(TranscriptEntry(direction, label, data))
 
     @property
     def messages(self) -> int:

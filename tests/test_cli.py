@@ -24,7 +24,7 @@ from pakelab.core import (
     generate_params,
     validate_params,
 )
-from pakelab.errors import AuthFail
+from pakelab.errors import AuthFail, CounterDrift
 from pakelab.harness import GoldenVector
 from pakelab.netio import service as service_module
 from pakelab.netio.frames import Msg2Frame, encode_frame, read_frame
@@ -198,17 +198,9 @@ def test_simulate_golden_reports_a_drifted_vector(monkeypatch, capsys):
     assert run_cli("simulate", "--golden") == 2
     out = capsys.readouterr().out
     assert f"golden {vector.name}: MISMATCH" in out
-    assert "  expected: " in out and "  observed: " in out
-
-
-def test_simulate_golden_bless_prints_without_mutating(capsys):
-    assert run_cli("simulate", "--golden", "--bless") == 0
-    out = capsys.readouterr().out
-    assert out.count("regenerated:") == 2
-
-
-def test_bless_requires_golden():
-    assert run_cli("simulate", "--bless") == 3
+    assert f"  expected: {json.dumps(drifted.expected, sort_keys=True)}\n" in out
+    # the real vector, as the run computed it
+    assert f"  observed: {json.dumps(vector.expected, sort_keys=True)}\n" in out
 
 
 # -- attacks ----------------------------------------------------------------------
@@ -305,7 +297,9 @@ def test_attack_census_above_the_desk_bound_is_a_usage_error(tmp_path, capsys):
     group.write_text(f"{params.q}\n{params.g}\n")
     assert run_cli("attack", "census", "--params", str(group),
                    "--dictionary", "10,11", "--seed", "3") == 3
-    assert "census needs q <= 1048576" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "census needs q <= 1048576" in err
+    assert err.endswith(", got a 24-bit q\n")
 
 
 # -- register ---------------------------------------------------------------------
@@ -556,6 +550,16 @@ def test_bench_rejects_zero_trials():
     assert run_cli("bench", "--trials", "0", "--seed", "0") == 3
 
 
+def test_bench_whose_counters_drift_exits_2(monkeypatch, capsys):
+    def drift(*args, **kwargs):
+        raise CounterDrift("lky modexp_client: 5 != 4 across trials")
+
+    monkeypatch.setattr(cli_module, "compare_efficiency", drift)
+    assert run_cli("bench", "--trials", "2", "--seed", "0") == 2
+    assert capsys.readouterr().err == (
+        "error: lky modexp_client: 5 != 4 across trials\n")
+
+
 # -- session log via environment -----------------------------------------------------
 
 
@@ -621,8 +625,8 @@ def test_serve_with_an_out_of_range_y_override_exits_3(served_store, tmp_path):
     assert not log.exists()
 
 
-def test_connect_to_a_server_sending_a_non_element_exits_2(capsys):
-    """A PakeError no earlier clause of main names falls to exit 2."""
+def _connect_to_a_server_answering(msg2: bytes) -> int:
+    """Run `connect` against a listener that answers MSG1 with these bytes."""
     with socket.create_server(("127.0.0.1", 0)) as listener:
         host, port = listener.getsockname()
 
@@ -630,19 +634,29 @@ def test_connect_to_a_server_sending_a_non_element_exits_2(capsys):
             conn, _ = listener.accept()
             with conn, conn.makefile("rb") as rfile:
                 read_frame(rfile)                       # MSG1
-                conn.sendall(encode_frame(Msg2Frame(t_b=13)))
+                conn.sendall(msg2)
                 rfile.read(1)                           # until the client leaves
 
         server = threading.Thread(target=answer)
         server.start()
         try:
-            code = run_cli("connect", "--addr", f"{host}:{port}", "--hash",
+            return run_cli("connect", "--addr", f"{host}:{port}", "--hash",
                            "toysum", "--id-a", "9", "--id-b", "12",
                            "--password", "10", "--x", "3")
         finally:
             server.join(timeout=10)
-    assert code == 2
+
+
+def test_connect_to_a_server_sending_a_non_element_exits_2(capsys):
+    """A PakeError no earlier clause of main names falls to exit 2."""
+    assert _connect_to_a_server_answering(encode_frame(Msg2Frame(t_b=13))) == 2
     assert "error: T_B = 13 not in Z_q^*" in capsys.readouterr().err
+
+
+def test_connect_to_a_server_of_another_wire_version_exits_2(capsys):
+    msg2 = encode_frame(Msg2Frame(t_b=5))
+    assert _connect_to_a_server_answering(msg2[:2] + b"\x02" + msg2[3:]) == 2
+    assert "error: wire version 0x02, expected 0x01" in capsys.readouterr().err
 
 
 def test_serve_stops_on_sigterm_like_on_sigint(served_store):
@@ -766,7 +780,50 @@ def test_serve_and_register_reject_a_verifier_outside_the_group(tmp_path, capsys
     assert bad.read_text() == "# pake-verifiers v1\n9\t12\t1d\n"
 
 
-# -- the README names only flags that exist -------------------------------------------
+# -- the option surface: adding or dropping a flag shows in LONG_OPTIONS -------------
+
+_COMMON = ("--hash", "--log", "--params")
+_CREDS = ("--id-a", "--id-b", "--password")
+LONG_OPTIONS = {
+    "params gen": ("--bits", "--out", "--seed"),
+    "params check": (),
+    "register": _COMMON + _CREDS + ("--replace", "--store"),
+    "serve": _COMMON + ("--enroll", "--insecure-lky", "--listen", "--max-fail",
+                        "--seed", "--store", "--y-override"),
+    "connect": _COMMON + _CREDS + ("--addr", "--scheme", "--seed", "--x"),
+    "simulate": _COMMON + _CREDS + ("--golden", "--json", "--scheme", "--seed",
+                                    "--x", "--y"),
+    "attack stolen-verifier-lky": _COMMON + _CREDS + ("--seed", "--trials"),
+    "attack stolen-verifier-proposed": _COMMON + _CREDS + ("--seed", "--trials"),
+    "attack mitm": _COMMON + _CREDS + ("--field", "--scheme", "--value", "--x",
+                                       "--y"),
+    "attack census": _COMMON + _CREDS + ("--dict", "--dictionary", "--seed",
+                                         "--x", "--y"),
+    "bench": ("--csv", "--hash", "--params", "--seed", "--trials"),
+}
+
+
+def _subcommand_options():
+    """{"attack census": {"--dict", ..., "--help", "-h"}, ...} for each leaf parser."""
+    found, parsers = {}, [((), cli_module.build_parser())]
+    while parsers:
+        path, parser = parsers.pop()
+        subs = [action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)]
+        for action in subs:
+            parsers.extend((path + (name,), p) for name, p in action.choices.items())
+        if not subs:
+            found[" ".join(path)] = {option for action in parser._actions
+                                     for option in action.option_strings}
+    return found
+
+
+def test_each_subcommand_takes_exactly_the_listed_long_options():
+    found = {command: sorted(option for option in options
+                             if option.startswith("--") and option != "--help")
+             for command, options in _subcommand_options().items()}
+    assert found == {command: sorted(options)
+                     for command, options in LONG_OPTIONS.items()}
 
 
 def test_every_flag_the_readme_names_belongs_to_a_subcommand():
@@ -774,11 +831,6 @@ def test_every_flag_the_readme_names_belongs_to_a_subcommand():
              for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
              if "pip install" not in line
              for flag in re.findall(r"--[a-z][a-z0-9-]*", line)}
-    known, parsers = set(), [cli_module.build_parser()]
-    while parsers:
-        for action in parsers.pop()._actions:
-            known.update(action.option_strings)
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
+    known = set().union(*_subcommand_options().values())
     assert "--params" in named
     assert named <= known, sorted(named - known)

@@ -77,9 +77,9 @@ def test_lky_toy_session_report():
 def test_seeded_sessions_are_reproducible():
     a = run_honest_session(Scenario(scheme=SCHEME_PROPOSED, seed=11))
     b = run_honest_session(Scenario(scheme=SCHEME_PROPOSED, seed=11))
-    assert a.digest() == b.digest()
+    assert a.to_json_line() == b.to_json_line()
     c = run_honest_session(Scenario(scheme=SCHEME_PROPOSED, seed=12))
-    assert a.digest() != c.digest()
+    assert a.to_json_line() != c.to_json_line()
 
 
 def test_explicit_degenerate_nonce_aborts_without_resampling():
